@@ -145,7 +145,12 @@ def _experiment_config(args: argparse.Namespace, kind: str) -> ExperimentConfig:
     merged = dict(_DEFAULTS[kind])
     if args.config:
         with open(args.config) as handle:
-            merged.update(json.load(handle))
+            loaded = json.load(handle)
+        if not isinstance(loaded, dict):
+            raise DomainError(f"--config {args.config}: top level must be a JSON object")
+        if not isinstance(loaded.get("rate", {}), (dict, type(None))):
+            raise DomainError(f"--config {args.config}: \"rate\" must be a JSON object")
+        merged.update(loaded)
 
     overrides = {}
     for name in ("replicates", "seed", "beta", "a", "M", "p_cap", "norm", "q", "r",

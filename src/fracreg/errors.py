@@ -24,10 +24,11 @@ class ResolutionError(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """Picard iteration did not reach tolerance within the sweep budget.
+    """A mild solve did not reach tolerance.
 
-    Carries the successive-difference sequence so callers can inspect
-    how (or whether) the iteration was contracting.
+    Picard iteration carries the successive-difference sequence of its
+    sweep budget so callers can inspect how (or whether) the iteration was
+    contracting; an exact solve carries its one residual.
     """
 
     def __init__(self, message: str, iterations: int, diffs):

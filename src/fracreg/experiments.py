@@ -152,18 +152,18 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         d = dict(d)
-        rate = d.get("rate")
-        if rate is not None:
-            d["rate"] = RateParams(**rate)
-        if "eps_grid" in d:
-            d["eps_grid"] = tuple(d["eps_grid"])
-        if "t_eval" in d:
-            d["t_eval"] = tuple(d["t_eval"])
-        if "mise_configs" in d:
-            d["mise_configs"] = tuple(tuple(c) for c in d["mise_configs"])
         try:
+            rate = d.get("rate")
+            if rate is not None:
+                d["rate"] = RateParams(**rate)
+            if "eps_grid" in d:
+                d["eps_grid"] = tuple(d["eps_grid"])
+            if "t_eval" in d:
+                d["t_eval"] = tuple(d["t_eval"])
+            if "mise_configs" in d:
+                d["mise_configs"] = tuple(tuple(c) for c in d["mise_configs"])
             return cls(**d)
-        except TypeError as exc:  # unknown keys in a config file
+        except TypeError as exc:  # unknown keys or wrong shapes in a config file
             raise DomainError(f"bad experiment configuration: {exc}") from None
 
 
@@ -434,11 +434,7 @@ def convergence_table(cfg: ExperimentConfig) -> ErrorReport:
     eig = _convergence_eig(cfg)
     lam_full = eig.eigenvalues
     K = cfg.lipschitz_K
-
-    def evaluator(t, c):
-        return K * c / (1.0 + lam_full[: c.size])
-
-    nl = NonlinearitySpec.lipschitz(K, evaluator) if K > 0 else NonlinearitySpec.zero()
+    nl = NonlinearitySpec.damped(K) if K > 0 else NonlinearitySpec.zero()
     spec = ProblemSpec(cfg.beta, cfg.a, eig, nl)
     profile = power_law_profile(cfg.truth_decay, cfg.truth_modes, u1_scale=cfg.truth_u1_scale)
     data, truth = manufacture(spec, cfg.truth_modes, profile, M=cfg.M)

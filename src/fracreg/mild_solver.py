@@ -9,12 +9,25 @@ with ``g_p(eta) = <G(eta, ., u(eta, .)), phi_p>``.  The Volterra term is
 discretized by piecewise-linear product integration: the forcing is linear
 on each time cell while the kernel is integrated exactly through its first
 and second antiderivatives, so the quadrature error is O(dt^2) and comes
-from the interpolation of ``g`` alone.  The nonlinear fixed point is reached
-by Picard sweeps starting from the homogeneous part.
+from the interpolation of ``g`` alone.
 
-Everything here is pure and deterministic; per-mode work within a sweep is
-independent (the einsum reduction order is fixed), so results do not depend
-on any parallel schedule.
+Two solver paths reach the fixed point of the discrete equation:
+
+* mode-diagonal kinds (``damped``, ``gbar``) multiply each mode by a known
+  factor ``m_p(t)``, so each mode's discrete equation is the lower-triangular
+  system ``(I - L_p diag(m_p)) U_p = H_p``.  It is solved exactly once per
+  problem shape by forward substitution for unit ``u0`` and ``u1``, and every
+  solve combines the two cached responses linearly;
+* general ``lipschitz`` maps are solved by Picard sweeps starting from the
+  homogeneous part.
+
+The exact path checks the residual of the discrete equation at the field it
+returns, the Picard path the difference of its last two sweeps; either
+raises :class:`NoConvergence` when the tolerance is not met.
+
+Everything here is pure and deterministic; per-mode work is independent (the
+reduction orders are fixed), so results do not depend on any parallel
+schedule.
 """
 
 from __future__ import annotations
@@ -42,9 +55,13 @@ class NonlinearitySpec:
     ``zero``       no forcing; the problem is linear and mode-decoupled.
     ``lipschitz``  arbitrary coefficient-space map ``evaluator(t, c) -> c``
                    with Lipschitz constant ``K`` in the L2 norm.
+    ``damped``     the damped map of the rate experiments: mode-wise
+                   multiplier ``K / (1 + lam_p)``, Lipschitz constant ``K``.
     ``gbar``       the contraction nonlinearity of the instability
                    construction: mode-wise multiplier
                    ``exp(lam_p^(1/beta) (t - a)) / (2 a C3)``.
+
+    ``damped`` and ``gbar`` are the mode-diagonal kinds, solved exactly.
     """
 
     kind: str
@@ -53,13 +70,12 @@ class NonlinearitySpec:
     evaluator: Callable[[float, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("zero", "lipschitz", "gbar"):
+        if self.kind not in ("zero", "lipschitz", "damped", "gbar"):
             raise DomainError(f"unknown nonlinearity kind {self.kind!r}")
-        if self.kind == "lipschitz":
-            if self.evaluator is None:
-                raise DomainError("lipschitz nonlinearity needs an evaluator")
-            if not self.K >= 0.0:
-                raise DomainError("Lipschitz constant must be >= 0")
+        if self.kind == "lipschitz" and self.evaluator is None:
+            raise DomainError("lipschitz nonlinearity needs an evaluator")
+        if self.kind in ("lipschitz", "damped") and not self.K >= 0.0:
+            raise DomainError("Lipschitz constant must be >= 0")
         if self.kind == "gbar" and not self.C3 > 0.0:
             raise DomainError("gbar needs a positive C3")
 
@@ -72,8 +88,17 @@ class NonlinearitySpec:
         return cls(kind="lipschitz", K=K, evaluator=evaluator)
 
     @classmethod
+    def damped(cls, K: float) -> "NonlinearitySpec":
+        return cls(kind="damped", K=K)
+
+    @classmethod
     def gbar(cls, C3: float) -> "NonlinearitySpec":
         return cls(kind="gbar", C3=C3)
+
+    @property
+    def diagonal_param(self) -> float | None:
+        """The parameter of a mode-diagonal kind (``K`` or ``C3``); None otherwise."""
+        return {"damped": self.K, "gbar": self.C3}.get(self.kind)
 
 
 @dataclass(frozen=True)
@@ -113,7 +138,8 @@ class FourierField:
     """Solution values on a uniform time grid: row i holds u(t_i) coefficients.
 
     ``picard_diffs`` records the successive-iterate differences of the sweep
-    that produced the field (contraction diagnostics).
+    that produced the field (contraction diagnostics), or the residual of
+    the discrete equation when the field was solved exactly.
     """
 
     t_grid: np.ndarray
@@ -206,18 +232,52 @@ def _solver_tables(beta: float, a: float, lams: tuple, M: int):
     return E1, E2t, L
 
 
+def _multiplier(kind: str, param: float, beta: float, a: float, lam: np.ndarray, t: np.ndarray):
+    """(len(t), P) mode-wise multiplier ``m_p(t_i)`` of a mode-diagonal kind."""
+    if kind == "damped":
+        return np.broadcast_to(param / (1.0 + lam), (t.size, lam.size))
+    return np.exp(lam[None, :] ** (1.0 / beta) * (t[:, None] - a)) / (2.0 * a * param)
+
+
 def _g_matrix(spec: ProblemSpec, lam: np.ndarray, t: np.ndarray, U: np.ndarray):
     """Forcing coefficients G(t_i, u(t_i)) for every grid row; None if G == 0."""
     nl = spec.nonlinearity
     if nl.kind == "zero":
         return None
-    if nl.kind == "gbar":
-        mult = np.exp(lam[None, :] ** (1.0 / spec.beta) * (t[:, None] - spec.a)) / (
-            2.0 * spec.a * nl.C3
-        )
-        return mult * U
+    if nl.diagonal_param is not None:
+        return _multiplier(nl.kind, nl.diagonal_param, spec.beta, spec.a, lam, t) * U
     rows = [np.asarray(nl.evaluator(float(ti), U[i]), dtype=float) for i, ti in enumerate(t)]
     return np.vstack(rows)
+
+
+def _max_row_l2(X: np.ndarray) -> float:
+    """Discrete C([0,a]; L2) norm: the max over grid rows of the row L2 norm."""
+    return float(np.max(np.sqrt(np.sum(X**2, axis=1))))
+
+
+@lru_cache(maxsize=32)
+def _response_tables(beta: float, a: float, lams: tuple, M: int, kind: str, param: float):
+    """Exact responses of the discrete mild equation to unit initial data.
+
+    For a mode-diagonal nonlinearity ``G_p(t, u) = m_p(t) u_p`` the discrete
+    equation of mode p is the lower-triangular system
+    ``(I - L_p diag(m_p)) U_p = H_p`` with ``H_p = E1[:, p] u0_p + E2t[:, p] u1_p``.
+    Forward substitution, row by row and vectorised over modes and both
+    right-hand sides, returns ``(F1, F2)``, each (M+1, P), such that
+    ``U = F1 * u0 + F2 * u1`` solves the system for any data.  Cached so
+    Monte-Carlo replicates over the same problem pay for it once.
+    """
+    E1, E2t, L = _solver_tables(beta, a, lams, M)
+    lam = np.asarray(lams, dtype=float)
+    m = _multiplier(kind, param, beta, a, lam, np.linspace(0.0, a, M + 1))
+    H = np.stack([E1.T, E2t.T], axis=1)  # (P, 2, M+1)
+    F = np.empty_like(H)
+    mF = np.empty_like(H)  # forcing of the responses, m * F
+    for i in range(M + 1):
+        rhs = H[:, :, i] + (mF[:, :, :i] @ L[:, i, :i, None])[:, :, 0]
+        F[:, :, i] = rhs / (1.0 - L[:, i, i] * m[i])[:, None]
+        mF[:, :, i] = m[i][:, None] * F[:, :, i]
+    return F[:, 0].T.copy(), F[:, 1].T.copy()
 
 
 def _picard_solve(
@@ -229,9 +289,33 @@ def _picard_solve(
     tol: float,
     max_iter: int,
 ) -> FourierField:
-    E1, E2t, L = _solver_tables(spec.beta, spec.a, tuple(lam.tolist()), M)
+    """Fixed point of the discrete mild equation: the one entry of every solve.
+
+    Mode-diagonal kinds combine the cached exact responses and record the
+    residual of the discrete equation as the single ``picard_diffs`` entry;
+    other kinds run Picard sweeps and record every successive difference.
+    """
+    lams = tuple(lam.tolist())
+    E1, E2t, L = _solver_tables(spec.beta, spec.a, lams, M)
     t = np.linspace(0.0, spec.a, M + 1)
     H = E1 * u0[None, :] + E2t * u1[None, :]
+    nl = spec.nonlinearity
+
+    if nl.diagonal_param is not None:
+        F1, F2 = _response_tables(spec.beta, spec.a, lams, M, nl.kind, nl.diagonal_param)
+        U = F1 * u0[None, :] + F2 * u1[None, :]
+        G = _g_matrix(spec, lam, t, U)
+        residual = _max_row_l2(H + np.einsum("pij,jp->ip", L, G) - U)
+        # The residual of an exact solve is rounding, which grows with the
+        # field: tol is absolute up to a field norm of 1 and relative beyond.
+        bound = tol * max(1.0, _max_row_l2(U))
+        if not residual <= bound:
+            raise NoConvergence(
+                f"exact {nl.kind} solve left a residual {residual:.3e} above {bound:.3e}",
+                1,
+                [residual],
+            )
+        return FourierField(t, U, picard_diffs=np.array([residual]))
 
     U = H.copy()
     diffs = []
@@ -242,7 +326,7 @@ def _picard_solve(
         else:
             V = np.einsum("pij,jp->ip", L, G)
             U_new = H + V
-        diff = float(np.max(np.sqrt(np.sum((U_new - U) ** 2, axis=1))))
+        diff = _max_row_l2(U_new - U)
         diffs.append(diff)
         U = U_new
         if diff <= tol:
@@ -297,13 +381,17 @@ def solve_mild(
     tol: float = DEFAULT_PICARD_TOL,
     max_iter: int = DEFAULT_MAX_SWEEPS,
 ) -> FourierField:
-    """Picard fixed point of the coefficient-space mild-solution map.
+    """Fixed point of the coefficient-space mild-solution map.
 
-    Convergence is measured in the discrete C([0,a]; L2) norm: the max over
-    grid rows of the L2 distance between successive iterates.  Raises
-    :class:`NoConvergence` with the difference sequence if ``max_iter``
-    sweeps do not reach ``tol`` (expected for mode counts or horizons on
-    which the unregularized growth is too strong).
+    Mode-diagonal nonlinearities are solved exactly; their field carries the
+    residual of the discrete equation as its one ``picard_diffs`` entry.
+    Other nonlinearities run Picard sweeps, whose convergence is measured in
+    the discrete C([0,a]; L2) norm: the max over grid rows of the L2
+    distance between successive iterates.  Raises :class:`NoConvergence`
+    with the difference sequence if ``max_iter`` sweeps do not reach
+    ``tol`` (expected for mode counts or horizons on which the unregularized
+    growth is too strong), or with the residual if an exact solve leaves
+    one above ``tol`` (times the field norm, where that exceeds 1).
 
     The un-truncated problem is ill-posed; this is the desk-scale forward
     map on finitely many modes, not a well-posedness claim.

@@ -181,7 +181,8 @@ def mise_bound_check(
     * ``variance_bias_bound = eps^2 N + lam_N^(-2 gamma) * ||u0||_{H^{2 gamma}}^2``.
 
     The bound can never be violated when the smoothness norm is finite;
-    this is asserted.
+    :class:`DomainError` is raised if it is, which happens only when the
+    norm or the eigenvalue weight is not representable.
     """
     if gamma < 0:
         raise DomainError("gamma must be >= 0")
@@ -193,5 +194,9 @@ def mise_bound_check(
     lam_n = eig.lam(N)
     smooth = hq_norm(c, 2.0 * gamma, eig)
     bound = eps * eps * N + lam_n ** (-2.0 * gamma) * smooth * smooth
-    assert analytic <= bound * (1.0 + 1e-12) + 1e-30
+    if not analytic <= bound * (1.0 + 1e-12) + 1e-30:
+        raise DomainError(
+            f"data MISE {analytic!r} exceeds its variance-bias bound {bound!r} "
+            f"(gamma={gamma} is beyond floating-point range)"
+        )
     return analytic, bound

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,8 +120,8 @@ class TheoryBound:
 
     def __post_init__(self):
         for v in self.terms.values():
-            if v < 0:
-                raise DomainError("bound terms must be nonnegative")
+            if not 0.0 <= v < math.inf:
+                raise DomainError(f"bound terms must be finite and nonnegative, got {v!r}")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -132,6 +133,15 @@ class TheoryBound:
                 "envelope_decreasing": self.envelope_decreasing,
             }
         )
+
+
+@contextmanager
+def _representable(what: str):
+    """Turn float overflow or division by zero inside the block into DomainError."""
+    try:
+        yield
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise DomainError(f"{what} is not representable: {exc}") from None
 
 
 def cutoff(lam_p: float, B_N: float) -> int:
@@ -195,14 +205,17 @@ def admissibility_scan(
     Bs, noise_q, bias_q, Ns = [], [], [], []
     for eps in eps_arr:
         cfg = choose_params(float(eps), rp, a, beta, eig)
-        amp = math.exp(2.0 * a * cfg.B_N ** (1.0 / beta))
+        with _representable("the admissibility scan"):
+            amp = math.exp(2.0 * a * cfg.B_N ** (1.0 / beta))
+            noise_q.append(amp * eps * eps * cfg.N)
+            bias_q.append(amp / cfg.lam_N ** (2.0 * rp.gamma))
         Bs.append(cfg.B_N)
         Ns.append(cfg.N)
-        noise_q.append(amp * eps * eps * cfg.N)
-        bias_q.append(amp / cfg.lam_N ** (2.0 * rp.gamma))
     Bs = np.asarray(Bs)
     noise_q = np.asarray(noise_q)
     bias_q = np.asarray(bias_q)
+    if not (np.all(np.isfinite(noise_q)) and np.all(np.isfinite(bias_q))):
+        raise DomainError("admissibility quantities exceed floating-point range")
     return {
         "eps": eps_arr.tolist(),
         "N": Ns,
@@ -225,7 +238,7 @@ def regularized_solve(
     cfg: RegConfig,
     max_iter: int = DEFAULT_MAX_SWEEPS,
 ) -> FourierField:
-    """Picard fixed point of the spectrally truncated integral map.
+    """Fixed point of the spectrally truncated integral map.
 
     Retained modes start from the observed noisy coefficients; all modes
     with ``lam_p > B_N`` are identically zero in the output, whose width is
@@ -278,12 +291,13 @@ def theory_bound_l2(
         raise DomainError("t must lie in [0, a]")
     if min(eps, M0, M_source, C1, D1) < 0:
         raise DomainError("inputs must be nonnegative")
-    x = cfg.B_N ** (1.0 / beta)
-    amp = math.exp(2.0 * x * t)
-    noise = 2.0 * C1 * amp * 2.0 * eps * eps * cfg.N
-    bias = 2.0 * C1 * amp * M0 / cfg.lam_N ** (2.0 * rp.gamma)
-    w = cfg.lam_N if trunc_in_lambda else cfg.B_N
-    trunc = 2.0 * D1 * math.exp(-2.0 * (a - t) * x) * w ** (-rp.mu) * M_source**2
+    with _representable("the L2 bound"):
+        x = cfg.B_N ** (1.0 / beta)
+        amp = math.exp(2.0 * x * t)
+        noise = 2.0 * C1 * amp * 2.0 * eps * eps * cfg.N
+        bias = 2.0 * C1 * amp * M0 / cfg.lam_N ** (2.0 * rp.gamma)
+        w = cfg.lam_N if trunc_in_lambda else cfg.B_N
+        trunc = 2.0 * D1 * math.exp(-2.0 * (a - t) * x) * w ** (-rp.mu) * M_source**2
     terms = {"noise_term": noise, "bias_term": bias, "truncation_term": trunc}
     return TheoryBound(t=t, l2_bound=noise + bias + trunc, hq_bound=None, terms=terms)
 
@@ -311,12 +325,13 @@ def theory_bound_hq(
         raise DomainError("t must lie in [0, a]")
     if q < 0 or not r > 0:
         raise DomainError("need q >= 0 and r > 0")
-    x = cfg.B_N ** (1.0 / beta)
-    bq = cfg.B_N**q
-    amp = bq * math.exp(2.0 * x * t)
-    noise = 4.0 * C1 * amp * 2.0 * eps * eps * cfg.N
-    bias = 4.0 * C1 * amp * M0 / cfg.lam_N ** (2.0 * rp.gamma)
-    trunc = M1**2 * (2.0 * D1 + 1.0) * bq * math.exp(-2.0 * (a - t + r) * x)
+    with _representable("the H^q bound"):
+        x = cfg.B_N ** (1.0 / beta)
+        bq = cfg.B_N**q
+        amp = bq * math.exp(2.0 * x * t)
+        noise = 4.0 * C1 * amp * 2.0 * eps * eps * cfg.N
+        bias = 4.0 * C1 * amp * M0 / cfg.lam_N ** (2.0 * rp.gamma)
+        trunc = M1**2 * (2.0 * D1 + 1.0) * bq * math.exp(-2.0 * (a - t + r) * x)
     terms = {"noise_term": noise, "bias_term": bias, "truncation_term": trunc}
     return TheoryBound(
         t=t,

@@ -119,9 +119,9 @@ class SpatialGrid:
         w[1::2] = 4.0
         w[0] = w[-1] = 1.0
         w *= h / 3.0
-        grid = cls(pts, w)
-        assert abs(float(w.sum()) - math.pi) < 1e-12
-        return grid
+        if not abs(float(w.sum()) - math.pi) < 1e-12:
+            raise DomainError(f"Simpson weights of {n_points} points do not sum to pi")
+        return cls(pts, w)
 
 
 def as_coeffs(values) -> np.ndarray:

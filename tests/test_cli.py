@@ -113,6 +113,23 @@ def test_bad_config_path_is_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("content", ["[1]", '{"rate": 5}'])
+def test_bad_config_shape_is_one_line_error(tmp_path, capsys, content):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(content)
+    code, _, err = run_cli(capsys, "converge", "--config", str(cfg_path))
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_unrepresentable_bound_is_one_line_error(tmp_path, capsys):
+    # k = 0.005 pushes the cutoff so high that exp(2 B^(1/beta) t) overflows
+    code, _, err = run_cli(capsys, "converge", "--k", "0.005", "--eps-grid", "1e-4,1e-5",
+                           "--replicates", "8", "--out", str(tmp_path / "r.json"))
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_converge_cli_invariant_failure_exits_2(tmp_path, capsys):
     # a rate configuration whose predicted order is far from the observed
     # slope must surface as exit status 2, not as silent success

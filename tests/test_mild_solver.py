@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fracreg.errors import DomainError, NoConvergence
 from fracreg.mild_solver import (
@@ -23,6 +26,7 @@ from oracles import volterra_reference
 # Frozen mpmath series values (oracles.ml_reference, 60 digits).
 E_15_1_AT_1 = 1.9394872614337489665
 E_15_2_AT_1 = 1.3462484622959249550
+GBAR_C3 = calibrate_growth_constants(1.5, 1.0).C3
 
 
 def linear_spec(beta=1.5, a=1.0, count=16):
@@ -133,17 +137,88 @@ def test_volterra_quadrature_second_order():
 
 
 def test_gbar_contraction_ratios():
+    # gbar is solved exactly, so its contraction is read from the same map
+    # run through the general Picard path
     beta, a = 1.5, 1.0
     gc = calibrate_growth_constants(beta, a)
-    spec = ProblemSpec(beta, a, EigenSystem.dirichlet_laplace_1d(8),
-                       NonlinearitySpec.gbar(gc.C3))
+    eig = EigenSystem.dirichlet_laplace_1d(8)
+    lam = eig.eigenvalues
+    gbar_map = lambda t, c: np.exp(lam[: c.size] ** (1.0 / beta) * (t - a)) / (2.0 * a * gc.C3) * c
+    picard_spec = ProblemSpec(beta, a, eig, NonlinearitySpec.lipschitz(1.0 / (2.0 * a * gc.C3), gbar_map))
     data = InitialData(0.01 * np.ones(8), np.zeros(8))
-    field = solve_mild(spec, data, P=8, M=64)
+    field = solve_mild(picard_spec, data, P=8, M=64)
     d = field.picard_diffs
     # ratios of successive Picard differences obey the 1/2-contraction
     ratios = [d[i + 1] / d[i] for i in range(1, len(d) - 1) if d[i] > 1e-14]
     assert ratios, "expected at least one meaningful ratio"
     assert max(ratios) <= 0.5 + 0.1
+    exact = solve_mild(ProblemSpec(beta, a, eig, NonlinearitySpec.gbar(gc.C3)), data, P=8, M=64)
+    assert np.max(np.abs(exact.coeffs - field.coeffs)) <= 1e-9
+
+
+@pytest.mark.parametrize("P", [4, 6, 8, 10, 12, 14])
+def test_damped_exact_solve_matches_picard(P):
+    # the converge shape: beta 1.5, Dirichlet spectrum, M = 128; the data
+    # are damped by each mode's growth so that every mode stays of order one
+    K = 0.02
+    eig = EigenSystem.dirichlet_laplace_1d(64)
+    lam = eig.eigenvalues
+    rng = np.random.default_rng(P)
+    damp = np.exp(-lam[:P] ** (1.0 / 1.5))
+    data = InitialData(rng.normal(size=P) * damp, rng.normal(size=P) * damp)
+    exact = solve_mild(ProblemSpec(1.5, 1.0, eig, NonlinearitySpec.damped(K)), data, P=P, M=128)
+    picard = solve_mild(
+        ProblemSpec(1.5, 1.0, eig, NonlinearitySpec.lipschitz(K, lambda t, c: K * c / (1.0 + lam[: c.size]))),
+        data, P=P, M=128,
+    )
+    assert np.max(np.abs(exact.coeffs - picard.coeffs)) <= 1e-9
+    assert len(exact.picard_diffs) == 1
+    assert exact.picard_diffs[0] <= 1e-10
+
+
+def test_exact_solve_residual_is_checked():
+    # a multiplier that makes the triangular system singular at the first
+    # step leaves a nonfinite field, which the residual check reports
+    from fracreg.mild_solver import _solver_tables
+
+    lam = EigenSystem.dirichlet_laplace_1d(2).eigenvalues
+    L = _solver_tables(1.5, 1.0, tuple(lam.tolist()), 16)[2]
+    K = (1.0 + lam[0]) / L[0, 1, 1]
+    spec = ProblemSpec(1.5, 1.0, EigenSystem.dirichlet_laplace_1d(2), NonlinearitySpec.damped(K))
+    with pytest.raises(NoConvergence) as info, np.errstate(all="ignore"):
+        solve_mild(spec, InitialData(np.array([1.0, 0.0]), np.zeros(2)), P=2, M=16)
+    assert info.value.iterations == 1
+    assert len(info.value.diffs) == 1
+
+
+def test_exact_solve_of_large_field_matches_picard():
+    # at beta 1.8 mode 14 grows to ~1e6, where rounding alone leaves a
+    # residual near the absolute tol; the check scales with the field norm
+    beta, a = 1.8, 1.0
+    gc = calibrate_growth_constants(beta, a)
+    eig = EigenSystem.dirichlet_laplace_1d(14)
+    lam = eig.eigenvalues
+    gbar_map = lambda t, c: np.exp(lam[: c.size] ** (1.0 / beta) * (t - a)) / (2.0 * a * gc.C3) * c
+    data = InitialData(0.01 * np.ones(14), np.zeros(14))
+    exact = solve_mild(ProblemSpec(beta, a, eig, NonlinearitySpec.gbar(gc.C3)), data, P=14, M=64)
+    picard = solve_mild(ProblemSpec(beta, a, eig, NonlinearitySpec.lipschitz(
+        1.0 / (2.0 * a * gc.C3), gbar_map)), data, P=14, M=64)
+    scale = np.max(np.abs(picard.coeffs))
+    assert scale > 1e5
+    assert np.max(np.abs(exact.coeffs - picard.coeffs)) <= 1e-12 * scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(["damped", "gbar"]),
+    x=arrays(np.float64, (2, 6), elements=st.floats(-1.0, 1.0)),
+    y=arrays(np.float64, (2, 6), elements=st.floats(-1.0, 1.0)),
+)
+def test_diagonal_solves_are_linear(kind, x, y):
+    nl = NonlinearitySpec.damped(0.5) if kind == "damped" else NonlinearitySpec.gbar(GBAR_C3)
+    spec = ProblemSpec(1.5, 1.0, EigenSystem.dirichlet_laplace_1d(6), nl)
+    fx, fy, fxy = (solve_mild(spec, InitialData(*d), P=6, M=32).coeffs for d in (x, y, x + y))
+    assert np.max(np.abs(fxy - (fx + fy))) <= 1e-9
 
 
 def test_manufacture_single_mode_matches_closed_form():

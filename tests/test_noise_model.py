@@ -134,6 +134,10 @@ def test_mise_bound_check_cases():
     assert analytic == pytest.approx(tail, rel=1e-12)
     assert analytic <= bound
 
+    # a smoothness weight past float range leaves no bound to check against
+    with pytest.raises(DomainError), np.errstate(over="ignore"):
+        mise_bound_check(c[:64], 200.0, 0.05, 8, eig)
+
 
 def test_validation_errors():
     with pytest.raises(DomainError):

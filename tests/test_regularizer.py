@@ -207,6 +207,25 @@ def test_theory_bound_l2_structure():
     assert ratio == pytest.approx((cfg.lam_N / cfg.B_N) ** -rp.mu, rel=1e-12)
 
 
+def test_unrepresentable_bounds_raise_domain_error():
+    rp = RateParams(b=1.0, m=1.0, k=1.0, gamma=1.0, d=1, mu=2.0)
+    eig = EigenSystem.dirichlet_laplace_1d(32)
+
+    def l2(B_N):
+        return theory_bound_l2(rp, manual_cfg(eig, B_N=B_N, N=10), t=0.5, eps=0.01, M0=1.0,
+                               M_source=2.0, C1=1.0, D1=1.0, a=1.0, beta=1.5)
+
+    def hq(B_N, q):
+        return theory_bound_hq(rp, manual_cfg(eig, B_N=B_N, N=10), t=0.5, r=0.1, q=q,
+                               eps=0.01, M0=1.0, M1=2.0, C1=1.0, D1=1.0, a=1.0, beta=1.5)
+
+    # B_N = 0 divides by zero in B_N^(-mu); B_N = 1e6 overflows
+    # exp(2 B_N^(1/beta) t); q = 400 overflows B_N^q
+    for call in (lambda: l2(0.0), lambda: l2(1e6), lambda: hq(1e6, 0.5), lambda: hq(9.0, 400.0)):
+        with pytest.raises(DomainError):
+            call()
+
+
 def test_theory_bound_hq_reduces_at_q_zero():
     rp = RateParams(b=1.0, m=1.0, k=1.0, gamma=1.0, d=1, mu=2.0)
     eig = EigenSystem.dirichlet_laplace_1d(32)
