@@ -27,13 +27,12 @@ from .mild_solver import (
     manufacture,
     solve_mild,
 )
-from .mittag_leffler import MLValue, kernel_primitive, ml, ml_series
+from .mittag_leffler import MLValue, kernel_primitive, ml
 from .noise_model import NoisyObservation, mise_bound_check, mise_mc, observe
 from .regularizer import (
     RateParams,
     RegConfig,
     choose_params,
-    cutoff,
     regularized_solve,
     theory_bound_hq,
     theory_bound_l2,
@@ -60,7 +59,6 @@ __all__ = [
     "MLValue",
     "kernel_primitive",
     "ml",
-    "ml_series",
     "NoisyObservation",
     "mise_bound_check",
     "mise_mc",
@@ -68,7 +66,6 @@ __all__ = [
     "RateParams",
     "RegConfig",
     "choose_params",
-    "cutoff",
     "regularized_solve",
     "theory_bound_hq",
     "theory_bound_l2",

@@ -31,7 +31,7 @@ from .experiments import (
     illposed_demo,
     mise_check,
 )
-from .mittag_leffler import ml, ml_series
+from .mittag_leffler import ml
 from .regularizer import RateParams
 
 
@@ -64,7 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
     ml_p.add_argument("--gamma", type=float, required=True)
     ml_p.add_argument("--z", type=float, required=True)
     ml_p.add_argument("--tol", type=float, default=None,
-                      help="force series mode with this absolute tolerance")
+                      help="sum the power series to this absolute tolerance, "
+                      "whatever z (default: branch by z, relative accuracy ~1e-13)")
 
     ill = sub.add_parser("illposed", help="instability demonstration")
     _add_common(ill)
@@ -97,8 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Field-level defaults for CLI-driven experiments; anything not supplied on
-# the command line or in --config falls back to these.
+# Values that differ from ExperimentConfig's field defaults for CLI-driven
+# experiments; anything not supplied on the command line or in --config falls
+# back to these, then to the field defaults.
 _DEFAULTS = {
     "illposed": {
         "kind": "illposed",
@@ -107,8 +109,6 @@ _DEFAULTS = {
         "seed": 20260809,
         "beta": 1.8,
         "a": 1.0,
-        "M": 64,
-        "p_cap": 32,
     },
     "converge": {
         "kind": "converge",
@@ -118,17 +118,11 @@ _DEFAULTS = {
         "beta": 1.5,
         "a": 1.0,
         "M": 128,
-        "norm": "l2",
-        "q": 0.0,
-        "r": 0.1,
         "t_eval": (0.25,),
         "rate": {"b": 1.0, "m": 6.0, "k": 1.0, "gamma": 3.5, "d": 1, "mu": 2.0},
         "lipschitz_K": 0.02,
         "eig_kind": "dirichlet",
         "eig_count": 64,
-        "truth_modes": 4,
-        "truth_decay": 2.0,
-        "truth_u1_scale": 0.3,
     },
     "mise-check": {
         "kind": "mise-check",
@@ -195,10 +189,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "ml-eval":
-            if args.tol is not None:
-                value = ml_series(args.beta, args.gamma, args.z, args.tol)
-            else:
-                value = ml(args.beta, args.gamma, args.z)
+            value = ml(args.beta, args.gamma, args.z, args.tol)
             sys.stdout.write("value,est_abs_err\n")
             sys.stdout.write(f"{value.value!r},{value.est_abs_err!r}\n")
             return EXIT_OK

@@ -24,7 +24,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -40,7 +40,7 @@ from .mild_solver import (
     solve_mild,
 )
 from .mittag_leffler import calibrate_growth_constants
-from .noise_model import mise_bound_check, mise_mc, observe, replicate_seed, truncated_data
+from .noise_model import mise_bound_check, mise_mc, observe, replicate_seed
 from .regularizer import (
     RateParams,
     RegConfig,
@@ -112,42 +112,6 @@ class ExperimentConfig:
             raise DomainError("hq norm needs q >= 0 and r > 0")
         object.__setattr__(self, "eps_grid", eps)
         object.__setattr__(self, "t_eval", tuple(float(t) for t in self.t_eval))
-
-    def to_dict(self) -> dict:
-        d = {
-            "kind": self.kind,
-            "eps_grid": list(self.eps_grid),
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "beta": self.beta,
-            "a": self.a,
-            "M": self.M,
-            "p_cap": self.p_cap,
-            "norm": self.norm,
-            "q": self.q,
-            "r": self.r,
-            "t_eval": list(self.t_eval),
-            "rate": None
-            if self.rate is None
-            else {
-                "b": self.rate.b,
-                "m": self.rate.m,
-                "k": self.rate.k,
-                "gamma": self.rate.gamma,
-                "d": self.rate.d,
-                "mu": self.rate.mu,
-            },
-            "truth_modes": self.truth_modes,
-            "truth_decay": self.truth_decay,
-            "truth_u1_scale": self.truth_u1_scale,
-            "lipschitz_K": self.lipschitz_K,
-            "eig_kind": self.eig_kind,
-            "eig_count": self.eig_count,
-            "shared_noise": self.shared_noise,
-            "pilot_safety": self.pilot_safety,
-            "mise_configs": [list(c) for c in self.mise_configs],
-        }
-        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -371,7 +335,7 @@ def illposed_demo(cfg: ExperimentConfig) -> ErrorReport:
     }
     meta = {
         "experiment": "illposed",
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "growth_constant_C3": gc.C3,
         "per_eps": per_eps,
         "output_loglog_slope": out_slope,
@@ -558,7 +522,7 @@ def convergence_table(cfg: ExperimentConfig) -> ErrorReport:
     scan = admissibility_scan(rp, cfg.a, cfg.beta, eig, cfg.eps_grid)
     meta = {
         "experiment": "converge",
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "norm": cfg.norm,
         "q": q_eff,
         "constants": {"M0": M0, "M_source": M_src, "M1": M1, "C1": c_cal, "D1": c_cal},
@@ -595,10 +559,8 @@ def mise_check(cfg: ExperimentConfig) -> ErrorReport:
         analytic, bound = mise_bound_check(u0, float(gamma), float(eps), int(N), eig)
 
         def estimator(s, _u0=u0, _eps=eps, _N=N):
-            return truncated_data(
-                observe(_u0, np.zeros(1), float(_eps), int(_N), s,
-                        shared_noise=cfg.shared_noise)
-            )[0]
+            return observe(_u0, np.zeros(1), float(_eps), int(_N), s,
+                           shared_noise=cfg.shared_noise).obs0
 
         est = mise_mc(u0, estimator, cfg.replicates, replicate_seed(cfg.seed, idx))
         agree = abs(est.mean_sq_err - analytic) <= 4.0 * est.std_err
@@ -629,7 +591,7 @@ def mise_check(cfg: ExperimentConfig) -> ErrorReport:
         )
     meta = {
         "experiment": "mise-check",
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "settings": details,
         "invariants_ok": all(d["agrees_4se"] and d["bound_holds"] for d in details),
     }

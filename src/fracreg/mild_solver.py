@@ -32,7 +32,6 @@ schedule.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -41,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NoConvergence
-from .mittag_leffler import ml, ml_values
+from .mittag_leffler import kernel_double_primitive, kernel_primitive, ml_values
 from .spectral import EigenSystem, as_coeffs
 
 DEFAULT_PICARD_TOL = 1e-10
@@ -163,14 +162,6 @@ class FourierField:
     def n_modes(self) -> int:
         return int(self.coeffs.shape[1])
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("t,p,coeff\n")
-        for i, t in enumerate(self.t_grid):
-            for p in range(self.coeffs.shape[1]):
-                buf.write(f"{float(t)!r},{p + 1},{float(self.coeffs[i, p])!r}\n")
-        return buf.getvalue()
-
 
 # ---------------------------------------------------------------------------
 # Kernel tables
@@ -192,19 +183,16 @@ def _solver_tables(beta: float, a: float, lams: tuple, M: int):
     P = lam.size
     t = np.linspace(0.0, a, M + 1)
     dt = a / M
-    z = lam[:, None] * t[None, :] ** beta  # (P, M+1), also the lag arguments
+    z = lam[:, None] * t[None, :] ** beta  # (P, M+1)
 
     e1, _ = ml_values(beta, 1.0, z)
     e2, _ = ml_values(beta, 2.0, z)
     E1 = e1.T.copy()
     E2t = (t[None, :] * e2).T.copy()
 
-    # Exact kernel antiderivatives at the lag points s = l*dt.
-    eb1, _ = ml_values(beta, beta + 1.0, z)
-    eb2, _ = ml_values(beta, beta + 2.0, z)
-    s = t[None, :]
-    K1 = s**beta * eb1  # (P, M+1)
-    K2 = s ** (beta + 1.0) * eb2
+    # Exact kernel antiderivatives at the lag points s = l*dt, (P, M+1) each.
+    K1 = kernel_primitive(beta, lam[:, None], t[None, :])
+    K2 = kernel_double_primitive(beta, lam[:, None], t[None, :])
 
     # Per-cell weights in lag form: a cell at lags (l-1, l) contributes to its
     # left node with weight WL[l] and to its right node with WR[l-1].
@@ -342,15 +330,6 @@ def _picard_solve(
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
-
-
-def homogeneous_mode(spec: ProblemSpec, p: int, t: float, u0_p: float, u1_p: float) -> float:
-    """The two Mittag-Leffler terms of mode p at time t (no Volterra term)."""
-    if not (0.0 <= t <= spec.a):
-        raise DomainError(f"t must lie in [0, {spec.a}], got {t}")
-    lam = spec.eig.lam(p)
-    z = lam * t**spec.beta
-    return ml(spec.beta, 1.0, z).value * u0_p + t * ml(spec.beta, 2.0, z).value * u1_p
 
 
 def volterra_step(spec: ProblemSpec, p: int, g_history, t_i: float) -> float:

@@ -8,24 +8,28 @@ the test suite and by the instability-demo nonlinearity.
 
 Evaluation strategy
 -------------------
-All series terms are nonnegative for ``z >= 0``, so there is no cancellation
-and double precision suffices everywhere:
+There is one evaluator, :func:`ml_values`, vectorised over ``z``;
+:func:`ml` is its 0-d call.  All series terms are nonnegative for
+``z >= 0``, so there is no cancellation and double precision suffices
+everywhere.  Each argument takes one of two branches:
 
 * ``x = z**(1/beta) <= SERIES_SWITCH_X``: the power series, summed with
   compensated (Kahan) accumulation.  The term ratio
   ``t_{k+1}/t_k = z * Gamma(beta*k+gamma) / Gamma(beta*k+beta+gamma)``
   is strictly decreasing in ``k``, so once it drops below 1 the tail is
   bounded by a geometric series; summation stops when that bound meets the
-  tolerance.
+  tolerance (relative ``_REL_TOL`` by default, or an absolute ``tol``,
+  which sends every argument down this branch).
 * ``x > SERIES_SWITCH_X``: the large-argument expansion
   ``(1/beta) * z^((1-gamma)/beta) * exp(x) - sum_{k=1}^{K} z^(-k)/Gamma(gamma - beta*k)``
   with ``K = ASYMPTOTIC_TERMS`` corrections.  Correction terms whose Gamma
   argument sits on a pole vanish (reciprocal Gamma).  For ``beta == 2``
   exactly, the reflected exponential ``exp(-x)`` branch is added, which makes
-  the ``cosh``/``sinh`` cases exact.  The two branches agree to ~1e-15
-  relative at the switchover (checked by the continuity test).
+  the ``cosh``/``sinh`` cases exact.  The two branches agree to ~1e-13
+  relative at the switchover (checked by the continuity tests).
 
 Only real ``z >= 0`` is supported; the solver never needs anything else.
+A value beyond floating-point range raises :class:`DomainError`.
 """
 
 from __future__ import annotations
@@ -53,26 +57,12 @@ ASYMPTOTIC_TERMS = 5
 _REL_TOL = 1e-13
 
 
-@dataclass(frozen=True)
-class MLQuery:
-    """Validated argument triple for a Mittag-Leffler evaluation.
-
-    ``beta`` must lie in (0, 2], ``gamma`` must be positive and ``z``
-    nonnegative (negative arguments never occur in this problem: the
-    function is only ever evaluated at ``lam * t**beta``).
-    """
-
-    beta: float
-    gamma: float
-    z: float
-
-    def __post_init__(self):
-        if not (0.0 < self.beta <= 2.0) or math.isnan(self.beta):
-            raise DomainError(f"beta must be in (0, 2], got {self.beta}")
-        if not (self.gamma > 0.0) or math.isinf(self.gamma):
-            raise DomainError(f"gamma must be positive, got {self.gamma}")
-        if not (self.z >= 0.0) or math.isinf(self.z):
-            raise DomainError(f"z must be finite and >= 0, got {self.z}")
+def _check_params(beta: float, gamma: float) -> None:
+    """``beta`` must lie in (0, 2] and ``gamma`` must be positive and finite."""
+    if not 0.0 < beta <= 2.0:
+        raise DomainError(f"beta must be in (0, 2], got {beta}")
+    if not 0.0 < gamma < math.inf:
+        raise DomainError(f"gamma must be positive, got {gamma}")
 
 
 @dataclass(frozen=True)
@@ -93,125 +83,64 @@ def _series_term0(gamma: float) -> float:
     return math.exp(-math.lgamma(gamma))
 
 
-def ml_series(beta: float, gamma: float, z: float, tol: float) -> MLValue:
-    """Power-series evaluation with a rigorous geometric tail bound.
-
-    Terms are summed with Kahan compensation until the bound
-    ``t_{k+1} / (1 - r_{k+1})`` on the remaining tail drops below ``tol``
-    (``r`` is the next term ratio, strictly decreasing in ``k``).  Raises
-    :class:`NonConvergence` if ``SERIES_TERM_CAP`` terms do not suffice,
-    which signals that ``z`` belongs to the asymptotic branch.
-    """
-    MLQuery(beta, gamma, z)
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
-    if z == 0.0:
-        return MLValue(_series_term0(gamma), 0.0)
-
-    lnz = math.log(z)
-    total = 0.0
-    comp = 0.0  # Kahan compensation
-    for k in range(SERIES_TERM_CAP):
-        arg = k * lnz - math.lgamma(beta * k + gamma)
-        if arg > 709.0:  # term overflows double: series mode is hopeless here
-            raise NonConvergence(
-                f"series term overflow for E({beta},{gamma}) at z={z}; "
-                "z too large for series mode",
-                k,
-            )
-        term = math.exp(arg)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-
-        t_next = math.exp(min((k + 1) * lnz - math.lgamma(beta * (k + 1) + gamma), 709.0))
-        r_next = z * math.exp(
-            math.lgamma(beta * (k + 1) + gamma) - math.lgamma(beta * (k + 2) + gamma)
-        )
-        if r_next < 1.0:
-            tail = t_next / (1.0 - r_next)
-            if tail <= tol:
-                return MLValue(total, tail)
-    raise NonConvergence(
-        f"series for E({beta},{gamma}) at z={z} needs more than "
-        f"{SERIES_TERM_CAP} terms for tol={tol}; use the asymptotic branch",
-        SERIES_TERM_CAP,
-    )
-
-
-def _asymptotic_scalar(beta: float, gamma: float, z: float) -> MLValue:
-    x = z ** (1.0 / beta)
-    main = math.exp(x + (1.0 - gamma) / beta * math.log(z) - math.log(beta))
-    if beta == 2.0:
-        # Reflected branch: exactly present for beta = 2 (cosh/sinh family).
-        main += x ** (1.0 - gamma) * math.cos(math.pi * (1.0 - gamma)) * math.exp(-x) / beta
-    corr = 0.0
-    for k in range(1, ASYMPTOTIC_TERMS + 1):
-        corr += float(rgamma(gamma - beta * k)) * z ** (-k)
-    err = abs(float(rgamma(gamma - beta * (ASYMPTOTIC_TERMS + 1)))) * z ** (
-        -(ASYMPTOTIC_TERMS + 1)
-    ) + main * (x + 2.0) * 1e-16
-    return MLValue(main - corr, err)
-
-
-def _magnitude_guess(beta: float, gamma: float, z: float) -> float:
-    """Crude lower-order estimate of E(beta,gamma;z), used to set the
-    absolute series tolerance from the relative target."""
-    first = _series_term0(gamma)
-    if z == 0.0:
-        return first
-    x = z ** (1.0 / beta)
-    arg = x + (1.0 - gamma) / beta * math.log(z) - math.log(beta)
-    if arg > 700.0:
-        return math.inf
-    return max(first, math.exp(arg))
-
-
-def ml(beta: float, gamma: float, z: float) -> MLValue:
-    """Evaluate ``E(beta, gamma; z)``, dispatching between branches.
+def ml(beta: float, gamma: float, z: float, tol: float | None = None) -> MLValue:
+    """Evaluate ``E(beta, gamma; z)`` at one argument: a 0-d :func:`ml_values`.
 
     Relative accuracy is ~1e-13 in exact arithmetic terms; the identity
-    test grid (exp, cosh, (e^z-1)/z) holds it to better than 1e-10.
+    test grid (exp, cosh, (e^z-1)/z) holds it to better than 1e-10.  With
+    ``tol`` the power series runs to that absolute tolerance whatever ``z``.
     """
-    MLQuery(beta, gamma, z)
-    if z == 0.0:
-        return MLValue(_series_term0(gamma), 0.0)
-    if z ** (1.0 / beta) <= SERIES_SWITCH_X:
-        tol = _REL_TOL * _magnitude_guess(beta, gamma, z)
-        return ml_series(beta, gamma, z, tol)
-    return _asymptotic_scalar(beta, gamma, z)
+    value, err = ml_values(beta, gamma, float(z), tol)
+    return MLValue(float(value), float(err))
 
 
-def ml_values(beta: float, gamma: float, z) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`ml` over an array of nonnegative arguments.
+def ml_values(
+    beta: float, gamma: float, z, tol: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``E(beta, gamma; z)`` over an array of nonnegative arguments.
 
-    Returns ``(values, est_abs_errs)`` with the shape of ``z``.  The series
-    lanes are driven together: the largest argument converges last, so its
-    tail bound terminates the shared term loop.
+    Returns ``(values, est_abs_errs)`` with the shape of ``z``.  Each lane
+    takes the branch its ``x = z**(1/beta)`` selects and meets the relative
+    target ``_REL_TOL``; with ``tol`` every lane takes the power series with
+    that absolute tail bound instead.  The series lanes are driven together:
+    the largest argument converges last, so its tail bound terminates the
+    shared term loop.  Raises :class:`DomainError` when a value is not
+    representable, and :class:`NonConvergence` when forced series terms
+    overflow or the term cap is reached.
     """
     z = np.asarray(z, dtype=float)
-    MLQuery(beta, gamma, 0.0)  # validates beta/gamma
+    _check_params(beta, gamma)
     if z.size and (np.any(z < 0) or not np.all(np.isfinite(z))):
         raise DomainError("all z must be finite and >= 0")
+    if tol is not None and not tol > 0.0:
+        raise DomainError(f"tol must be positive, got {tol}")
     flat = z.ravel()
     vals = np.empty_like(flat)
     errs = np.empty_like(flat)
 
-    x = flat ** (1.0 / beta)
-    ser = x <= SERIES_SWITCH_X
-    if np.any(ser):
-        v, e = _series_vec(beta, gamma, flat[ser])
-        vals[ser] = v
-        errs[ser] = e
-    if np.any(~ser):
-        v, e = _asymptotic_vec(beta, gamma, flat[~ser])
-        vals[~ser] = v
-        errs[~ser] = e
+    with np.errstate(over="ignore"):  # overflow surfaces as the DomainError below
+        if tol is None:
+            ser = flat ** (1.0 / beta) <= SERIES_SWITCH_X
+        else:
+            ser = np.ones(flat.shape, dtype=bool)
+        if np.any(ser):
+            v, e = _series(beta, gamma, flat[ser], tol)
+            vals[ser] = v
+            errs[ser] = e
+        if np.any(~ser):
+            v, e = _asymptotic(beta, gamma, flat[~ser])
+            vals[~ser] = v
+            errs[~ser] = e
+    if not np.all(np.isfinite(vals)):
+        raise DomainError(
+            f"E({beta},{gamma}; z) exceeds floating-point range at z = {float(flat.max())!r}"
+        )
     return vals.reshape(z.shape), errs.reshape(z.shape)
 
 
-def _magnitude_guess_vec(beta: float, gamma: float, z: np.ndarray) -> np.ndarray:
+def _magnitude(beta: float, gamma: float, z: np.ndarray) -> np.ndarray:
+    """Crude lower-order estimate of E(beta,gamma;z), used to set the
+    absolute series tolerance from the relative target."""
     first = _series_term0(gamma)
     pos = z > 0.0
     zz = np.where(pos, z, 1.0)
@@ -219,7 +148,15 @@ def _magnitude_guess_vec(beta: float, gamma: float, z: np.ndarray) -> np.ndarray
     return np.where(pos, np.maximum(first, np.exp(np.minimum(arg, 700.0))), first)
 
 
-def _series_vec(beta: float, gamma: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _series(
+    beta: float, gamma: float, z: np.ndarray, tol: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Power series with a rigorous geometric tail bound, per lane.
+
+    Terms are summed with Kahan compensation until the bound
+    ``t_{k+1} / (1 - r_{k+1})`` on every lane's remaining tail is at most
+    ``tol`` (absolute), or the relative target when ``tol`` is None.
+    """
     n = z.size
     total = np.full(n, _series_term0(gamma))
     comp = np.zeros(n)
@@ -229,12 +166,23 @@ def _series_vec(beta: float, gamma: float, z: np.ndarray) -> tuple[np.ndarray, n
     if not np.any(pos):
         return total, np.zeros(n)
     lnz = np.where(pos, np.log(np.where(pos, z, 1.0)), -np.inf)
-    tol = _REL_TOL * _magnitude_guess_vec(beta, gamma, z)
+    if tol is None:
+        tol = _REL_TOL * _magnitude(beta, gamma, z)
 
     lg = gammaln(beta * np.arange(SERIES_TERM_CAP + 2) + gamma)
+
+    def term(k: int) -> np.ndarray:
+        arg = k * lnz - lg[k]
+        if np.any(arg > 709.0):  # exp overflows: z is beyond the series' reach
+            raise NonConvergence(
+                f"series term {k} of E({beta},{gamma}) overflows at z={float(z.max())!r}",
+                k,
+            )
+        return np.where(pos, np.exp(arg), 0.0)
+
+    t_k = term(1)
     for k in range(1, SERIES_TERM_CAP):
-        term = np.where(pos, np.exp(k * lnz - lg[k]), 0.0)
-        y = term - comp
+        y = t_k - comp
         t = total + y
         comp = (t - total) - y
         total = t
@@ -242,18 +190,17 @@ def _series_vec(beta: float, gamma: float, z: np.ndarray) -> tuple[np.ndarray, n
         # All terms keep being added until the slowest lane (largest z)
         # meets its bound, so the final tail bound is valid lane-by-lane.
         r_next = z * math.exp(lg[k + 1] - lg[k + 2])
-        t_next = np.where(pos, np.exp((k + 1) * lnz - lg[k + 1]), 0.0)
+        t_k = term(k + 1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            tail = np.where(r_next < 1.0, t_next / (1.0 - r_next), np.inf)
+            tail = np.where(r_next < 1.0, t_k / (1.0 - r_next), np.inf)
         if np.all(~pos | ((r_next < 1.0) & (tail <= tol))):
             return total, np.where(pos, tail, 0.0)
     raise NonConvergence(
-        f"vectorized series for E({beta},{gamma}) exceeded {SERIES_TERM_CAP} terms",
-        SERIES_TERM_CAP,
+        f"series for E({beta},{gamma}) exceeded {SERIES_TERM_CAP} terms", SERIES_TERM_CAP
     )
 
 
-def _asymptotic_vec(beta: float, gamma: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _asymptotic(beta: float, gamma: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x = z ** (1.0 / beta)
     main = np.exp(x + (1.0 - gamma) / beta * np.log(z) - math.log(beta))
     if beta == 2.0:
@@ -272,36 +219,38 @@ def _asymptotic_vec(beta: float, gamma: float, z: np.ndarray) -> tuple[np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def kernel_primitive(beta: float, lam: float, s: float) -> float:
-    """Exact integral of the Volterra kernel from 0 to ``s``.
+def _kernel_args(name: str, beta: float, lam, s) -> tuple[np.ndarray, np.ndarray]:
+    if not (1.0 < beta < 2.0):
+        raise DomainError(f"{name} requires beta in (1, 2), got {beta}")
+    lam = np.asarray(lam, dtype=float)
+    s = np.asarray(s, dtype=float)
+    if np.any(lam < 0) or np.any(s < 0):
+        raise DomainError("lam and s must be >= 0")
+    return lam, s
+
+
+def kernel_primitive(beta: float, lam, s):
+    """Exact integral of the Volterra kernel from 0 to ``s``, elementwise.
 
     ``int_0^s tau^(beta-1) E(beta, beta; lam tau^beta) dtau
     = s^beta * E(beta, beta+1; lam s^beta)`` (termwise integration of the
     series).  Equals ``s^beta / Gamma(beta+1)`` at ``lam = 0`` and 0 at
-    ``s = 0``.
+    ``s = 0``.  ``lam`` and ``s`` broadcast against each other.
     """
-    if not (1.0 < beta < 2.0):
-        raise DomainError(f"kernel_primitive requires beta in (1, 2), got {beta}")
-    if lam < 0 or s < 0:
-        raise DomainError("lam and s must be >= 0")
-    if s == 0.0:
-        return 0.0
-    return s**beta * ml(beta, beta + 1.0, lam * s**beta).value
+    lam, s = _kernel_args("kernel_primitive", beta, lam, s)
+    e, _ = ml_values(beta, beta + 1.0, lam * s**beta)
+    return s**beta * e
 
 
-def kernel_double_primitive(beta: float, lam: float, s: float) -> float:
-    """Integral of :func:`kernel_primitive` from 0 to ``s``.
+def kernel_double_primitive(beta: float, lam, s):
+    """Integral of :func:`kernel_primitive` from 0 to ``s``, elementwise.
 
     Equals ``s^(beta+1) * E(beta, beta+2; lam s^beta)``; needed for the
     first moment of the kernel in piecewise-linear product integration.
     """
-    if not (1.0 < beta < 2.0):
-        raise DomainError(f"kernel_double_primitive requires beta in (1, 2), got {beta}")
-    if lam < 0 or s < 0:
-        raise DomainError("lam and s must be >= 0")
-    if s == 0.0:
-        return 0.0
-    return s ** (beta + 1.0) * ml(beta, beta + 2.0, lam * s**beta).value
+    lam, s = _kernel_args("kernel_double_primitive", beta, lam, s)
+    e, _ = ml_values(beta, beta + 2.0, lam * s**beta)
+    return s ** (beta + 1.0) * e
 
 
 # ---------------------------------------------------------------------------

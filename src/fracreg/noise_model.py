@@ -13,8 +13,6 @@ which one white noise drives both.
 
 from __future__ import annotations
 
-import io
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -77,13 +75,6 @@ class NoisyObservation:
         object.__setattr__(self, "obs0", o0)
         object.__setattr__(self, "obs1", o1)
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("p,obs0,obs1\n")
-        for p in range(self.N):
-            buf.write(f"{p + 1},{float(self.obs0[p])!r},{float(self.obs1[p])!r}\n")
-        return buf.getvalue()
-
 
 def _pad(c: np.ndarray, n: int) -> np.ndarray:
     if c.size >= n:
@@ -110,11 +101,6 @@ def observe(u0, u1, eps: float, N: int, seed: int, shared_noise: bool = False) -
     return NoisyObservation(eps, N, c0 + eps * xi0, c1 + eps * xi1, seed, shared_noise)
 
 
-def truncated_data(obs: NoisyObservation) -> tuple[np.ndarray, np.ndarray]:
-    """Reconstructed data pair: the N observed coefficients, higher modes zero."""
-    return obs.obs0.copy(), obs.obs1.copy()
-
-
 @dataclass(frozen=True)
 class MiseEstimate:
     """Monte-Carlo mean integrated squared error with its standard error."""
@@ -129,16 +115,6 @@ class MiseEstimate:
             raise DomainError("replicates must be >= 2")
         if self.mean_sq_err < 0 or self.std_err < 0:
             raise DomainError("estimates must be nonnegative")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "mean_sq_err": self.mean_sq_err,
-                "std_err": self.std_err,
-                "replicates": self.replicates,
-                "seed": self.seed,
-            }
-        )
 
 
 def mise_mc(

@@ -16,7 +16,6 @@ surrogates from pilot data, since no usable closed form for them exists).
 
 from __future__ import annotations
 
-import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -31,7 +30,7 @@ from .mild_solver import (
     ProblemSpec,
     _picard_solve,
 )
-from .noise_model import NoisyObservation, truncated_data
+from .noise_model import NoisyObservation
 from .spectral import EigenSystem
 
 
@@ -57,18 +56,6 @@ class RegConfig:
             raise DomainError("N, M must be >= 1 and P_retained >= 0")
         if not self.picard_tol > 0:
             raise DomainError("picard_tol must be positive")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "B_N": self.B_N,
-                "N": self.N,
-                "picard_tol": self.picard_tol,
-                "M": self.M,
-                "P_retained": self.P_retained,
-                "lam_N": self.lam_N,
-            }
-        )
 
 
 @dataclass(frozen=True)
@@ -123,17 +110,6 @@ class TheoryBound:
             if not 0.0 <= v < math.inf:
                 raise DomainError(f"bound terms must be finite and nonnegative, got {v!r}")
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "t": self.t,
-                "l2_bound": self.l2_bound,
-                "hq_bound": self.hq_bound,
-                "terms": self.terms,
-                "envelope_decreasing": self.envelope_decreasing,
-            }
-        )
-
 
 @contextmanager
 def _representable(what: str):
@@ -142,11 +118,6 @@ def _representable(what: str):
         yield
     except (OverflowError, ZeroDivisionError) as exc:
         raise DomainError(f"{what} is not representable: {exc}") from None
-
-
-def cutoff(lam_p: float, B_N: float) -> int:
-    """Spectral cutoff indicator: 1 iff ``lam_p <= B_N`` (boundary kept)."""
-    return 1 if lam_p <= B_N else 0
 
 
 def retained_count(eig: EigenSystem, B_N: float) -> int:
@@ -253,12 +224,11 @@ def regularized_solve(
     if P_active == 0:
         return FourierField(t, np.zeros((cfg.M + 1, width)), picard_diffs=np.zeros(1))
 
-    d0, d1 = truncated_data(obs)
     u0 = np.zeros(P_active)
     u1 = np.zeros(P_active)
     n = min(P_active, obs.N)
-    u0[:n] = d0[:n]
-    u1[:n] = d1[:n]
+    u0[:n] = obs.obs0[:n]
+    u1[:n] = obs.obs1[:n]
     lam = spec.eig.eigenvalues[:P_active]
     core = _picard_solve(spec, lam, u0, u1, cfg.M, cfg.picard_tol, max_iter)
     out = np.zeros((cfg.M + 1, width))

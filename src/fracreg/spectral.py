@@ -9,7 +9,6 @@ Norms and the regularizer work for any eigenvalue sequence; ``project`` and
 from __future__ import annotations
 
 import enum
-import io
 import math
 from dataclasses import dataclass
 
@@ -186,7 +185,8 @@ def hq_norm(coeffs, q: float, eig: EigenSystem) -> float:
     """Spectral Sobolev norm sqrt(sum lam_p^q c_p^2).
 
     For ``q = 0`` the weights are exactly 1.0, so the accumulation path is
-    bit-identical to :func:`l2_norm`.
+    bit-identical to :func:`l2_norm`.  A norm beyond floating-point range
+    raises :class:`DomainError`.
     """
     if q < 0:
         raise DomainError(f"q must be >= 0, got {q}")
@@ -195,27 +195,9 @@ def hq_norm(coeffs, q: float, eig: EigenSystem) -> float:
         raise DomainError(
             f"coefficient vector has {c.size} modes but eigensystem only {eig.count}"
         )
-    w = eig.eigenvalues[: c.size] ** q
-    return float(np.sqrt(np.sum(w * (c * c))))
-
-
-def coeffs_to_csv(coeffs) -> str:
-    """Serialize a coefficient vector as CSV rows ``p,c_p``."""
-    c = as_coeffs(coeffs)
-    buf = io.StringIO()
-    buf.write("p,c_p\n")
-    for i, v in enumerate(c, start=1):
-        buf.write(f"{i},{float(v)!r}\n")
-    return buf.getvalue()
-
-
-def samples_to_csv(grid: SpatialGrid, samples) -> str:
-    """Serialize function samples as CSV rows ``y,f(y)``."""
-    f = np.asarray(samples, dtype=float)
-    if f.shape != grid.points.shape:
-        raise DomainError("sample array must match the grid")
-    buf = io.StringIO()
-    buf.write("y,f(y)\n")
-    for y, v in zip(grid.points, f):
-        buf.write(f"{float(y)!r},{float(v)!r}\n")
-    return buf.getvalue()
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = eig.eigenvalues[: c.size] ** q
+        norm = float(np.sqrt(np.sum(w * (c * c))))
+    if not math.isfinite(norm):
+        raise DomainError(f"the H^q norm with q={q} exceeds floating-point range")
+    return norm

@@ -10,7 +10,10 @@ from pathlib import Path
 import pytest
 
 import fracreg
-from fracreg.cli import main
+from fracreg.cli import _experiment_config, build_parser, main
+from fracreg.experiments import ExperimentConfig
+
+from test_acceptance import CONVERGE_CFG, ILLPOSED_CFG
 
 
 def run_cli(capsys, *argv):
@@ -42,6 +45,39 @@ def test_ml_eval_domain_error(capsys):
                            "--z", "-3")
     assert code == 1
     assert "error:" in err
+
+
+def _child_env():
+    # child processes import the fracreg this test imported
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(fracreg.__file__).resolve().parent.parent)]
+        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return env
+
+
+def _run_module(tmp_path, *argv):
+    # a separate interpreter, so numpy warnings and tracebacks reach stderr
+    return subprocess.run([sys.executable, "-m", "fracreg", *argv], capture_output=True,
+                          text=True, cwd=tmp_path, env=_child_env())
+
+
+@pytest.mark.parametrize("argv", [
+    ["ml-eval", "--beta", "1.5", "--gamma", "1", "--z", "1e5"],
+    ["converge", "--norm", "hq", "--q", "300", "--replicates", "8", "--out", "x.json"],
+    ["converge", "--gamma", "400", "--replicates", "8", "--out", "x.json"],
+])
+def test_overflow_is_one_line_error(tmp_path, argv):
+    run = _run_module(tmp_path, *argv)
+    assert run.returncode == 1
+    assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith("error:"), run.stderr
+
+
+@pytest.mark.parametrize("kind, pinned", [("converge", CONVERGE_CFG),
+                                          ("illposed", ILLPOSED_CFG)])
+def test_cli_defaults_are_the_acceptance_configs(kind, pinned):
+    args = build_parser().parse_args([kind])
+    assert _experiment_config(args, kind) == ExperimentConfig(**pinned)
 
 
 def test_illposed_cli_writes_report(tmp_path, capsys):
@@ -150,11 +186,8 @@ def test_converge_cli_invariant_failure_exits_2(tmp_path, capsys):
 
 def _run_twice_and_compare(tmp_path, command):
     # two separate processes must write byte-identical reports for the same
-    # configuration and seed; both import the fracreg this test imported
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(fracreg.__file__).resolve().parent.parent)]
-        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    # configuration and seed
+    env = _child_env()
     # no pinned hash seed: each child draws its own, so a report that
     # depended on str-hash order (say, iterating a set of names) would
     # differ between them

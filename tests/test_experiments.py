@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -156,7 +157,7 @@ def test_config_validation():
 
 def test_config_json_round_trip():
     cfg = small_converge_cfg()
-    again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+    again = ExperimentConfig.from_dict(json.loads(json.dumps(asdict(cfg))))
     assert again == cfg
 
 

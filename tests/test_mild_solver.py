@@ -8,11 +8,9 @@ from hypothesis.extra.numpy import arrays
 
 from fracreg.errors import DomainError, NoConvergence
 from fracreg.mild_solver import (
-    FourierField,
     InitialData,
     NonlinearitySpec,
     ProblemSpec,
-    homogeneous_mode,
     manufacture,
     power_law_profile,
     solve_mild,
@@ -40,17 +38,13 @@ def unit_data(count, p, where="u0"):
     return InitialData(u0, u1)
 
 
-def test_homogeneous_mode_at_zero_returns_initial_value():
-    spec = linear_spec()
-    assert homogeneous_mode(spec, 1, 0.0, 3.5, -2.0) == 3.5
-
-
-def test_homogeneous_mode_against_oracle():
+def test_zero_forcing_solve_against_oracle():
     spec = linear_spec(beta=1.5)
-    got0 = homogeneous_mode(spec, 1, 1.0, 1.0, 0.0)
-    assert got0 == pytest.approx(E_15_1_AT_1, rel=1e-12)
-    got1 = homogeneous_mode(spec, 1, 1.0, 0.0, 1.0)
-    assert got1 == pytest.approx(E_15_2_AT_1, rel=1e-12)
+    got0 = solve_mild(spec, unit_data(1, 1), P=1, M=8)
+    assert got0.t_grid[-1] == 1.0
+    assert got0.coeffs[-1, 0] == pytest.approx(E_15_1_AT_1, rel=1e-12)
+    got1 = solve_mild(spec, unit_data(1, 1, where="u1"), P=1, M=8)
+    assert got1.coeffs[-1, 0] == pytest.approx(E_15_2_AT_1, rel=1e-12)
 
 
 def test_solve_mild_single_mode_closed_form():
@@ -296,14 +290,6 @@ def test_problem_spec_validation():
         NonlinearitySpec.lipschitz(1.0, None)
     with pytest.raises(DomainError):
         NonlinearitySpec.gbar(0.0)
-
-
-def test_field_csv_layout():
-    f = FourierField(np.array([0.0, 0.5]), np.array([[1.0, 2.0], [3.0, 4.0]]))
-    lines = f.to_csv().splitlines()
-    assert lines[0] == "t,p,coeff"
-    assert lines[1] == "0.0,1,1.0"
-    assert lines[4] == "0.5,2,4.0"
 
 
 def test_gbar_multiplier_is_contractive_coefficient_map():

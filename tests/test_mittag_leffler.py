@@ -1,18 +1,22 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracreg.errors import DomainError, NonConvergence
 from fracreg.mittag_leffler import (
     SERIES_SWITCH_X,
     GrowthConstants,
+    _asymptotic,
+    _series,
     calibrate_growth_constants,
     growth_ratio_grids,
     kernel_double_primitive,
     kernel_primitive,
     ml,
-    ml_series,
     ml_values,
 )
 
@@ -26,18 +30,18 @@ KP_15_4_1 = 1.8349298810174488  # kernel primitive, beta=1.5, lam=4, s=1
 
 
 def test_exponential_identity():
-    v = ml_series(1.0, 1.0, 1.0, 1e-12)
+    v = ml(1.0, 1.0, 1.0, tol=1e-12)
     assert abs(v.value - math.e) <= 1e-12 * math.e
     assert v.est_abs_err <= 1e-12
 
 
 def test_cosh_identity_series():
-    v = ml_series(2.0, 1.0, 4.0, 1e-12)
+    v = ml(2.0, 1.0, 4.0, tol=1e-12)
     assert v.value == pytest.approx(math.cosh(2.0), rel=1e-12)
 
 
 def test_series_against_high_precision_oracle():
-    v = ml_series(1.5, 1.5, 2.0, 1e-12)
+    v = ml(1.5, 1.5, 2.0, tol=1e-12)
     assert v.value == pytest.approx(E_15_15_AT_2, rel=1e-12)
     assert abs(v.value - E_15_15_AT_2) <= v.est_abs_err + 1e-13 * E_15_15_AT_2
 
@@ -50,7 +54,7 @@ def test_series_error_bound_is_honest():
         z = rng.uniform(0.0, 20.0)
         if z ** (1 / beta) > SERIES_SWITCH_X:
             continue
-        got = ml_series(beta, gamma, z, 1e-9)
+        got = ml(beta, gamma, z, tol=1e-9)
         ref = ml_reference(beta, gamma, z)
         assert abs(got.value - ref) <= got.est_abs_err + 1e-12 * abs(ref)
         # all series terms are nonnegative, so the first term is a floor
@@ -59,9 +63,22 @@ def test_series_error_bound_is_honest():
 
 def test_series_rejects_arguments_beyond_its_reach():
     # x = z**(1/beta) ~ 4000: the terms overflow long before the tail
-    # bound could be met, which must surface as NonConvergence.
-    with pytest.raises(NonConvergence):
-        ml_series(0.5, 1.0, 63.3**2, 1e-8)
+    # bound could be met, which must surface as NonConvergence at once,
+    # without a numpy overflow warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergence):
+            ml(0.5, 1.0, 63.3**2, tol=1e-8)
+
+
+def test_unrepresentable_value_is_domain_error():
+    # x = 1e5**(1/1.5) ~ 2154: exp(x) overflows double
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            ml(1.5, 1.0, 1e5)
+        with pytest.raises(DomainError):
+            ml_values(1.5, 1.0, np.array([1.0, 1e5]))
 
 
 def test_ml_identity_grid():
@@ -127,18 +144,29 @@ def test_large_z_against_oracle():
         assert got == pytest.approx(ref, rel=5e-13)
 
 
+def _branch_gap(beta, gamma):
+    """Relative gap between the series and asymptotic branches at x = 25."""
+    z_cut = np.array([SERIES_SWITCH_X**beta])
+    ser, _ = _series(beta, gamma, z_cut)
+    asy, _ = _asymptotic(beta, gamma, z_cut)
+    return abs(asy[0] - ser[0]) / abs(ser[0])
+
+
 def test_branch_continuity_at_switchover():
     # Both branches evaluated at the same argument on the x = 25 cut must
     # agree; this is what makes the switchover value safe.
-    from fracreg.mittag_leffler import _asymptotic_scalar, _magnitude_guess
-
     for beta in (1.1, 1.3, 1.5, 1.7, 1.9, 2.0):
         for gamma in (1.0, beta, beta + 1.0, beta + 2.0):
-            z_cut = SERIES_SWITCH_X**beta
-            tol = 1e-13 * _magnitude_guess(beta, gamma, z_cut)
-            ser = ml_series(beta, gamma, z_cut, tol)
-            asy = _asymptotic_scalar(beta, gamma, z_cut)
-            assert abs(asy.value - ser.value) <= 1e-9 * abs(ser.value)
+            assert _branch_gap(beta, gamma) <= 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    beta=st.floats(min_value=1.0, max_value=2.0, exclude_min=True),
+    gamma=st.floats(min_value=1e-6, max_value=6.0),
+)
+def test_branches_agree_at_switchover_property(beta, gamma):
+    assert _branch_gap(beta, gamma) <= 1e-9
 
 
 def test_ml_values_matches_scalar():

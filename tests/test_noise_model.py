@@ -2,17 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracreg.errors import DomainError
 from fracreg.noise_model import (
     MiseEstimate,
-    NoisyObservation,
     mise_bound_check,
     mise_mc,
     observe,
     replicate_seed,
     standard_normals,
-    truncated_data,
 )
 from fracreg.spectral import EigenSystem
 
@@ -58,9 +58,20 @@ def test_noise_whiteness_covariance():
     assert np.max(np.abs(cov - np.eye(N))) < 5.0 / math.sqrt(R)
 
 
-def test_truncated_data_unrolls_definition():
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**64 - 1), order=st.permutations(range(12)))
+def test_replicate_streams_do_not_depend_on_order(seed, order):
+    # replicate r's seed and normals are a function of (seed, r) alone, so
+    # drawing the replicates in any order gives the same values
+    in_order = [standard_normals(replicate_seed(seed, r), 0, 5) for r in range(12)]
+    shuffled = {r: standard_normals(replicate_seed(seed, r), 0, 5) for r in order}
+    for r in range(12):
+        assert np.array_equal(shuffled[r], in_order[r])
+
+
+def test_observe_unrolls_definition():
     obs = observe(np.array([1.0]), np.zeros(1), 0.1, 4, seed=9)
-    d0, d1 = truncated_data(obs)
+    d0 = obs.obs0
     xi = standard_normals(9, 0, 4)
     want = 0.1 * xi
     want[0] += 1.0
@@ -91,7 +102,7 @@ def test_mise_mc_matches_analytic_expectation():
     # estimator = truncated noisy data of u0 with c_p = p^-2, N = 8, eps = 0.05
     P, N, eps = 64, 8, 0.05
     u0 = np.arange(1, P + 1, dtype=float) ** -2.0
-    estimator = lambda s: truncated_data(observe(u0, np.zeros(1), eps, N, s))[0]
+    estimator = lambda s: observe(u0, np.zeros(1), eps, N, s).obs0
     est = mise_mc(u0, estimator, replicates=10_000, seed=2024)
     analytic = eps * eps * N + float(np.sum(u0[N:] ** 2))
     assert abs(est.mean_sq_err - analytic) <= 4 * est.std_err
@@ -99,7 +110,7 @@ def test_mise_mc_matches_analytic_expectation():
 
 def test_mise_mc_std_err_scaling():
     u0 = np.arange(1, 17, dtype=float) ** -2.0
-    estimator = lambda s: truncated_data(observe(u0, np.zeros(1), 0.1, 8, s))[0]
+    estimator = lambda s: observe(u0, np.zeros(1), 0.1, 8, s).obs0
     e1 = mise_mc(u0, estimator, replicates=400, seed=6)
     e4 = mise_mc(u0, estimator, replicates=1600, seed=6)
     # quadrupling replicates halves the standard error (1/sqrt(R) scaling)
@@ -108,7 +119,7 @@ def test_mise_mc_std_err_scaling():
 
 def test_mise_mc_deterministic():
     u0 = np.array([1.0, 0.3])
-    estimator = lambda s: truncated_data(observe(u0, np.zeros(1), 0.2, 4, s))[0]
+    estimator = lambda s: observe(u0, np.zeros(1), 0.2, 4, s).obs0
     a = mise_mc(u0, estimator, replicates=64, seed=99)
     b = mise_mc(u0, estimator, replicates=64, seed=99)
     assert a == b
@@ -148,17 +159,3 @@ def test_validation_errors():
         mise_mc(np.zeros(2), lambda s: np.zeros(2), replicates=1, seed=1)
     with pytest.raises(DomainError):
         MiseEstimate(-1.0, 0.0, 8, 0)
-
-
-def test_observation_csv():
-    obs = NoisyObservation(0.5, 2, np.array([1.0, 2.0]), np.array([3.0, 4.0]), 7)
-    lines = obs.to_csv().splitlines()
-    assert lines == ["p,obs0,obs1", "1,1.0,3.0", "2,2.0,4.0"]
-
-
-def test_mise_estimate_json_round_trip():
-    import json
-
-    est = MiseEstimate(0.25, 0.01, 100, 42)
-    parsed = json.loads(est.to_json())
-    assert parsed == {"mean_sq_err": 0.25, "std_err": 0.01, "replicates": 100, "seed": 42}

@@ -11,7 +11,6 @@ from fracreg.regularizer import (
     RegConfig,
     admissibility_scan,
     choose_params,
-    cutoff,
     hq_envelope_decreasing,
     hq_envelope_max,
     regularized_solve,
@@ -33,22 +32,6 @@ def dirichlet_spec(beta=1.5, a=1.0, count=16, nl=None):
 def manual_cfg(eig, B_N, N, M=16, tol=1e-12):
     return RegConfig(B_N=B_N, N=N, picard_tol=tol, M=M,
                      P_retained=retained_count(eig, B_N), lam_N=eig.lam(N))
-
-
-def test_cutoff_boundary_inclusive():
-    assert cutoff(4.0, 4.0) == 1
-    assert cutoff(4.0001, 4.0) == 0
-    assert cutoff(0.0, 4.0) == 1
-
-
-def test_cutoff_projection_idempotent():
-    eig = EigenSystem.dirichlet_laplace_1d(12)
-    rng = np.random.default_rng(8)
-    c = rng.normal(size=12)
-    keep = np.array([cutoff(l, 20.0) for l in eig.eigenvalues])
-    once = c * keep
-    twice = once * keep
-    assert np.array_equal(once, twice)
 
 
 def test_retained_count_exact_comparison():
@@ -256,15 +239,6 @@ def test_hq_envelope_grid_scan():
     mx2, arg2 = hq_envelope_max(q2, coef2, beta, B2, z_max=1e6)
     assert arg2 > B2
     assert mx2 > B2**q2 * math.exp(-coef2 * B2 ** (1 / beta))
-
-
-def test_reg_config_json_round_trip():
-    import json
-
-    eig = EigenSystem.dirichlet_laplace_1d(8)
-    cfg = manual_cfg(eig, B_N=5.0, N=6)
-    parsed = json.loads(cfg.to_json())
-    assert parsed["N"] == 6 and parsed["P_retained"] == 2 and parsed["lam_N"] == 36.0
 
 
 def test_regularized_solve_wider_cutoff_than_data():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,11 +10,9 @@ from fracreg.spectral import (
     EigenSystem,
     SpatialGrid,
     basis_eval,
-    coeffs_to_csv,
     hq_norm,
     l2_norm,
     project,
-    samples_to_csv,
     synthesize,
 )
 
@@ -134,6 +133,11 @@ def test_hq_norm_cases():
     assert hq_norm(e3, 1.0, eig) == 3.0  # lam_3 = 9
     with pytest.raises(DomainError):
         hq_norm(c, -0.5, eig)
+    # lam_8^300 = 64^300 overflows: an error, not an inf with a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            hq_norm(c, 300.0, eig)
 
 
 def test_hq_norm_monotone_in_q():
@@ -143,13 +147,3 @@ def test_hq_norm_monotone_in_q():
     qs = [0.0, 0.5, 1.0, 2.0, 3.0]
     vals = [hq_norm(c, q, eig) for q in qs]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-
-def test_csv_serialization(grid):
-    text = coeffs_to_csv(np.array([1.5, -2.0]))
-    assert text.splitlines()[0] == "p,c_p"
-    assert text.splitlines()[1] == "1,1.5"
-    small = SpatialGrid.simpson(5)
-    out = samples_to_csv(small, np.zeros(5))
-    assert out.splitlines()[0] == "y,f(y)"
-    assert len(out.splitlines()) == 6
