@@ -9,15 +9,19 @@ with ``g_p(eta) = <G(eta, ., u(eta, .)), phi_p>``.  The Volterra term is
 discretized by piecewise-linear product integration: the forcing is linear
 on each time cell while the kernel is integrated exactly through its first
 and second antiderivatives, so the quadrature error is O(dt^2) and comes
-from the interpolation of ``g`` alone.
+from the interpolation of ``g`` alone.  The kernel is a function of
+``t - eta`` and the grid is uniform, so each mode's weight matrix ``L_p``
+is Toeplitz beyond its first column; it is kept as two (P, M+1) arrays of
+generating weights, never as a dense matrix.
 
 Two solver paths reach the fixed point of the discrete equation:
 
 * mode-diagonal kinds (``damped``, ``gbar``) multiply each mode by a known
   factor ``m_p(t)``, so each mode's discrete equation is the lower-triangular
   system ``(I - L_p diag(m_p)) U_p = H_p``.  It is solved exactly once per
-  problem shape by forward substitution for unit ``u0`` and ``u1``, and every
-  solve combines the two cached responses linearly;
+  problem shape by forward substitution for unit ``u0`` and ``u1``, one
+  length-i dot per row, and every solve combines the two cached responses
+  linearly;
 * general ``lipschitz`` maps are solved by Picard sweeps starting from the
   homogeneous part.
 
@@ -170,17 +174,22 @@ class FourierField:
 
 @lru_cache(maxsize=32)
 def _solver_tables(beta: float, a: float, lams: tuple, M: int):
-    """Homogeneous-mode tables and Volterra weight matrices on the M-grid.
+    """Homogeneous-mode tables and Toeplitz Volterra weights on the M-grid.
 
-    Returns ``(E1, E2t, L)`` where ``E1`` and ``E2t`` are (M+1, P) tables of
-    ``E(beta,1; lam t^beta)`` and ``t E(beta,2; lam t^beta)``, and ``L`` is a
-    (P, M+1, M+1) stack of lower-triangular product-integration weights such
-    that ``(L[p] @ g_p)[i]`` integrates the kernel against the piecewise
-    linear interpolant of ``g_p`` over [0, t_i].  Cached so Monte-Carlo
+    Returns ``(E1, E2t, C, W0)``.  ``E1`` and ``E2t`` are (M+1, P) tables of
+    ``E(beta,1; lam t^beta)`` and ``t E(beta,2; lam t^beta)``.  ``C`` and
+    ``W0`` are (P, M+1) generating weights of the lower-triangular
+    product-integration matrices ``L_p``, for which ``(L_p @ g_p)[i]``
+    integrates the kernel against the piecewise linear interpolant of
+    ``g_p`` over [0, t_i]:
+
+        L_p[i, j] = C[p, i-j]   for 1 <= j <= i,
+        L_p[i, 0] = W0[p, i]    (W0[p, 0] = 0),
+
+    and zero above the diagonal.  Storage is O(P M).  Cached so Monte-Carlo
     replicates over the same problem pay for the Mittag-Leffler sweep once.
     """
     lam = np.asarray(lams, dtype=float)
-    P = lam.size
     t = np.linspace(0.0, a, M + 1)
     dt = a / M
     z = lam[:, None] * t[None, :] ** beta  # (P, M+1)
@@ -195,9 +204,11 @@ def _solver_tables(beta: float, a: float, lams: tuple, M: int):
     K2 = kernel_double_primitive(beta, lam[:, None], t[None, :])
 
     # Per-cell weights in lag form: a cell at lags (l-1, l) contributes to its
-    # left node with weight WL[l] and to its right node with WR[l-1].
-    l_idx = np.arange(M + 1, dtype=float)
-    s_all = l_idx * dt
+    # left node with weight WL[l] and to its right node with WR[l-1].  A node
+    # j >= 1 is the left node of one cell and the right node of the next, so
+    # its weight at lag l is C[l] = WL[l] + WR[l] (WL[0] = 0); node 0 is only
+    # a left node.
+    s_all = np.arange(M + 1, dtype=float) * dt
     WL = np.zeros_like(K1)
     WR = np.zeros_like(K1)
     dK1 = K1[:, 1:] - K1[:, :-1]  # lag l-1 -> l, index l-1
@@ -208,16 +219,21 @@ def _solver_tables(beta: float, a: float, lams: tuple, M: int):
     )
     WL[:, 1:] = (-s_all[None, :-1] * dK1 + T) / dt
     WR[:, :-1] = (s_all[None, 1:] * dK1 - T) / dt
+    return E1, E2t, WL + WR, WL
 
-    i = np.arange(M + 1)
-    lag = i[:, None] - i[None, :]
-    lag_c = np.clip(lag, 0, M)
-    left = lag >= 1
-    right = (lag >= 0) & (i[None, :] >= 1)
-    L = np.where(left[None, :, :], WL[:, lag_c], 0.0) + np.where(
-        right[None, :, :], WR[:, lag_c], 0.0
-    )
-    return E1, E2t, L
+
+def _volterra_product(C: np.ndarray, W0: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """(M+1, P) array of ``(L_p @ G[:, p])[i]``, the quadrature of every row.
+
+    The Toeplitz part is a direct convolution per mode.  The weights span
+    many decades at large ``lam t^beta``, where FFT rounding would swamp the
+    small early rows.
+    """
+    M = G.shape[0] - 1
+    V = W0.T * G[0]
+    for p in range(G.shape[1]):
+        V[1:, p] += np.convolve(C[p], G[1:, p])[:M]
+    return V
 
 
 def _multiplier(kind: str, param: float, beta: float, a: float, lam: np.ndarray, t: np.ndarray):
@@ -255,15 +271,22 @@ def _response_tables(beta: float, a: float, lams: tuple, M: int, kind: str, para
     ``U = F1 * u0 + F2 * u1`` solves the system for any data.  Cached so
     Monte-Carlo replicates over the same problem pay for it once.
     """
-    E1, E2t, L = _solver_tables(beta, a, lams, M)
+    E1, E2t, C, W0 = _solver_tables(beta, a, lams, M)
     lam = np.asarray(lams, dtype=float)
     m = _multiplier(kind, param, beta, a, lam, np.linspace(0.0, a, M + 1))
     H = np.stack([E1.T, E2t.T], axis=1)  # (P, 2, M+1)
     F = np.empty_like(H)
     mF = np.empty_like(H)  # forcing of the responses, m * F
-    for i in range(M + 1):
-        rhs = H[:, :, i] + (mF[:, :, :i] @ L[:, i, :i, None])[:, :, 0]
-        F[:, :, i] = rhs / (1.0 - L[:, i, i] * m[i])[:, None]
+    F[:, :, 0] = H[:, :, 0]
+    mF[:, :, 0] = m[0][:, None] * F[:, :, 0]
+    # Row i of L_p left of its diagonal C[p, 0] is [W0[p, i], C[p, i-1], ..., C[p, 1]]:
+    # row[:, M-i:M] while row[:, M-i] holds W0[:, i], since row[:, M-l] = C[:, l].
+    row = C[:, ::-1].copy()
+    for i in range(1, M + 1):
+        row[:, M - i] = W0[:, i]
+        rhs = H[:, :, i] + (mF[:, :, :i] @ row[:, M - i : M, None])[:, :, 0]
+        row[:, M - i] = C[:, i]
+        F[:, :, i] = rhs / (1.0 - C[:, 0] * m[i])[:, None]
         mF[:, :, i] = m[i][:, None] * F[:, :, i]
     return F[:, 0].T.copy(), F[:, 1].T.copy()
 
@@ -284,7 +307,7 @@ def _picard_solve(
     other kinds run Picard sweeps and record every successive difference.
     """
     lams = tuple(lam.tolist())
-    E1, E2t, L = _solver_tables(spec.beta, spec.a, lams, M)
+    E1, E2t, C, W0 = _solver_tables(spec.beta, spec.a, lams, M)
     t = np.linspace(0.0, spec.a, M + 1)
     H = E1 * u0[None, :] + E2t * u1[None, :]
     nl = spec.nonlinearity
@@ -293,7 +316,7 @@ def _picard_solve(
         F1, F2 = _response_tables(spec.beta, spec.a, lams, M, nl.kind, nl.diagonal_param)
         U = F1 * u0[None, :] + F2 * u1[None, :]
         G = _g_matrix(spec, lam, t, U)
-        residual = _max_row_l2(H + np.einsum("pij,jp->ip", L, G) - U)
+        residual = _max_row_l2(H + _volterra_product(C, W0, G) - U)
         # The residual of an exact solve is rounding, which grows with the
         # field: tol is absolute up to a field norm of 1 and relative beyond.
         bound = tol * max(1.0, _max_row_l2(U))
@@ -312,8 +335,7 @@ def _picard_solve(
         if G is None:
             U_new = H
         else:
-            V = np.einsum("pij,jp->ip", L, G)
-            U_new = H + V
+            U_new = H + _volterra_product(C, W0, G)
         diff = _max_row_l2(U_new - U)
         diffs.append(diff)
         U = U_new
@@ -348,8 +370,9 @@ def volterra_step(spec: ProblemSpec, p: int, g_history, t_i: float) -> float:
     if n == 0 or t_i == 0.0:
         return 0.0
     lam = spec.eig.lam(p)
-    _, _, L = _solver_tables(spec.beta, t_i, (lam,), n)
-    return float(L[0, n] @ g)
+    _, _, C, W0 = _solver_tables(spec.beta, t_i, (lam,), n)
+    # row n of L: [W0[n], C[n-1], ..., C[0]]
+    return float(np.concatenate((W0[0, n:], C[0, n - 1 :: -1])) @ g)
 
 
 def solve_mild(

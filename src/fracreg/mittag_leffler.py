@@ -169,7 +169,10 @@ def _series(
     if tol is None:
         tol = _REL_TOL * _magnitude(beta, gamma, z)
 
-    lg = gammaln(beta * np.arange(SERIES_TERM_CAP + 2) + gamma)
+    # log Gamma(beta*k + gamma), extended in doubling chunks as far as the
+    # loop reaches; gammaln is elementwise, so every entry is the same bits
+    # as in a full table.
+    lg = gammaln(beta * np.arange(64) + gamma)
 
     def term(k: int) -> np.ndarray:
         arg = k * lnz - lg[k]
@@ -187,6 +190,9 @@ def _series(
         comp = (t - total) - y
         total = t
 
+        if k + 2 >= lg.size:
+            more = np.arange(lg.size, min(2 * lg.size, SERIES_TERM_CAP + 2))
+            lg = np.concatenate((lg, gammaln(beta * more + gamma)))
         # All terms keep being added until the slowest lane (largest z)
         # meets its bound, so the final tail bound is valid lane-by-lane.
         r_next = z * math.exp(lg[k + 1] - lg[k + 2])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,13 @@ from fracreg.mild_solver import (
     solve_mild,
     volterra_step,
 )
-from fracreg.mittag_leffler import calibrate_growth_constants, kernel_primitive, ml
+from fracreg.mild_solver import _response_tables, _solver_tables, _volterra_product
+from fracreg.mittag_leffler import (
+    calibrate_growth_constants,
+    kernel_double_primitive,
+    kernel_primitive,
+    ml,
+)
 from fracreg.spectral import EigenSystem, l2_norm
 
 from oracles import volterra_reference
@@ -173,16 +180,89 @@ def test_damped_exact_solve_matches_picard(P):
 def test_exact_solve_residual_is_checked():
     # a multiplier that makes the triangular system singular at the first
     # step leaves a nonfinite field, which the residual check reports
-    from fracreg.mild_solver import _solver_tables
-
     lam = EigenSystem.dirichlet_laplace_1d(2).eigenvalues
-    L = _solver_tables(1.5, 1.0, tuple(lam.tolist()), 16)[2]
-    K = (1.0 + lam[0]) / L[0, 1, 1]
+    C = _solver_tables(1.5, 1.0, tuple(lam.tolist()), 16)[2]
+    K = (1.0 + lam[0]) / C[0, 0]  # C[p, 0] is the diagonal of L_p below row 0
     spec = ProblemSpec(1.5, 1.0, EigenSystem.dirichlet_laplace_1d(2), NonlinearitySpec.damped(K))
     with pytest.raises(NoConvergence) as info, np.errstate(all="ignore"):
         solve_mild(spec, InitialData(np.array([1.0, 0.0]), np.zeros(2)), P=2, M=16)
     assert info.value.iterations == 1
     assert len(info.value.diffs) == 1
+
+
+def dense_weights_reference(beta, a, lam, M):
+    """The dense (P, M+1, M+1) stack of product-integration weights, built
+    by the np.where formula the solver used before its Toeplitz form."""
+    t = np.linspace(0.0, a, M + 1)
+    dt = a / M
+    K1 = kernel_primitive(beta, lam[:, None], t[None, :])
+    K2 = kernel_double_primitive(beta, lam[:, None], t[None, :])
+    s_all = np.arange(M + 1, dtype=float) * dt
+    WL = np.zeros_like(K1)
+    WR = np.zeros_like(K1)
+    dK1 = K1[:, 1:] - K1[:, :-1]
+    T = s_all[None, 1:] * K1[:, 1:] - s_all[None, :-1] * K1[:, :-1] - (K2[:, 1:] - K2[:, :-1])
+    WL[:, 1:] = (-s_all[None, :-1] * dK1 + T) / dt
+    WR[:, :-1] = (s_all[None, 1:] * dK1 - T) / dt
+    i = np.arange(M + 1)
+    lag = i[:, None] - i[None, :]
+    lag_c = np.clip(lag, 0, M)
+    left = lag >= 1
+    right = (lag >= 0) & (i[None, :] >= 1)
+    return np.where(left[None, :, :], WL[:, lag_c], 0.0) + np.where(
+        right[None, :, :], WR[:, lag_c], 0.0
+    )
+
+
+TOEPLITZ_SHAPES = [(1.5, 14, 128), (1.8, 8, 512)]
+
+
+@pytest.mark.parametrize("beta,P,M", TOEPLITZ_SHAPES)
+def test_toeplitz_weights_reproduce_dense_stack(beta, P, M):
+    lam = EigenSystem.dirichlet_laplace_1d(P).eigenvalues
+    _, _, C, W0 = _solver_tables(beta, 1.0, tuple(lam.tolist()), M)
+    L = dense_weights_reference(beta, 1.0, lam, M)
+    i = np.arange(M + 1)
+    lag = i[:, None] - i[None, :]
+    toeplitz = (lag >= 0) & (i[None, :] >= 1)
+    for p in range(P):
+        dense = np.where(toeplitz, C[p, np.clip(lag, 0, M)], 0.0)
+        dense[1:, 0] = W0[p, 1:]
+        assert W0[p, 0] == 0.0 and L[p, 0, 0] == 0.0
+        assert dense.tobytes() == L[p].tobytes()
+
+
+@pytest.mark.parametrize("beta,P,M", TOEPLITZ_SHAPES)
+def test_volterra_product_matches_dense_einsum(beta, P, M):
+    lam = EigenSystem.dirichlet_laplace_1d(P).eigenvalues
+    _, _, C, W0 = _solver_tables(beta, 1.0, tuple(lam.tolist()), M)
+    L = dense_weights_reference(beta, 1.0, lam, M)
+    G = np.random.default_rng(M).normal(size=(M + 1, P))
+    want = np.einsum("pij,jp->ip", L, G)
+    got = _volterra_product(C, W0, G)
+    assert np.all(got[0] == 0.0) and np.all(want[0] == 0.0)
+    gap = np.max(np.abs(got - want), axis=1)[1:]
+    assert np.all(gap <= 1e-12 * np.max(np.abs(want), axis=1)[1:])
+
+
+def test_cold_gbar_solve_memory_is_linear_in_grid():
+    # the fine-grid shape: a dense (P, M+1, M+1) weight stack alone would be
+    # 269 MB here
+    beta, P, M = 1.8, 8, 2048
+    eig = EigenSystem.dirichlet_laplace_1d(P)
+    spec = ProblemSpec(beta, 1.0, eig, NonlinearitySpec.gbar(calibrate_growth_constants(beta, 1.0).C3))
+    data = InitialData(0.01 * np.ones(P), np.zeros(P))
+    _solver_tables.cache_clear()
+    _response_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        solve_mild(spec, data, P=P, M=M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    tables = _solver_tables(beta, 1.0, tuple(eig.eigenvalues.tolist()), M)
+    assert sum(x.nbytes for x in tables) == 4 * P * (M + 1) * 8
 
 
 def test_exact_solve_of_large_field_matches_picard():

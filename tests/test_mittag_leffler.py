@@ -5,11 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
+
+import fracreg.mittag_leffler as mlmod
 
 from fracreg.errors import DomainError, NonConvergence
 from fracreg.mittag_leffler import (
+    _REL_TOL,
     SERIES_SWITCH_X,
+    SERIES_TERM_CAP,
     GrowthConstants,
+    _magnitude,
     _asymptotic,
     _series,
     calibrate_growth_constants,
@@ -175,6 +181,56 @@ def test_ml_values_matches_scalar():
     for zi, vi in zip(z, vals):
         assert vi == pytest.approx(ml(1.5, 1.0, float(zi)).value, rel=1e-12)
     assert np.all(errs >= 0) and np.all(np.isfinite(errs))
+
+
+def _series_full_table(beta, gamma, z, tol=None):
+    """The power series as it was with the whole log-Gamma table built up
+    front: the reference the chunked table must reproduce bit for bit."""
+    n = z.size
+    total = np.full(n, math.exp(-math.lgamma(gamma)))
+    comp = np.zeros(n)
+    if n == 0:
+        return total, np.zeros(n)
+    pos = z > 0.0
+    if not np.any(pos):
+        return total, np.zeros(n)
+    lnz = np.where(pos, np.log(np.where(pos, z, 1.0)), -np.inf)
+    if tol is None:
+        tol = _REL_TOL * _magnitude(beta, gamma, z)
+    lg = gammaln(beta * np.arange(SERIES_TERM_CAP + 2) + gamma)
+
+    def term(k):
+        return np.where(pos, np.exp(k * lnz - lg[k]), 0.0)
+
+    t_k = term(1)
+    for k in range(1, SERIES_TERM_CAP):
+        y = t_k - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        r_next = z * math.exp(lg[k + 1] - lg[k + 2])
+        t_k = term(k + 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tail = np.where(r_next < 1.0, t_k / (1.0 - r_next), np.inf)
+        if np.all(~pos | ((r_next < 1.0) & (tail <= tol))):
+            return total, np.where(pos, tail, 0.0)
+    raise AssertionError("reference series did not converge")
+
+
+@pytest.mark.parametrize("beta,gamma", [(1.5, 1.0), (1.1, 0.3), (1.8, 2.5), (1.5, 3.5)])
+def test_chunked_log_gamma_table_is_bit_identical(beta, gamma, monkeypatch):
+    # x = z**(1/beta) from 0 to 40 crosses the switchover; the 0-d calls stop
+    # after few terms and the tol= call, out to x = 80, runs past several
+    # table chunks
+    z = np.linspace(0.0, 40.0, 41) ** beta
+    calls = [(z, None), (np.linspace(0.0, 80.0, 9) ** beta, 1e-12)]
+    calls += [(np.float64(zi), None) for zi in z]
+    got = [ml_values(beta, gamma, zz, tol) for zz, tol in calls]
+    monkeypatch.setattr(mlmod, "_series", _series_full_table)
+    want = [ml_values(beta, gamma, zz, tol) for zz, tol in calls]
+    for (v, e), (wv, we) in zip(got, want):
+        assert v.tobytes() == wv.tobytes()
+        assert e.tobytes() == we.tobytes()
 
 
 def test_kernel_primitive_closed_forms():

@@ -1,6 +1,9 @@
 """Rules on the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import fracreg
@@ -14,3 +17,15 @@ def test_no_assert_statements_in_package():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_cli_import_loads_no_heavy_scipy_modules():
+    # scipy.linalg alone adds several MB of resident memory to every run
+    src = str(Path(fracreg.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys, fracreg.cli; "
+        "print(sorted(m for m in ('scipy.linalg', 'scipy.signal') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
