@@ -10,7 +10,7 @@ Import the pieces you need from the submodules, or the common entry points
 from here.
 """
 
-from .errors import DomainError, NoConvergence, NonConvergence, ResolutionError
+from .errors import DomainError, NoConvergence, NonConvergence
 from .experiments import (
     ErrorReport,
     ExperimentConfig,
@@ -37,13 +37,12 @@ from .regularizer import (
     theory_bound_hq,
     theory_bound_l2,
 )
-from .spectral import EigenSystem, SpatialGrid, basis_eval, hq_norm, l2_norm
+from .spectral import EigenSystem, hq_norm
 
 __all__ = [
     "DomainError",
     "NoConvergence",
     "NonConvergence",
-    "ResolutionError",
     "ErrorReport",
     "ExperimentConfig",
     "convergence_table",
@@ -70,10 +69,7 @@ __all__ = [
     "theory_bound_hq",
     "theory_bound_l2",
     "EigenSystem",
-    "SpatialGrid",
-    "basis_eval",
     "hq_norm",
-    "l2_norm",
 ]
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 
-from .errors import DomainError, NoConvergence, NonConvergence, ResolutionError
+from .errors import DomainError, NoConvergence, NonConvergence
 from .experiments import (
     EXIT_ERROR,
     EXIT_INVARIANT_FAILED,
@@ -32,7 +32,6 @@ from .experiments import (
     mise_check,
 )
 from .mittag_leffler import ml
-from .regularizer import RateParams
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -194,8 +193,7 @@ def main(argv=None) -> int:
             sys.stdout.write(f"{value.value!r},{value.est_abs_err!r}\n")
             return EXIT_OK
         return _run_experiment(args, args.command)
-    except (DomainError, NonConvergence, NoConvergence, ResolutionError, OSError,
-            ValueError) as exc:
+    except (DomainError, NonConvergence, NoConvergence, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -19,10 +19,6 @@ class NonConvergence(RuntimeError):
         self.terms = terms
 
 
-class ResolutionError(ValueError):
-    """A spatial grid is too coarse to resolve the requested mode count."""
-
-
 class NoConvergence(RuntimeError):
     """A mild solve did not reach tolerance.
 

@@ -104,8 +104,12 @@ class ExperimentConfig:
                 raise DomainError("eps values must lie in (0, 1)")
         if self.replicates < 8:
             raise DomainError("Monte-Carlo experiments need replicates >= 8")
-        if not (1.0 < self.beta < 2.0) or self.a <= 0:
-            raise DomainError("need beta in (1, 2) and a > 0")
+        if not self.seed >= 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
+        if not 1.0 < self.beta < 2.0:
+            raise DomainError(f"beta must lie strictly in (1, 2), got {self.beta}")
+        if not 0.0 < self.a < math.inf:
+            raise DomainError(f"horizon a must be finite and positive, got {self.a}")
         if self.norm not in ("l2", "hq"):
             raise DomainError("norm must be 'l2' or 'hq'")
         if self.norm == "hq" and (self.q < 0 or not self.r > 0):
@@ -165,27 +169,8 @@ class ErrorReport:
         return buf.getvalue()
 
     def to_json(self) -> str:
-        payload = {
-            "meta": self.meta,
-            "rows": [
-                {
-                    "eps": row.eps,
-                    "t": row.t,
-                    "mise": row.mise,
-                    "std_err": row.std_err,
-                    "theory_bound": row.theory_bound,
-                    "loglog_slope": row.loglog_slope,
-                }
-                for row in self._render_order()
-            ],
-        }
+        payload = {"meta": self.meta, "rows": [asdict(row) for row in self._render_order()]}
         return json.dumps(payload, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ErrorReport":
-        payload = json.loads(text)
-        rows = [ReportRow(**r) for r in payload["rows"]]
-        return cls(rows=rows, meta=payload["meta"])
 
 
 def emit(report: ErrorReport, path: str, fmt: str = "csv") -> None:
@@ -397,9 +382,7 @@ def convergence_table(cfg: ExperimentConfig) -> ErrorReport:
     rp = cfg.rate
     eig = _convergence_eig(cfg)
     lam_full = eig.eigenvalues
-    K = cfg.lipschitz_K
-    nl = NonlinearitySpec.damped(K) if K > 0 else NonlinearitySpec.zero()
-    spec = ProblemSpec(cfg.beta, cfg.a, eig, nl)
+    spec = ProblemSpec(cfg.beta, cfg.a, eig, NonlinearitySpec.damped(cfg.lipschitz_K))
     profile = power_law_profile(cfg.truth_decay, cfg.truth_modes, u1_scale=cfg.truth_u1_scale)
     data, truth = manufacture(spec, cfg.truth_modes, profile, M=cfg.M)
 

@@ -55,16 +55,17 @@ DEFAULT_MAX_SWEEPS = 200
 class NonlinearitySpec:
     """Descriptor of the source nonlinearity G.
 
-    ``zero``       no forcing; the problem is linear and mode-decoupled.
     ``lipschitz``  arbitrary coefficient-space map ``evaluator(t, c) -> c``
                    with Lipschitz constant ``K`` in the L2 norm.
     ``damped``     the damped map of the rate experiments: mode-wise
                    multiplier ``K / (1 + lam_p)``, Lipschitz constant ``K``.
+                   :meth:`zero`, no forcing, is ``damped`` with ``K = 0``.
     ``gbar``       the contraction nonlinearity of the instability
                    construction: mode-wise multiplier
                    ``exp(lam_p^(1/beta) (t - a)) / (2 a C3)``.
 
     ``damped`` and ``gbar`` are the mode-diagonal kinds, solved exactly.
+    ``K`` must be finite and >= 0, and ``C3`` of ``gbar`` finite and > 0.
     """
 
     kind: str
@@ -73,18 +74,19 @@ class NonlinearitySpec:
     evaluator: Callable[[float, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("zero", "lipschitz", "damped", "gbar"):
+        if self.kind not in ("lipschitz", "damped", "gbar"):
             raise DomainError(f"unknown nonlinearity kind {self.kind!r}")
         if self.kind == "lipschitz" and self.evaluator is None:
             raise DomainError("lipschitz nonlinearity needs an evaluator")
-        if self.kind in ("lipschitz", "damped") and not self.K >= 0.0:
-            raise DomainError("Lipschitz constant must be >= 0")
-        if self.kind == "gbar" and not self.C3 > 0.0:
-            raise DomainError("gbar needs a positive C3")
+        if not 0.0 <= self.K < math.inf:
+            raise DomainError(f"Lipschitz constant must be finite and >= 0, got {self.K}")
+        if self.kind == "gbar" and not 0.0 < self.C3 < math.inf:
+            raise DomainError(f"gbar needs a finite positive C3, got {self.C3}")
 
     @classmethod
     def zero(cls) -> "NonlinearitySpec":
-        return cls(kind="zero")
+        """No forcing: the linear, mode-decoupled problem."""
+        return cls.damped(0.0)
 
     @classmethod
     def lipschitz(cls, K: float, evaluator) -> "NonlinearitySpec":
@@ -116,8 +118,8 @@ class ProblemSpec:
     def __post_init__(self):
         if not (1.0 < self.beta < 2.0):
             raise DomainError(f"beta must lie strictly in (1, 2), got {self.beta}")
-        if not self.a > 0.0:
-            raise DomainError(f"horizon a must be positive, got {self.a}")
+        if not 0.0 < self.a < math.inf:
+            raise DomainError(f"horizon a must be finite and positive, got {self.a}")
 
 
 @dataclass(frozen=True)
@@ -161,10 +163,6 @@ class FourierField:
             raise DomainError("t_grid must be uniform and increasing")
         object.__setattr__(self, "t_grid", t)
         object.__setattr__(self, "coeffs", c)
-
-    @property
-    def n_modes(self) -> int:
-        return int(self.coeffs.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +242,8 @@ def _multiplier(kind: str, param: float, beta: float, a: float, lam: np.ndarray,
 
 
 def _g_matrix(spec: ProblemSpec, lam: np.ndarray, t: np.ndarray, U: np.ndarray):
-    """Forcing coefficients G(t_i, u(t_i)) for every grid row; None if G == 0."""
+    """Forcing coefficients G(t_i, u(t_i)) for every grid row."""
     nl = spec.nonlinearity
-    if nl.kind == "zero":
-        return None
     if nl.diagonal_param is not None:
         return _multiplier(nl.kind, nl.diagonal_param, spec.beta, spec.a, lam, t) * U
     rows = [np.asarray(nl.evaluator(float(ti), U[i]), dtype=float) for i, ti in enumerate(t)]
@@ -331,11 +327,7 @@ def _picard_solve(
     U = H.copy()
     diffs = []
     for _ in range(max_iter):
-        G = _g_matrix(spec, lam, t, U)
-        if G is None:
-            U_new = H
-        else:
-            U_new = H + _volterra_product(C, W0, G)
+        U_new = H + _volterra_product(C, W0, _g_matrix(spec, lam, t, U))
         diff = _max_row_l2(U_new - U)
         diffs.append(diff)
         U = U_new

@@ -28,6 +28,12 @@ everywhere.  Each argument takes one of two branches:
   the ``cosh``/``sinh`` cases exact.  The two branches agree to ~1e-13
   relative at the switchover (checked by the continuity tests).
 
+The ~1e-13 relative accuracy holds for ``gamma <= beta + 2``, which covers
+every call the solver makes (``gamma`` is 1, 2, ``beta``, ``beta + 1`` or
+``beta + 2``).  For larger ``gamma`` with ``beta`` near 1, the first omitted
+asymptotic correction just past the switchover is no longer small; the
+error then grows to about its size, which ``est_abs_err`` reports.
+
 Only real ``z >= 0`` is supported; the solver never needs anything else.
 A value beyond floating-point range raises :class:`DomainError`.
 """
@@ -69,9 +75,11 @@ def _check_params(beta: float, gamma: float) -> None:
 class MLValue:
     """Evaluation result with a truncation-error estimate.
 
-    ``est_abs_err`` bounds the truncation error of whichever branch
-    produced the value (series tail bound, or first omitted asymptotic
-    correction); floating-point rounding adds at most a few ulps on top
+    ``est_abs_err`` estimates the truncation error of whichever branch
+    produced the value.  On the series branch it is the geometric tail
+    bound, a true bound.  On the asymptotic branch it is the first omitted
+    correction, which just past the switchover can fall slightly short of
+    the true error.  Floating-point rounding adds at most a few ulps on top
     because all quantities are positive.
     """
 

@@ -27,8 +27,9 @@ from .mild_solver import (
     DEFAULT_MAX_SWEEPS,
     DEFAULT_PICARD_TOL,
     FourierField,
+    InitialData,
     ProblemSpec,
-    _picard_solve,
+    solve_mild,
 )
 from .noise_model import NoisyObservation
 from .spectral import EigenSystem
@@ -220,17 +221,12 @@ def regularized_solve(
         raise DomainError(f"config expects N={cfg.N} but observation has N={obs.N}")
     P_active = min(cfg.P_retained, spec.eig.count)
     width = max(obs.N, P_active)
-    t = np.linspace(0.0, spec.a, cfg.M + 1)
     if P_active == 0:
+        t = np.linspace(0.0, spec.a, cfg.M + 1)
         return FourierField(t, np.zeros((cfg.M + 1, width)), picard_diffs=np.zeros(1))
 
-    u0 = np.zeros(P_active)
-    u1 = np.zeros(P_active)
-    n = min(P_active, obs.N)
-    u0[:n] = obs.obs0[:n]
-    u1[:n] = obs.obs1[:n]
-    lam = spec.eig.eigenvalues[:P_active]
-    core = _picard_solve(spec, lam, u0, u1, cfg.M, cfg.picard_tol, max_iter)
+    data = InitialData(obs.obs0, obs.obs1)
+    core = solve_mild(spec, data, P_active, cfg.M, cfg.picard_tol, max_iter)
     out = np.zeros((cfg.M + 1, width))
     out[:, :P_active] = core.coeffs
     return FourierField(core.t_grid, out, picard_diffs=core.picard_diffs)
@@ -247,15 +243,12 @@ def theory_bound_l2(
     D1: float,
     a: float,
     beta: float,
-    trunc_in_lambda: bool = False,
 ) -> TheoryBound:
     """Right-hand side of the L2 convergence bound with its term breakdown.
 
     ``M0`` bounds the H^{2 gamma} size of the initial pair and ``M_source``
     the exponentially weighted spectral sum of the solution.  The
-    truncation weight defaults to ``B_N^(-mu)`` (the Gronwall output);
-    ``trunc_in_lambda`` switches to the ``lam_N^(-mu)`` reading of the
-    displayed statement.
+    truncation weight is ``B_N^(-mu)``, the Gronwall output.
     """
     if not (0.0 <= t <= a):
         raise DomainError("t must lie in [0, a]")
@@ -266,8 +259,7 @@ def theory_bound_l2(
         amp = math.exp(2.0 * x * t)
         noise = 2.0 * C1 * amp * 2.0 * eps * eps * cfg.N
         bias = 2.0 * C1 * amp * M0 / cfg.lam_N ** (2.0 * rp.gamma)
-        w = cfg.lam_N if trunc_in_lambda else cfg.B_N
-        trunc = 2.0 * D1 * math.exp(-2.0 * (a - t) * x) * w ** (-rp.mu) * M_source**2
+        trunc = 2.0 * D1 * math.exp(-2.0 * (a - t) * x) * cfg.B_N ** (-rp.mu) * M_source**2
     terms = {"noise_term": noise, "bias_term": bias, "truncation_term": trunc}
     return TheoryBound(t=t, l2_bound=noise + bias + trunc, hq_bound=None, terms=terms)
 

@@ -66,6 +66,13 @@ def _run_module(tmp_path, *argv):
     ["ml-eval", "--beta", "1.5", "--gamma", "1", "--z", "1e5"],
     ["converge", "--norm", "hq", "--q", "300", "--replicates", "8", "--out", "x.json"],
     ["converge", "--gamma", "400", "--replicates", "8", "--out", "x.json"],
+    ["converge", "--lipschitz-k", "-1", "--replicates", "8", "--out", "x.json"],
+    ["converge", "--lipschitz-k", "nan", "--replicates", "8", "--out", "x.json"],
+    ["converge", "--lipschitz-k", "inf", "--replicates", "8", "--out", "x.json"],
+    ["illposed", "--a", "inf", "--out", "x.csv"],
+    ["converge", "--a", "inf", "--replicates", "8", "--out", "x.json"],
+    ["illposed", "--a", "nan", "--out", "x.csv"],
+    ["illposed", "--seed", "-5", "--out", "x.csv"],
 ])
 def test_overflow_is_one_line_error(tmp_path, argv):
     run = _run_module(tmp_path, *argv)

@@ -24,7 +24,7 @@ from fracreg.mittag_leffler import (
     kernel_primitive,
     ml,
 )
-from fracreg.spectral import EigenSystem, l2_norm
+from fracreg.spectral import EigenSystem
 
 from oracles import volterra_reference
 
@@ -36,6 +36,11 @@ GBAR_C3 = calibrate_growth_constants(1.5, 1.0).C3
 
 def linear_spec(beta=1.5, a=1.0, count=16):
     return ProblemSpec(beta, a, EigenSystem.dirichlet_laplace_1d(count), NonlinearitySpec.zero())
+
+
+def l2(c):
+    """Parseval norm sqrt(sum c_p^2)."""
+    return float(np.sqrt(np.sum(c * c)))
 
 
 def unit_data(count, p, where="u0"):
@@ -52,6 +57,19 @@ def test_zero_forcing_solve_against_oracle():
     assert got0.coeffs[-1, 0] == pytest.approx(E_15_1_AT_1, rel=1e-12)
     got1 = solve_mild(spec, unit_data(1, 1, where="u1"), P=1, M=8)
     assert got1.coeffs[-1, 0] == pytest.approx(E_15_2_AT_1, rel=1e-12)
+
+
+@pytest.mark.parametrize("beta, P, M", [(1.5, 4, 64), (1.8, 14, 128)])
+def test_zero_forcing_is_the_homogeneous_solution(beta, P, M):
+    # no forcing is the diagonal map with multiplier 0: its exact solve must
+    # return E1*u0 + E2t*u1 itself, with a zero residual
+    spec = linear_spec(beta=beta, count=P)
+    rng = np.random.default_rng(P)
+    data = InitialData(rng.normal(size=P), rng.normal(size=P))
+    field = solve_mild(spec, data, P=P, M=M)
+    E1, E2t, _, _ = _solver_tables(beta, 1.0, tuple(spec.eig.eigenvalues.tolist()), M)
+    assert field.coeffs.tobytes() == (E1 * data.u0 + E2t * data.u1).tobytes()
+    assert field.picard_diffs.tolist() == [0.0]
 
 
 def test_solve_mild_single_mode_closed_form():
@@ -340,7 +358,7 @@ def test_initial_slope_recovers_velocity():
         f = solve_mild(spec, data, P=2, M=M)
         dt = f.t_grid[1] - f.t_grid[0]
         slope = (f.coeffs[1] - f.coeffs[0]) / dt
-        errs.append(l2_norm(slope - data.u1))
+        errs.append(l2(slope - data.u1))
     # convergence rate is dt^(beta-1) when u0 != 0, so just require decay
     assert errs[1] < 0.85 * errs[0]
     assert errs[2] < 0.85 * errs[1]
@@ -364,12 +382,21 @@ def test_problem_spec_validation():
         ProblemSpec(1.0, 1.0, eig, NonlinearitySpec.zero())
     with pytest.raises(DomainError):
         ProblemSpec(2.0, 1.0, eig, NonlinearitySpec.zero())
-    with pytest.raises(DomainError):
-        ProblemSpec(1.5, 0.0, eig, NonlinearitySpec.zero())
+    for a in (0.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            ProblemSpec(1.5, a, eig, NonlinearitySpec.zero())
     with pytest.raises(DomainError):
         NonlinearitySpec.lipschitz(1.0, None)
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            NonlinearitySpec.damped(bad)
+        with pytest.raises(DomainError):
+            NonlinearitySpec.lipschitz(bad, lambda t, c: c)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            NonlinearitySpec.gbar(bad)
     with pytest.raises(DomainError):
-        NonlinearitySpec.gbar(0.0)
+        NonlinearitySpec(kind="zero")
 
 
 def test_gbar_multiplier_is_contractive_coefficient_map():
@@ -393,7 +420,7 @@ def test_gbar_multiplier_is_contractive_coefficient_map():
         gv = _g_matrix(spec, lam, t, v)
         gw = _g_matrix(spec, lam, t, w)
         for i in range(9):
-            assert l2_norm(gv[i] - gw[i]) <= bound * l2_norm(v[i] - w[i]) * (1 + 1e-12)
+            assert l2(gv[i] - gw[i]) <= bound * l2(v[i] - w[i]) * (1 + 1e-12)
 
 
 def test_lipschitz_evaluator_spot_check():
@@ -406,4 +433,4 @@ def test_lipschitz_evaluator_spot_check():
     for _ in range(50):
         v = rng.normal(size=8)
         w = rng.normal(size=8)
-        assert l2_norm(evaluator(0.3, v) - evaluator(0.3, w)) <= K * l2_norm(v - w) * (1 + 1e-12)
+        assert l2(evaluator(0.3, v) - evaluator(0.3, w)) <= K * l2(v - w) * (1 + 1e-12)

@@ -184,11 +184,6 @@ def test_theory_bound_l2_structure():
     assert full.l2_bound == pytest.approx(sum(full.terms.values()), rel=1e-14)
     assert 0 < full.l2_bound < math.inf
 
-    lam_reading = theory_bound_l2(rp, cfg, t=0.5, eps=0.01, M0=1.0, M_source=2.0,
-                                  C1=3.0, D1=0.5, a=a, beta=beta, trunc_in_lambda=True)
-    ratio = lam_reading.terms["truncation_term"] / full.terms["truncation_term"]
-    assert ratio == pytest.approx((cfg.lam_N / cfg.B_N) ** -rp.mu, rel=1e-12)
-
 
 def test_unrepresentable_bounds_raise_domain_error():
     rp = RateParams(b=1.0, m=1.0, k=1.0, gamma=1.0, d=1, mu=2.0)

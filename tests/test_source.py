@@ -19,6 +19,20 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def test_no_private_names_imported_across_modules():
+    # a module's _-prefixed names are its own; other modules use its public entry points
+    found = []
+    for path in sorted(Path(fracreg.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").split(".")[0] == "fracreg":
+                continue
+            found += [f"{path.name}:{node.lineno} {a.name}" for a in node.names
+                      if a.name.startswith("_")]
+    assert found == []
+
+
 def test_cli_import_loads_no_heavy_scipy_modules():
     # scipy.linalg alone adds several MB of resident memory to every run
     src = str(Path(fracreg.__file__).resolve().parent.parent)
