@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -31,9 +32,6 @@ def test_hq_norm_cases():
     c = rng.normal(size=8)
     # q = 0 must equal the L2 norm bit for bit
     assert hq_norm(c, 0.0, eig) == float(np.sqrt(np.sum(c * c)))
-    assert hq_norm(np.array([3.0, 4.0]), 0.0, eig) == 5.0
-    assert hq_norm(np.array([]), 0.0, eig) == 0.0
-    assert hq_norm(np.zeros(7), 0.0, eig) == 0.0
     e1 = np.zeros(4)
     e1[0] = 1.0
     assert hq_norm(e1, 2.0, eig) == 1.0  # lam_1 = 1
@@ -47,6 +45,28 @@ def test_hq_norm_cases():
         warnings.simplefilter("error")
         with pytest.raises(DomainError):
             hq_norm(c, 300.0, eig)
+
+
+def test_l2_norm_values():
+    # The L2 norm is the H^q norm at q = 0.
+    eig = EigenSystem.dirichlet_laplace_1d(12)
+    assert hq_norm(np.array([3.0, 4.0]), 0.0, eig) == 5.0
+    assert hq_norm(np.array([]), 0.0, eig) == 0.0
+    assert hq_norm(np.zeros(7), 0.0, eig) == 0.0
+    # Parseval: the coefficient norm equals the quadrature norm of the
+    # synthesized field sum_p c_p sqrt(2/pi) sin(p y) on a Simpson grid.
+    rng = np.random.default_rng(1)
+    c = rng.normal(size=12)
+    n = 1025
+    y = np.linspace(0.0, math.pi, n)
+    w = np.ones(n)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    w *= (math.pi / (n - 1)) / 3.0
+    modes = np.arange(1, c.size + 1)
+    f = math.sqrt(2.0 / math.pi) * (c @ np.sin(np.outer(modes, y)))
+    quad_norm = math.sqrt(float(np.sum(w * f * f)))
+    assert hq_norm(c, 0.0, eig) == pytest.approx(quad_norm, abs=1e-8)
 
 
 def test_hq_norm_monotone_in_q():
