@@ -28,7 +28,7 @@ from .mild_solver import (
     solve_mild,
 )
 from .mittag_leffler import MLValue, kernel_primitive, ml
-from .noise_model import NoisyObservation, mise_bound_check, mise_mc, observe
+from .noise_model import NoisyObservation, mise_bound_check, monte_carlo, observe
 from .regularizer import (
     RateParams,
     RegConfig,
@@ -60,7 +60,7 @@ __all__ = [
     "ml",
     "NoisyObservation",
     "mise_bound_check",
-    "mise_mc",
+    "monte_carlo",
     "observe",
     "RateParams",
     "RegConfig",

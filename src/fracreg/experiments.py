@@ -40,7 +40,7 @@ from .mild_solver import (
     solve_mild,
 )
 from .mittag_leffler import calibrate_growth_constants
-from .noise_model import mise_bound_check, mise_mc, observe, replicate_seed
+from .noise_model import mise_bound_check, monte_carlo, observe, replicate_seed
 from .regularizer import (
     RateParams,
     RegConfig,
@@ -50,7 +50,7 @@ from .regularizer import (
     theory_bound_hq,
     theory_bound_l2,
 )
-from .spectral import EigenSystem, hq_norm
+from .spectral import EigenSystem, hq_norm, pad
 
 #: Substream offset separating pilot replicates from the main sweep.
 _PILOT_STREAM = 1_000_003
@@ -96,6 +96,20 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in ("illposed", "converge", "mise-check"):
             raise DomainError(f"unknown experiment kind {self.kind!r}")
+        for name in ("replicates", "seed", "M", "p_cap", "eig_count", "truth_modes"):
+            value = getattr(self, name)
+            if type(value) is not int:  # exact type: no float, no bool
+                raise DomainError(f"{name} must be an integer, got {value!r}")
+        if type(self.shared_noise) is not bool:
+            raise DomainError(f"shared_noise must be true or false, got {self.shared_noise!r}")
+        if not self.mise_configs:
+            raise DomainError("mise_configs must hold at least one setting")
+        for c in self.mise_configs:
+            if len(c) != 5 or not all(type(v) is int and v >= 1 for v in c[1:3]):
+                raise DomainError(
+                    "a mise_configs setting is (decay, modes, N, eps, gamma) with "
+                    f"integers modes, N >= 1, got {c!r}"
+                )
         eps = tuple(float(e) for e in self.eps_grid)
         if self.kind != "mise-check":
             if len(eps) < 2 or any(b >= a for a, b in zip(eps, eps[1:])):
@@ -270,23 +284,24 @@ def illposed_demo(cfg: ExperimentConfig) -> ErrorReport:
     rows = []
     for idx, eps in enumerate(cfg.eps_grid):
         N = counts[idx]
-        eps_seed = replicate_seed(cfg.seed, idx)
-        inputs = np.empty(cfg.replicates)
-        outputs = np.empty(cfg.replicates)
-        for r in range(cfg.replicates):
-            obs = observe(np.zeros(1), np.zeros(1), eps, N, replicate_seed(eps_seed, r))
-            inputs[r] = float(np.sum(obs.obs0**2))
-            data = InitialData(obs.obs0, np.zeros(N))
-            fld = solve_mild(spec, data, P=N, M=cfg.M)
-            outputs[r] = float(np.max(np.sum(fld.coeffs**2, axis=1)))
+
+        def sample(seed: int) -> tuple[float, float]:
+            """Input energy and max-row output energy of one noise-only replicate."""
+            obs = observe(np.zeros(1), np.zeros(1), eps, N, seed)
+            fld = solve_mild(spec, InitialData(obs.obs0, np.zeros(N)), P=N, M=cfg.M)
+            return float(np.sum(obs.obs0**2)), float(np.max(np.sum(fld.coeffs**2, axis=1)))
+
+        (input_mc, input_se), (output_mc, output_se) = monte_carlo(
+            sample, cfg.replicates, replicate_seed(cfg.seed, idx)
+        )
         stats = {
             "eps": eps,
             "N": N,
             "input_analytic": eps * eps * N,
-            "input_mc": float(np.mean(inputs)),
-            "input_se": float(np.std(inputs, ddof=1) / math.sqrt(cfg.replicates)),
-            "output_mc": float(np.mean(outputs)),
-            "output_se": float(np.std(outputs, ddof=1) / math.sqrt(cfg.replicates)),
+            "input_mc": input_mc,
+            "input_se": input_se,
+            "output_mc": output_mc,
+            "output_se": output_se,
         }
         per_eps.append(stats)
         rows.append(
@@ -344,10 +359,12 @@ def _convergence_eig(cfg: ExperimentConfig) -> EigenSystem:
 
 
 def _t_index(t: float, a: float, M: int) -> int:
+    if not 0.0 <= t <= a:
+        raise DomainError(f"evaluation time t={t} must lie in [0, a={a}]")
     it = round(t / a * M)
-    if not (0 <= it <= M) or abs(t - it * a / M) > 1e-9 * a:
+    if abs(t - it * a / M) > 1e-9 * a:
         raise DomainError(f"t={t} does not sit on the M={M} grid")
-    return int(it)
+    return it
 
 
 def _source_constants(
@@ -397,7 +414,7 @@ def convergence_table(cfg: ExperimentConfig) -> ErrorReport:
 
     reg_cfgs: list[RegConfig] = []
     for eps in cfg.eps_grid:
-        rc = choose_params(eps, rp, cfg.a, cfg.beta, eig, M=cfg.M)
+        rc = choose_params(eps, rp, cfg.a, cfg.beta, eig)
         if rc.N > eig.count:
             raise DomainError(
                 f"rule gives N={rc.N} but the eigensystem stores {eig.count}; "
@@ -410,22 +427,21 @@ def convergence_table(cfg: ExperimentConfig) -> ErrorReport:
         out: list[dict] = []
         for idx, eps in enumerate(cfg.eps_grid):
             rc = reg_cfgs[idx]
-            eps_seed = replicate_seed(cfg.seed, stream + idx)
-            per_t = {t: np.empty(cfg.replicates) for t in t_eval}
-            for r in range(cfg.replicates):
-                obs = observe(data.u0, data.u1, eps, rc.N, replicate_seed(eps_seed, r),
-                              shared_noise=cfg.shared_noise)
-                fld = regularized_solve(spec, obs, rc)
+
+            def sample(seed: int) -> tuple[float, ...]:
+                """Squared error norm of one regularized solve at every t."""
+                obs = observe(data.u0, data.u1, eps, rc.N, seed, shared_noise=cfg.shared_noise)
+                fld = regularized_solve(spec, obs, rc, cfg.M)
+                errs = []
                 for t in t_eval:
                     row = fld.coeffs[t_idx[t]]
                     ref = truth.coeffs[2 * t_idx[t]]
-                    n = max(row.size, ref.size)
-                    diff = np.zeros(n)
-                    diff[: row.size] = row
-                    diff[: ref.size] -= ref
-                    per_t[t][r] = hq_norm(diff, q_eff, eig) ** 2
-            for t in t_eval:
-                vals = per_t[t]
+                    width = max(row.size, ref.size)
+                    errs.append(hq_norm(pad(row, width) - pad(ref, width), q_eff, eig) ** 2)
+                return tuple(errs)
+
+            est = monte_carlo(sample, cfg.replicates, replicate_seed(cfg.seed, stream + idx))
+            for t, (mise, se) in zip(t_eval, est):
                 out.append(
                     {
                         "eps": eps,
@@ -433,21 +449,21 @@ def convergence_table(cfg: ExperimentConfig) -> ErrorReport:
                         "N": rc.N,
                         "B_N": rc.B_N,
                         "P_retained": rc.P_retained,
-                        "mise": float(np.mean(vals)),
-                        "se": float(np.std(vals, ddof=1) / math.sqrt(cfg.replicates)),
+                        "mise": mise,
+                        "se": se,
                     }
                 )
         return out
 
-    def unit_bound(s: dict) -> float:
-        """Bound value at C1 = D1 = 1 for a stat row."""
+    def bound(s: dict, c: float) -> float:
+        """Bound value at C1 = D1 = c for a stat row."""
         rc = reg_cfgs[cfg.eps_grid.index(s["eps"])]
         if cfg.norm == "l2":
             return theory_bound_l2(
-                rp, rc, s["t"], s["eps"], M0, M_src, 1.0, 1.0, cfg.a, cfg.beta
+                rp, rc, s["t"], s["eps"], M0, M_src, c, c, cfg.a, cfg.beta
             ).l2_bound
         return theory_bound_hq(
-            rp, rc, s["t"], cfg.r, q_eff, s["eps"], M0, M1, 1.0, 1.0, cfg.a, cfg.beta
+            rp, rc, s["t"], cfg.r, q_eff, s["eps"], M0, M1, c, c, cfg.a, cfg.beta
         ).hq_bound
 
     # Out-of-sample pilot: an independent Monte-Carlo sweep of the same grid
@@ -455,32 +471,21 @@ def convergence_table(cfg: ExperimentConfig) -> ErrorReport:
     # ratio times a safety factor; the main sweep is then checked against
     # the frozen constants.
     pilot = mc_pass(_PILOT_STREAM)
-    c_req = max(s["mise"] / unit_bound(s) for s in pilot)
+    c_req = max(s["mise"] / bound(s, 1.0) for s in pilot)
     c_cal = cfg.pilot_safety * max(c_req, 1e-12)
 
     stats = mc_pass(0)
 
     rows = []
     for s in stats:
-        rc = reg_cfgs[cfg.eps_grid.index(s["eps"])]
-        if cfg.norm == "l2":
-            tb = theory_bound_l2(
-                rp, rc, s["t"], s["eps"], M0, M_src, c_cal, c_cal, cfg.a, cfg.beta
-            )
-            bound = tb.l2_bound
-        else:
-            tb = theory_bound_hq(
-                rp, rc, s["t"], cfg.r, q_eff, s["eps"], M0, M1, c_cal, c_cal, cfg.a, cfg.beta
-            )
-            bound = tb.hq_bound
-        s["bound"] = bound
+        s["bound"] = bound(s, c_cal)
         rows.append(
             ReportRow(
                 eps=s["eps"],
                 t=s["t"],
                 mise=s["mise"],
                 std_err=s["se"],
-                theory_bound=bound,
+                theory_bound=s["bound"],
                 loglog_slope=None,
             )
         )
@@ -537,16 +542,19 @@ def mise_check(cfg: ExperimentConfig) -> ErrorReport:
     rows = []
     details = []
     for idx, (decay, modes, N, eps, gamma) in enumerate(cfg.mise_configs):
-        eig = EigenSystem.dirichlet_laplace_1d(int(modes))
-        u0 = np.arange(1, int(modes) + 1, dtype=float) ** -float(decay)
-        analytic, bound = mise_bound_check(u0, float(gamma), float(eps), int(N), eig)
+        eig = EigenSystem.dirichlet_laplace_1d(modes)
+        u0 = np.arange(1, modes + 1, dtype=float) ** -float(decay)
+        analytic, bound = mise_bound_check(u0, float(gamma), float(eps), N, eig)
+        width = max(modes, N)
 
-        def estimator(s, _u0=u0, _eps=eps, _N=N):
-            return observe(_u0, np.zeros(1), float(_eps), int(_N), s,
-                           shared_noise=cfg.shared_noise).obs0
+        def sample(seed: int) -> tuple[float]:
+            """Squared distance of one replicate's data from the truth."""
+            obs = observe(u0, np.zeros(1), float(eps), N, seed, shared_noise=cfg.shared_noise)
+            d = pad(obs.obs0, width) - pad(u0, width)
+            return (float(np.sum(d * d)),)
 
-        est = mise_mc(u0, estimator, cfg.replicates, replicate_seed(cfg.seed, idx))
-        agree = abs(est.mean_sq_err - analytic) <= 4.0 * est.std_err
+        [(mc, se)] = monte_carlo(sample, cfg.replicates, replicate_seed(cfg.seed, idx))
+        agree = abs(mc - analytic) <= 4.0 * se
         details.append(
             {
                 "decay": decay,
@@ -556,8 +564,8 @@ def mise_check(cfg: ExperimentConfig) -> ErrorReport:
                 "gamma": gamma,
                 "analytic": analytic,
                 "variance_bias_bound": bound,
-                "mc": est.mean_sq_err,
-                "se": est.std_err,
+                "mc": mc,
+                "se": se,
                 "agrees_4se": agree,
                 "bound_holds": analytic <= bound,
             }
@@ -566,8 +574,8 @@ def mise_check(cfg: ExperimentConfig) -> ErrorReport:
             ReportRow(
                 eps=float(eps),
                 t=0.0,
-                mise=est.mean_sq_err,
-                std_err=est.std_err,
+                mise=mc,
+                std_err=se,
                 theory_bound=bound,
                 loglog_slope=None,
             )

@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import DomainError, NoConvergence
 from .mittag_leffler import kernel_double_primitive, kernel_primitive, ml_values
-from .spectral import EigenSystem, as_coeffs
+from .spectral import EigenSystem, as_coeffs, pad
 
 DEFAULT_PICARD_TOL = 1e-10
 DEFAULT_MAX_SWEEPS = 200
@@ -397,16 +397,11 @@ def solve_mild(
     if not tol > 0:
         raise DomainError("tol must be positive")
     lam = spec.eig.eigenvalues[:P]
-    u0 = np.zeros(P)
-    u1 = np.zeros(P)
-    n = min(P, data.u0.size)
-    u0[:n] = data.u0[:n]
-    u1[:n] = data.u1[:n]
-    return _picard_solve(spec, lam, u0, u1, M, tol, max_iter)
+    return _picard_solve(spec, lam, pad(data.u0, P), pad(data.u1, P), M, tol, max_iter)
 
 
-def power_law_profile(decay: float, cutoff: int, u0_scale: float = 1.0, u1_scale: float = 0.0):
-    """Initial-data profile p -> (u0_p, u1_p) with p^(-decay) falloff up to a cutoff.
+def power_law_profile(decay: float, cutoff: int, u1_scale: float = 0.0):
+    """Initial-data profile p -> (p^(-decay), u1_scale p^(-decay)) up to a cutoff.
 
     Finitely many nonzero modes guarantee every spectral source condition
     holds with computable constants.
@@ -418,7 +413,7 @@ def power_law_profile(decay: float, cutoff: int, u0_scale: float = 1.0, u1_scale
         if p > cutoff:
             return 0.0, 0.0
         w = float(p) ** (-decay)
-        return u0_scale * w, u1_scale * w
+        return w, u1_scale * w
 
     return profile
 
@@ -428,8 +423,6 @@ def manufacture(
     P: int,
     profile,
     M: int = 64,
-    tol: float = DEFAULT_PICARD_TOL,
-    max_iter: int = DEFAULT_MAX_SWEEPS,
 ) -> tuple[InitialData, FourierField]:
     """Manufactured ground truth: initial data plus its solution at 2M steps.
 
@@ -442,5 +435,5 @@ def manufacture(
         np.array([x for x, _ in pairs], dtype=float),
         np.array([x for _, x in pairs], dtype=float),
     )
-    field = solve_mild(spec, data, P, 2 * M, tol=tol, max_iter=max_iter)
+    field = solve_mild(spec, data, P, 2 * M)
     return data, field

@@ -1,10 +1,12 @@
-"""Gaussian white-noise observations and Monte-Carlo MISE machinery.
+"""Gaussian white-noise observations and the Monte-Carlo driver.
 
 Observed coefficients follow ``obs[p] = <u, phi_p> + eps * xi_p`` with
 ``xi_p`` i.i.d. standard normal.  Randomness comes from counter-based
 Philox streams keyed by ``(seed, stream)`` and sampled through the inverse
 normal CDF, so every replicate is an independent substream that can be
-regenerated in any order, bit for bit.
+regenerated in any order, bit for bit.  :func:`monte_carlo` is the one
+replicate loop: it seeds every replicate and reduces what each returns to a
+mean and a standard error.
 
 The default observation model draws independent noise for the initial value
 and the initial velocity; ``shared_noise=True`` reproduces the reading in
@@ -21,7 +23,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import DomainError
-from .spectral import EigenSystem, as_coeffs, hq_norm
+from .spectral import EigenSystem, as_coeffs, hq_norm, pad
 
 _TWO53 = float(1 << 53)
 
@@ -76,14 +78,6 @@ class NoisyObservation:
         object.__setattr__(self, "obs1", o1)
 
 
-def _pad(c: np.ndarray, n: int) -> np.ndarray:
-    if c.size >= n:
-        return c[:n]
-    out = np.zeros(n)
-    out[: c.size] = c
-    return out
-
-
 def observe(u0, u1, eps: float, N: int, seed: int, shared_noise: bool = False) -> NoisyObservation:
     """Draw the N noisy coefficients of (u0, u1) from the seeded stream.
 
@@ -94,55 +88,29 @@ def observe(u0, u1, eps: float, N: int, seed: int, shared_noise: bool = False) -
         raise DomainError("eps must be positive")
     if N < 1:
         raise DomainError("N must be >= 1")
-    c0 = _pad(as_coeffs(u0), N)
-    c1 = _pad(as_coeffs(u1), N)
+    c0 = pad(as_coeffs(u0), N)
+    c1 = pad(as_coeffs(u1), N)
     xi0 = standard_normals(seed, 0, N)
     xi1 = xi0 if shared_noise else standard_normals(seed, 1, N)
     return NoisyObservation(eps, N, c0 + eps * xi0, c1 + eps * xi1, seed, shared_noise)
 
 
-@dataclass(frozen=True)
-class MiseEstimate:
-    """Monte-Carlo mean integrated squared error with its standard error."""
+def monte_carlo(
+    sample: Callable[[int], tuple[float, ...]], replicates: int, seed: int
+) -> list[tuple[float, float]]:
+    """Monte-Carlo ``(mean, standard error)`` of each quantity ``sample`` returns.
 
-    mean_sq_err: float
-    std_err: float
-    replicates: int
-    seed: int
-
-    def __post_init__(self):
-        if self.replicates < 2:
-            raise DomainError("replicates must be >= 2")
-        if self.mean_sq_err < 0 or self.std_err < 0:
-            raise DomainError("estimates must be nonnegative")
-
-
-def mise_mc(
-    truth,
-    estimator: Callable[[int], np.ndarray],
-    replicates: int,
-    seed: int,
-) -> MiseEstimate:
-    """Monte-Carlo estimate of E ||estimator - truth||^2 in coefficient space.
-
-    ``estimator`` receives the derived seed of each replicate (see
-    :func:`replicate_seed`) and returns a coefficient vector; length
-    mismatches against the truth are zero-padded, matching the convention
-    that unobserved modes are zero.  The replicate loop order is fixed, so
-    identical seeds give identical estimates.
+    Replicate ``r`` calls ``sample(replicate_seed(seed, r))``, which returns
+    a tuple of floats, in a fixed loop order, so identical seeds give
+    identical estimates.  Each quantity is reduced as its own contiguous
+    array: numpy sums that pairwise, but sums an ``(R, k)`` block along
+    axis 0 row by row, with different rounding.
     """
     if replicates < 2:
         raise DomainError("replicates must be >= 2")
-    t = as_coeffs(truth)
-    sq = np.empty(replicates)
-    for r in range(replicates):
-        est = as_coeffs(estimator(replicate_seed(seed, r)))
-        n = max(t.size, est.size)
-        d = _pad(est, n) - _pad(t, n)
-        sq[r] = float(np.sum(d * d))
-    mean = float(np.mean(sq))
-    std_err = float(np.std(sq, ddof=1) / math.sqrt(replicates))
-    return MiseEstimate(mean, std_err, replicates, seed)
+    values = np.array([sample(replicate_seed(seed, r)) for r in range(replicates)], dtype=float)
+    root = math.sqrt(replicates)
+    return [(float(np.mean(v)), float(np.std(v, ddof=1) / root)) for v in values.T.copy()]
 
 
 def mise_bound_check(

@@ -23,21 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .mild_solver import (
-    DEFAULT_MAX_SWEEPS,
-    DEFAULT_PICARD_TOL,
-    FourierField,
-    InitialData,
-    ProblemSpec,
-    solve_mild,
-)
+from .mild_solver import FourierField, InitialData, ProblemSpec, solve_mild
 from .noise_model import NoisyObservation
-from .spectral import EigenSystem
+from .spectral import EigenSystem, pad
 
 
 @dataclass(frozen=True)
 class RegConfig:
-    """Concrete regularization parameters for one noise level.
+    """The parameter rule's output for one noise level.
 
     ``P_retained`` counts the eigenvalues not exceeding ``B_N``; ``lam_N``
     is the N-th eigenvalue, which the error bounds need.
@@ -45,18 +38,14 @@ class RegConfig:
 
     B_N: float
     N: int
-    picard_tol: float
-    M: int
     P_retained: int
     lam_N: float
 
     def __post_init__(self):
         if not self.B_N >= 0 or not math.isfinite(self.B_N):
             raise DomainError("B_N must be finite and >= 0")
-        if self.N < 1 or self.M < 1 or self.P_retained < 0:
-            raise DomainError("N, M must be >= 1 and P_retained >= 0")
-        if not self.picard_tol > 0:
-            raise DomainError("picard_tol must be positive")
+        if self.N < 1 or self.P_retained < 0:
+            raise DomainError("N must be >= 1 and P_retained >= 0")
 
 
 @dataclass(frozen=True)
@@ -78,12 +67,15 @@ class RateParams:
     mu: float
 
     def __post_init__(self):
+        values = (self.b, self.m, self.k, self.gamma, self.mu)
+        if not all(math.isfinite(v) for v in values):
+            raise DomainError(f"rate parameters b, m, k, gamma, mu must be finite, got {values}")
         if not (self.b > 0 and self.k > 0 and self.mu > 0):
             raise DomainError("b, k, mu must be positive")
         if self.gamma < 0:
             raise DomainError("gamma must be >= 0")
-        if self.d < 1:
-            raise DomainError("d must be a positive integer")
+        if type(self.d) is not int or self.d < 1:
+            raise DomainError(f"d must be a positive integer, got {self.d!r}")
         if not (0.0 < self.m < 2.0 * self.gamma / self.d):
             raise DomainError(
                 f"m must lie in (0, 2*gamma/d) = (0, {2.0 * self.gamma / self.d}), got {self.m}"
@@ -132,8 +124,6 @@ def choose_params(
     a: float,
     beta: float,
     eig: EigenSystem,
-    M: int = 64,
-    picard_tol: float = DEFAULT_PICARD_TOL,
 ) -> RegConfig:
     """A-priori parameter choice for noise level ``eps``.
 
@@ -150,14 +140,7 @@ def choose_params(
     if N < 1:
         raise DomainError(f"eps={eps} gives no observations under the rule")
     B_N = ((rp.m / (rp.k * a)) * math.log(N)) ** beta
-    return RegConfig(
-        B_N=B_N,
-        N=N,
-        picard_tol=picard_tol,
-        M=M,
-        P_retained=retained_count(eig, B_N),
-        lam_N=eig.lam(N),
-    )
+    return RegConfig(B_N=B_N, N=N, P_retained=retained_count(eig, B_N), lam_N=eig.lam(N))
 
 
 def admissibility_scan(
@@ -205,15 +188,13 @@ def admissibility_scan(
 
 
 def regularized_solve(
-    spec: ProblemSpec,
-    obs: NoisyObservation,
-    cfg: RegConfig,
-    max_iter: int = DEFAULT_MAX_SWEEPS,
+    spec: ProblemSpec, obs: NoisyObservation, cfg: RegConfig, M: int
 ) -> FourierField:
-    """Fixed point of the spectrally truncated integral map.
+    """Fixed point of the spectrally truncated integral map on the M-step grid.
 
-    Retained modes start from the observed noisy coefficients; all modes
-    with ``lam_p > B_N`` are identically zero in the output, whose width is
+    Retained modes start from the observed noisy coefficients and are
+    solved by :func:`solve_mild` at its default tolerance; all modes with
+    ``lam_p > B_N`` are identically zero in the output, whose width is
     ``max(obs.N, P_retained)`` so the dropped modes are visible as explicit
     zero columns.
     """
@@ -222,14 +203,11 @@ def regularized_solve(
     P_active = min(cfg.P_retained, spec.eig.count)
     width = max(obs.N, P_active)
     if P_active == 0:
-        t = np.linspace(0.0, spec.a, cfg.M + 1)
-        return FourierField(t, np.zeros((cfg.M + 1, width)), picard_diffs=np.zeros(1))
+        t = np.linspace(0.0, spec.a, M + 1)
+        return FourierField(t, np.zeros((M + 1, width)), picard_diffs=np.zeros(1))
 
-    data = InitialData(obs.obs0, obs.obs1)
-    core = solve_mild(spec, data, P_active, cfg.M, cfg.picard_tol, max_iter)
-    out = np.zeros((cfg.M + 1, width))
-    out[:, :P_active] = core.coeffs
-    return FourierField(core.t_grid, out, picard_diffs=core.picard_diffs)
+    core = solve_mild(spec, InitialData(obs.obs0, obs.obs1), P_active, M)
+    return FourierField(core.t_grid, pad(core.coeffs, width), picard_diffs=core.picard_diffs)
 
 
 def theory_bound_l2(

@@ -85,6 +85,18 @@ def as_coeffs(values) -> np.ndarray:
     return c
 
 
+def pad(c: np.ndarray, n: int) -> np.ndarray:
+    """The first ``n`` coefficients of ``c``, zero-padded: unobserved modes are zero.
+
+    Works along the last axis, so the rows of a field pad alike.
+    """
+    if c.shape[-1] >= n:
+        return c[..., :n]
+    out = np.zeros(c.shape[:-1] + (n,))
+    out[..., : c.shape[-1]] = c
+    return out
+
+
 def hq_norm(coeffs, q: float, eig: EigenSystem) -> float:
     """Spectral Sobolev norm sqrt(sum lam_p^q c_p^2).
 

@@ -73,11 +73,32 @@ def _run_module(tmp_path, *argv):
     ["converge", "--a", "inf", "--replicates", "8", "--out", "x.json"],
     ["illposed", "--a", "nan", "--out", "x.csv"],
     ["illposed", "--seed", "-5", "--out", "x.csv"],
+    ["converge", "--b", "inf", "--replicates", "8", "--out", "x.json"],
+    ["converge", "--t-eval", "nan", "--replicates", "8", "--out", "x.json"],
 ])
 def test_overflow_is_one_line_error(tmp_path, argv):
     run = _run_module(tmp_path, *argv)
     assert run.returncode == 1
     assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith("error:"), run.stderr
+
+
+@pytest.mark.parametrize("kind, content", [
+    ("converge", {"seed": 1.5}),
+    ("converge", {"seed": True}),
+    ("converge", {"M": 64.5}),
+    ("converge", {"M": "64"}),
+    ("converge", {"truth_modes": 4.5}),
+    ("converge", {"eig_count": 64.5}),
+    ("converge", {"shared_noise": "yes"}),
+    ("mise-check", {"mise_configs": [[2.0, 64, 8.5, 0.05, 0.5]]}),
+    ("mise-check", {"mise_configs": []}),
+])
+def test_config_type_fault_is_one_line_error(tmp_path, kind, content):
+    (tmp_path / "c.json").write_text(json.dumps(content))
+    run = _run_module(tmp_path, kind, "--config", "c.json", "--replicates", "8", "--out", "x.json")
+    assert run.returncode == 1
+    assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith("error:"), run.stderr
+    assert not (tmp_path / "x.json").exists()
 
 
 @pytest.mark.parametrize("kind, pinned", [("converge", CONVERGE_CFG),

@@ -127,6 +127,13 @@ def test_convergence_requires_rate():
         convergence_table(small_converge_cfg(rate=None))
 
 
+def test_evaluation_time_off_the_grid_names_t():
+    # M = 32 on [0, 1]: 0.3 falls between grid points; nan, inf and 1.5 are not in [0, a]
+    for t in (math.nan, math.inf, 1.5, 0.3):
+        with pytest.raises(DomainError, match=f"t={t}"):
+            convergence_table(small_converge_cfg(t_eval=(t,)))
+
+
 def test_mise_check_experiment():
     cfg = ExperimentConfig(
         kind="mise-check",
@@ -155,6 +162,15 @@ def test_config_validation():
             small_converge_cfg(a=a)
     with pytest.raises(DomainError, match="seed"):
         small_converge_cfg(seed=-5)
+    for name, value in (("replicates", 12.0), ("seed", 1.5), ("seed", True), ("M", 64.5),
+                        ("M", "64"), ("p_cap", 32.0), ("eig_count", 64.5), ("truth_modes", 4.5),
+                        ("shared_noise", "yes"), ("shared_noise", 1)):
+        with pytest.raises(DomainError, match=name):
+            small_converge_cfg(**{name: value})
+    for settings in ((), ((2.0, 64, 8.5, 0.05, 0.5),), ((2.0, 64.0, 8, 0.05, 0.5),),
+                     ((2.0, 64, 0, 0.05, 0.5),), ((2.0, 64, 8, 0.05),)):
+        with pytest.raises(DomainError, match="mise_configs"):
+            small_converge_cfg(mise_configs=settings)
     with pytest.raises(DomainError):
         ExperimentConfig(kind="nope", eps_grid=(0.1, 0.01), replicates=8,
                          seed=1, beta=1.5, a=1.0)

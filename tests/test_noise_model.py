@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from fracreg.errors import DomainError
 from fracreg.noise_model import (
-    MiseEstimate,
     mise_bound_check,
-    mise_mc,
+    monte_carlo,
     observe,
     replicate_seed,
     standard_normals,
 )
-from fracreg.spectral import EigenSystem
+from fracreg.spectral import EigenSystem, pad
 
 
 def test_observation_is_reproducible_bitwise():
@@ -82,46 +81,65 @@ def test_observe_unrolls_definition():
 def test_truncated_noise_energy_matches_eps2N():
     # noise-only data: E ||U_N||^2 = eps^2 N
     eps, N, R = 0.3, 12, 4000
-    vals = np.empty(R)
-    for r in range(R):
-        obs = observe(np.zeros(1), np.zeros(1), eps, N, replicate_seed(123, r))
-        vals[r] = float(np.sum(obs.obs0**2))
-    mean = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(R))
+    sample = lambda s: (float(np.sum(observe(np.zeros(1), np.zeros(1), eps, N, s).obs0 ** 2)),)
+    [(mean, se)] = monte_carlo(sample, R, 123)
     assert abs(mean - eps * eps * N) <= 4 * se
+
+
+def sq_dist_sample(truth, eps, N):
+    """Replicate sample: squared distance of the N noisy coefficients from
+    the truth, zero-padded (unobserved modes are zero)."""
+    width = max(truth.size, N)
+
+    def sample(s):
+        d = pad(observe(truth, np.zeros(1), eps, N, s).obs0, width) - pad(truth, width)
+        return (float(np.sum(d * d)),)
+
+    return sample
+
+
+def test_monte_carlo_reduces_each_quantity_as_its_own_column():
+    # each quantity is reduced as a contiguous 1-D array (pairwise summation);
+    # an axis=0 reduction of the (R, 2) block rounds differently
+    R = 64
+    sample = lambda s: tuple(standard_normals(s, 0, 2) * [1.0, 1e3] + [0.5, 7.0])
+    for seed in range(8):
+        values = np.array([sample(replicate_seed(seed, r)) for r in range(R)])
+        want = [(float(np.mean(col)), float(np.std(col, ddof=1) / math.sqrt(R)))
+                for col in (values[:, 0].copy(), values[:, 1].copy())]
+        assert monte_carlo(sample, R, seed) == want
 
 
 def test_mise_mc_exact_estimator_is_zero():
     truth = np.array([1.0, 2.0, 3.0])
-    est = mise_mc(truth, lambda s: truth, replicates=16, seed=4)
-    assert est.mean_sq_err == 0.0
-    assert est.std_err == 0.0
+    [(mean, se)] = monte_carlo(lambda s: (float(np.sum((truth - truth) ** 2)),), 16, 4)
+    assert mean == 0.0
+    assert se == 0.0
 
 
 def test_mise_mc_matches_analytic_expectation():
     # estimator = truncated noisy data of u0 with c_p = p^-2, N = 8, eps = 0.05
     P, N, eps = 64, 8, 0.05
     u0 = np.arange(1, P + 1, dtype=float) ** -2.0
-    estimator = lambda s: observe(u0, np.zeros(1), eps, N, s).obs0
-    est = mise_mc(u0, estimator, replicates=10_000, seed=2024)
+    [(mean, se)] = monte_carlo(sq_dist_sample(u0, eps, N), replicates=10_000, seed=2024)
     analytic = eps * eps * N + float(np.sum(u0[N:] ** 2))
-    assert abs(est.mean_sq_err - analytic) <= 4 * est.std_err
+    assert abs(mean - analytic) <= 4 * se
 
 
 def test_mise_mc_std_err_scaling():
     u0 = np.arange(1, 17, dtype=float) ** -2.0
-    estimator = lambda s: observe(u0, np.zeros(1), 0.1, 8, s).obs0
-    e1 = mise_mc(u0, estimator, replicates=400, seed=6)
-    e4 = mise_mc(u0, estimator, replicates=1600, seed=6)
+    sample = sq_dist_sample(u0, 0.1, 8)
+    [(_, se1)] = monte_carlo(sample, replicates=400, seed=6)
+    [(_, se4)] = monte_carlo(sample, replicates=1600, seed=6)
     # quadrupling replicates halves the standard error (1/sqrt(R) scaling)
-    assert e4.std_err == pytest.approx(e1.std_err / 2.0, rel=0.2)
+    assert se4 == pytest.approx(se1 / 2.0, rel=0.2)
 
 
 def test_mise_mc_deterministic():
-    u0 = np.array([1.0, 0.3])
-    estimator = lambda s: observe(u0, np.zeros(1), 0.2, 4, s).obs0
-    a = mise_mc(u0, estimator, replicates=64, seed=99)
-    b = mise_mc(u0, estimator, replicates=64, seed=99)
+    # N = 4 observations of a two-mode truth: the padding runs the other way
+    sample = sq_dist_sample(np.array([1.0, 0.3]), 0.2, 4)
+    a = monte_carlo(sample, replicates=64, seed=99)
+    b = monte_carlo(sample, replicates=64, seed=99)
     assert a == b
 
 
@@ -156,6 +174,4 @@ def test_validation_errors():
     with pytest.raises(DomainError):
         observe(np.zeros(2), np.zeros(2), 0.1, 0, seed=1)
     with pytest.raises(DomainError):
-        mise_mc(np.zeros(2), lambda s: np.zeros(2), replicates=1, seed=1)
-    with pytest.raises(DomainError):
-        MiseEstimate(-1.0, 0.0, 8, 0)
+        monte_carlo(lambda s: (0.0,), replicates=1, seed=1)

@@ -29,9 +29,8 @@ def dirichlet_spec(beta=1.5, a=1.0, count=16, nl=None):
                        nl or NonlinearitySpec.zero())
 
 
-def manual_cfg(eig, B_N, N, M=16, tol=1e-12):
-    return RegConfig(B_N=B_N, N=N, picard_tol=tol, M=M,
-                     P_retained=retained_count(eig, B_N), lam_N=eig.lam(N))
+def manual_cfg(eig, B_N, N):
+    return RegConfig(B_N=B_N, N=N, P_retained=retained_count(eig, B_N), lam_N=eig.lam(N))
 
 
 def test_retained_count_exact_comparison():
@@ -67,6 +66,10 @@ def test_rate_params_invariant():
         RateParams(b=1.0, m=2.0, k=1.0, gamma=1.0, d=1, mu=1.0)  # m = 2*gamma/d
     with pytest.raises(DomainError):
         RateParams(b=1.0, m=0.0, k=1.0, gamma=1.0, d=1, mu=1.0)
+    for bad in ({"b": math.inf}, {"k": math.inf}, {"mu": math.inf}, {"gamma": math.inf},
+                {"m": math.nan}, {"d": 1.5}, {"d": True}):
+        with pytest.raises(DomainError):
+            RateParams(**{**dict(b=1.0, m=1.0, k=1.0, gamma=1.0, d=1, mu=1.0), **bad})
     RateParams(b=1.0, m=1.9, k=1.0, gamma=1.0, d=1, mu=1.0)
 
 
@@ -100,16 +103,17 @@ def test_regularized_solve_matches_forward_map_when_inactive():
     u1 = np.array([0.2, 0.1, 0.0, 0.0])
     obs = observe(u0, u1, 1e-300, 4, seed=13)
     cfg = manual_cfg(eig, B_N=100.0, N=4)
-    reg = regularized_solve(spec, obs, cfg)
-    mild = solve_mild(spec, InitialData(u0, u1), P=4, M=16, tol=1e-12)
-    assert np.max(np.abs(reg.coeffs - mild.coeffs)) <= 10 * cfg.picard_tol + 1e-280
+    reg = regularized_solve(spec, obs, cfg, 16)
+    tol = 1e-12
+    mild = solve_mild(spec, InitialData(u0, u1), P=4, M=16, tol=tol)
+    assert np.max(np.abs(reg.coeffs - mild.coeffs)) <= 10 * tol + 1e-280
 
 
 def test_regularized_solve_zeroes_dropped_modes():
     spec = dirichlet_spec(count=8)
     obs = observe(np.ones(8), np.zeros(8), 0.1, 8, seed=21)
     cfg = manual_cfg(spec.eig, B_N=5.0, N=8)  # retains lam = 1, 4 only
-    field = regularized_solve(spec, obs, cfg)
+    field = regularized_solve(spec, obs, cfg, 16)
     assert cfg.P_retained == 2
     assert field.coeffs.shape[1] == 8
     assert np.max(np.abs(field.coeffs[:, 2:])) == 0.0
@@ -123,8 +127,8 @@ def test_regularized_solve_no_coupling_linear_case():
 
     spec = dirichlet_spec(count=4)
     obs = observe(np.array([0.3, -0.2]), np.array([0.1, 0.4]), 0.05, 4, seed=5)
-    cfg = manual_cfg(spec.eig, B_N=4.0, N=4, M=8)
-    field = regularized_solve(spec, obs, cfg)
+    cfg = manual_cfg(spec.eig, B_N=4.0, N=4)
+    field = regularized_solve(spec, obs, cfg, 8)
     for p in (1, 2):
         lam = spec.eig.lam(p)
         for i in (0, 4, 8):
@@ -141,7 +145,7 @@ def test_regularized_solve_requires_matching_N():
     obs = observe(np.ones(4), np.zeros(4), 0.1, 4, seed=2)
     cfg = manual_cfg(spec.eig, B_N=4.0, N=5)
     with pytest.raises(DomainError):
-        regularized_solve(spec, obs, cfg)
+        regularized_solve(spec, obs, cfg, 16)
 
 
 def test_picard_differences_supergeometric_tail():
@@ -150,9 +154,9 @@ def test_picard_differences_supergeometric_tail():
     K = 8.0
     nl = NonlinearitySpec.lipschitz(K, lambda t, c: K * c)
     spec = dirichlet_spec(count=2, nl=nl)
+    # the solve a cutoff B_N = 4 runs: both modes retained
     obs = observe(np.array([1.0, 0.2]), np.zeros(2), 0.01, 2, seed=3)
-    cfg = manual_cfg(spec.eig, B_N=4.0, N=2, M=32, tol=1e-10)
-    field = regularized_solve(spec, obs, cfg, max_iter=400)
+    field = solve_mild(spec, InitialData(obs.obs0, obs.obs1), P=2, M=32, max_iter=400)
     d = [x for x in field.picard_diffs if x > 0]
     ratios = [d[i + 1] / d[i] for i in range(len(d) - 1)]
     assert len(ratios) >= 4
@@ -241,8 +245,8 @@ def test_regularized_solve_wider_cutoff_than_data():
     # no data and a diagonal forcing keeps them identically zero
     spec = dirichlet_spec(count=8)
     obs = observe(np.array([1.0, -0.5]), np.zeros(2), 0.1, 2, seed=41)
-    cfg = manual_cfg(spec.eig, B_N=60.0, N=2, M=8)  # retains lam <= 60: 7 modes
-    field = regularized_solve(spec, obs, cfg)
+    cfg = manual_cfg(spec.eig, B_N=60.0, N=2)  # retains lam <= 60: 7 modes
+    field = regularized_solve(spec, obs, cfg, 8)
     assert cfg.P_retained == 7
     assert field.coeffs.shape[1] == 7
     assert np.max(np.abs(field.coeffs[:, 2:])) == 0.0
