@@ -126,6 +126,14 @@ class ExperimentConfig:
             raise DomainError(f"horizon a must be finite and positive, got {self.a}")
         if self.norm not in ("l2", "hq"):
             raise DomainError("norm must be 'l2' or 'hq'")
+        for name in ("q", "r", "truth_decay", "truth_u1_scale", "pilot_safety"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise DomainError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value!r}")
+        if not self.pilot_safety > 0:
+            raise DomainError(f"pilot_safety must be > 0, got {self.pilot_safety!r}")
         if self.norm == "hq" and (self.q < 0 or not self.r > 0):
             raise DomainError("hq norm needs q >= 0 and r > 0")
         object.__setattr__(self, "eps_grid", eps)
@@ -285,11 +293,11 @@ def illposed_demo(cfg: ExperimentConfig) -> ErrorReport:
     for idx, eps in enumerate(cfg.eps_grid):
         N = counts[idx]
 
-        def sample(seed: int) -> tuple[float, float]:
-            """Input energy and max-row output energy of one noise-only replicate."""
-            obs = observe(np.zeros(1), np.zeros(1), eps, N, seed)
-            fld = solve_mild(spec, InitialData(obs.obs0, np.zeros(N)), P=N, M=cfg.M)
-            return float(np.sum(obs.obs0**2)), float(np.max(np.sum(fld.coeffs**2, axis=1)))
+        def sample(seeds):
+            """Input energy and max-row output energy of noise-only replicates."""
+            obs = observe(np.zeros(1), np.zeros(1), eps, N, seeds)
+            fld = solve_mild(spec, InitialData(obs.obs0, np.zeros_like(obs.obs0)), P=N, M=cfg.M)
+            return np.sum(obs.obs0**2, axis=-1), np.max(np.sum(fld.coeffs**2, axis=-1), axis=-1)
 
         (input_mc, input_se), (output_mc, output_se) = monte_carlo(
             sample, cfg.replicates, replicate_seed(cfg.seed, idx)
@@ -428,17 +436,17 @@ def convergence_table(cfg: ExperimentConfig) -> ErrorReport:
         for idx, eps in enumerate(cfg.eps_grid):
             rc = reg_cfgs[idx]
 
-            def sample(seed: int) -> tuple[float, ...]:
-                """Squared error norm of one regularized solve at every t."""
-                obs = observe(data.u0, data.u1, eps, rc.N, seed, shared_noise=cfg.shared_noise)
+            def sample(seeds):
+                """Squared error norms of the regularized solves at every t."""
+                obs = observe(data.u0, data.u1, eps, rc.N, seeds, shared_noise=cfg.shared_noise)
                 fld = regularized_solve(spec, obs, rc, cfg.M)
                 errs = []
                 for t in t_eval:
-                    row = fld.coeffs[t_idx[t]]
+                    rows = fld.coeffs[..., t_idx[t], :]
                     ref = truth.coeffs[2 * t_idx[t]]
-                    width = max(row.size, ref.size)
-                    errs.append(hq_norm(pad(row, width) - pad(ref, width), q_eff, eig) ** 2)
-                return tuple(errs)
+                    width = max(rows.shape[-1], ref.size)
+                    errs.append(hq_norm(pad(rows, width) - pad(ref, width), q_eff, eig) ** 2)
+                return errs
 
             est = monte_carlo(sample, cfg.replicates, replicate_seed(cfg.seed, stream + idx))
             for t, (mise, se) in zip(t_eval, est):
@@ -547,11 +555,11 @@ def mise_check(cfg: ExperimentConfig) -> ErrorReport:
         analytic, bound = mise_bound_check(u0, float(gamma), float(eps), N, eig)
         width = max(modes, N)
 
-        def sample(seed: int) -> tuple[float]:
-            """Squared distance of one replicate's data from the truth."""
-            obs = observe(u0, np.zeros(1), float(eps), N, seed, shared_noise=cfg.shared_noise)
+        def sample(seeds):
+            """Squared distance of each replicate's data from the truth."""
+            obs = observe(u0, np.zeros(1), float(eps), N, seeds, shared_noise=cfg.shared_noise)
             d = pad(obs.obs0, width) - pad(u0, width)
-            return (float(np.sum(d * d)),)
+            return (np.sum(d * d, axis=-1),)
 
         [(mc, se)] = monte_carlo(sample, cfg.replicates, replicate_seed(cfg.seed, idx))
         agree = abs(mc - analytic) <= 4.0 * se

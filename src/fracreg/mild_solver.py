@@ -124,16 +124,20 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class InitialData:
-    """Coefficient vectors of the initial value and initial velocity."""
+    """Coefficient vectors of the initial value and initial velocity.
+
+    Each may also be an (R, P) block holding one field's data per row, which
+    the mode-diagonal kinds solve all at once.
+    """
 
     u0: np.ndarray
     u1: np.ndarray
 
     def __post_init__(self):
-        u0 = as_coeffs(self.u0)
-        u1 = as_coeffs(self.u1)
-        if u0.size != u1.size:
-            raise DomainError("u0 and u1 must have equal length")
+        u0 = as_coeffs(self.u0, rows=True)
+        u1 = as_coeffs(self.u1, rows=True)
+        if u0.shape != u1.shape:
+            raise DomainError("u0 and u1 must have equal shape")
         object.__setattr__(self, "u0", u0)
         object.__setattr__(self, "u1", u1)
 
@@ -142,9 +146,11 @@ class InitialData:
 class FourierField:
     """Solution values on a uniform time grid: row i holds u(t_i) coefficients.
 
-    ``picard_diffs`` records the successive-iterate differences of the sweep
-    that produced the field (contraction diagnostics), or the residual of
-    the discrete equation when the field was solved exactly.
+    ``coeffs`` is (M+1, P), or (R, M+1, P) for a batch of R fields solved
+    from (R, P) data.  ``picard_diffs`` records the successive-iterate
+    differences of the sweep that produced the field (contraction
+    diagnostics), or the residual of the discrete equation when the field
+    was solved exactly; a batch has one such row per field.
     """
 
     t_grid: np.ndarray
@@ -154,8 +160,8 @@ class FourierField:
     def __post_init__(self):
         t = np.asarray(self.t_grid, dtype=float)
         c = np.asarray(self.coeffs, dtype=float)
-        if t.ndim != 1 or c.ndim != 2 or c.shape[0] != t.size:
-            raise DomainError("coeffs must be (len(t_grid), P)")
+        if t.ndim != 1 or c.ndim not in (2, 3) or c.shape[-2] != t.size:
+            raise DomainError("coeffs must be (len(t_grid), P) or (R, len(t_grid), P)")
         if not np.all(np.isfinite(c)):
             raise DomainError("field coefficients must be finite")
         steps = np.diff(t)
@@ -298,32 +304,46 @@ def _picard_solve(
 ) -> FourierField:
     """Fixed point of the discrete mild equation: the one entry of every solve.
 
-    Mode-diagonal kinds combine the cached exact responses and record the
-    residual of the discrete equation as the single ``picard_diffs`` entry;
-    other kinds run Picard sweeps and record every successive difference.
+    Mode-diagonal kinds combine the cached exact responses, for (P,) data or
+    for every row of (R, P) data at once, and record each field's residual
+    of the discrete equation as its single ``picard_diffs`` entry; other
+    kinds run Picard sweeps on one field and record every successive
+    difference.
     """
     lams = tuple(lam.tolist())
     E1, E2t, C, W0 = _solver_tables(spec.beta, spec.a, lams, M)
     t = np.linspace(0.0, spec.a, M + 1)
-    H = E1 * u0[None, :] + E2t * u1[None, :]
     nl = spec.nonlinearity
 
     if nl.diagonal_param is not None:
         F1, F2 = _response_tables(spec.beta, spec.a, lams, M, nl.kind, nl.diagonal_param)
-        U = F1 * u0[None, :] + F2 * u1[None, :]
-        G = _g_matrix(spec, lam, t, U)
-        residual = _max_row_l2(H + _volterra_product(C, W0, G) - U)
-        # The residual of an exact solve is rounding, which grows with the
-        # field: tol is absolute up to a field norm of 1 and relative beyond.
-        bound = tol * max(1.0, _max_row_l2(U))
-        if not residual <= bound:
-            raise NoConvergence(
-                f"exact {nl.kind} solve left a residual {residual:.3e} above {bound:.3e}",
-                1,
-                [residual],
-            )
-        return FourierField(t, U, picard_diffs=np.array([residual]))
+        rows0, rows1 = u0.reshape(-1, lam.size), u1.reshape(-1, lam.size)
+        U = np.empty((rows0.shape[0],) + F1.shape)
+        residuals = np.empty((rows0.shape[0], 1))
+        # One field at a time, so no temporary is larger than one field.
+        for r, (Ur, c0, c1) in enumerate(zip(U, rows0, rows1)):
+            np.multiply(F1, c0, out=Ur)
+            Ur += F2 * c1
+            H = E1 * c0 + E2t * c1
+            residual = _max_row_l2(H + _volterra_product(C, W0, _g_matrix(spec, lam, t, Ur)) - Ur)
+            # The residual of an exact solve is rounding, which grows with the
+            # field: tol is absolute up to a field norm of 1 and relative beyond.
+            bound = tol * max(1.0, _max_row_l2(Ur))
+            if not residual <= bound:
+                raise NoConvergence(
+                    f"exact {nl.kind} solve of field {r} left a residual "
+                    f"{residual:.3e} above {bound:.3e}",
+                    1,
+                    [residual],
+                )
+            residuals[r] = residual
+        if u0.ndim == 1:
+            U, residuals = U[0], residuals[0]
+        return FourierField(t, U, picard_diffs=residuals)
 
+    if u0.ndim != 1:
+        raise DomainError(f"Picard sweeps of a {nl.kind} map solve one field at a time")
+    H = E1 * u0[None, :] + E2t * u1[None, :]
     U = H.copy()
     diffs = []
     for _ in range(max_iter):
@@ -386,6 +406,9 @@ def solve_mild(
     ``tol`` (expected for mode counts or horizons on which the unregularized
     growth is too strong), or with the residual if an exact solve leaves
     one above ``tol`` (times the field norm, where that exceeds 1).
+
+    Data holding (R, P) blocks gives an (R, M+1, P) field, row r solved from
+    data row r; only the mode-diagonal kinds take such blocks.
 
     The un-truncated problem is ill-posed; this is the desk-scale forward
     map on finitely many modes, not a well-posedness claim.

@@ -4,9 +4,15 @@ Observed coefficients follow ``obs[p] = <u, phi_p> + eps * xi_p`` with
 ``xi_p`` i.i.d. standard normal.  Randomness comes from counter-based
 Philox streams keyed by ``(seed, stream)`` and sampled through the inverse
 normal CDF, so every replicate is an independent substream that can be
-regenerated in any order, bit for bit.  :func:`monte_carlo` is the one
-replicate loop: it seeds every replicate and reduces what each returns to a
-mean and a standard error.
+regenerated in any order, bit for bit.
+
+:func:`monte_carlo` is the one replicate loop.  It derives every
+replicate's seed and hands all R of them to the sampler at once; the
+sampler returns one length-R array per quantity, which the driver reduces
+to a mean and a standard error.  Given a sequence of seeds, :func:`observe`
+draws each replicate's own streams and stacks them into ``(R, N)`` blocks,
+whose row r equals the observation drawn from seed r alone, so the solver
+and the error reduction run once per noise level for all replicates.
 
 The default observation model draws independent noise for the initial value
 and the initial velocity; ``shared_noise=True`` reproduces the reading in
@@ -17,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import ndtri
@@ -28,23 +34,39 @@ from .spectral import EigenSystem, as_coeffs, hq_norm, pad
 _TWO53 = float(1 << 53)
 
 
-def _stream(seed: int, stream: int) -> np.random.Generator:
-    key = np.array([seed % (1 << 64), stream % (1 << 64)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def standard_normals(seed: int, stream: int, n: int) -> np.ndarray:
+def standard_normals(seed, stream: int, n: int) -> np.ndarray:
     """n standard normals from substream ``(seed, stream)`` via inverse CDF.
 
+    ``seed`` is one seed, giving an (n,) array, or a sequence of R seeds,
+    giving an (R, n) block whose row r is the draw of ``seed[r]`` alone.
     The open-interval uniform ``(k + 0.5) / 2^53`` keeps ndtri finite and
     makes the draw count per sample fixed (unlike rejection samplers), which
     is what keeps substreams aligned.
+
+    The streams share one Philox generator whose key, counter and buffer
+    are reset for each, which draws what a fresh ``Philox(key=...)`` draws
+    without reading OS entropy to seed it first.
     """
     if n < 0:
         raise DomainError("n must be >= 0")
-    gen = _stream(seed, stream)
-    u = (gen.integers(0, 1 << 53, size=n).astype(np.float64) + 0.5) / _TWO53
-    return ndtri(u)
+    seeds = [seed] if np.ndim(seed) == 0 else seed
+    gen = np.random.Generator(np.random.Philox(0))  # a fixed seed reads no OS entropy
+    key = np.array([0, stream % (1 << 64)], dtype=np.uint64)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64), "key": key},
+        "buffer": np.zeros(4, np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    k = np.empty((len(seeds), n), dtype=np.int64)
+    for i, s in enumerate(seeds):
+        key[0] = int(s) % (1 << 64)
+        gen.bit_generator.state = state
+        k[i] = gen.integers(0, 1 << 53, size=n)
+    z = ndtri((k.astype(np.float64) + 0.5) / _TWO53)
+    return z if np.ndim(seed) else z[0]
 
 
 def replicate_seed(seed: int, r: int) -> int:
@@ -56,13 +78,17 @@ def replicate_seed(seed: int, r: int) -> int:
 
 @dataclass(frozen=True)
 class NoisyObservation:
-    """The 2N observed noisy coefficients plus the noise level and stream seed."""
+    """The 2N observed noisy coefficients plus the noise level and stream seed.
+
+    ``obs0`` and ``obs1`` are (N,) vectors, or (R, N) blocks holding one
+    replicate per row, whose stream seeds ``seed`` then lists.
+    """
 
     eps: float
     N: int
     obs0: np.ndarray
     obs1: np.ndarray
-    seed: int
+    seed: int | tuple[int, ...]
     shared_noise: bool = False
 
     def __post_init__(self):
@@ -70,19 +96,22 @@ class NoisyObservation:
             raise DomainError("eps must be positive")
         if self.N < 1:
             raise DomainError("N must be >= 1")
-        o0 = as_coeffs(self.obs0)
-        o1 = as_coeffs(self.obs1)
-        if o0.size != self.N or o1.size != self.N:
+        o0 = as_coeffs(self.obs0, rows=True)
+        o1 = as_coeffs(self.obs1, rows=True)
+        if o0.shape != o1.shape or o0.shape[-1] != self.N:
             raise DomainError("need exactly N observed coefficients per field")
         object.__setattr__(self, "obs0", o0)
         object.__setattr__(self, "obs1", o1)
 
 
-def observe(u0, u1, eps: float, N: int, seed: int, shared_noise: bool = False) -> NoisyObservation:
+def observe(
+    u0, u1, eps: float, N: int, seed: int | Sequence[int], shared_noise: bool = False
+) -> NoisyObservation:
     """Draw the N noisy coefficients of (u0, u1) from the seeded stream.
 
     Streams 0 and 1 of ``seed`` carry the value and velocity noise; with
-    ``shared_noise=True`` stream 0 drives both fields.
+    ``shared_noise=True`` stream 0 drives both fields.  A sequence of R
+    seeds gives (R, N) blocks, row r drawn from ``seed[r]`` alone.
     """
     if not eps > 0:
         raise DomainError("eps must be positive")
@@ -92,25 +121,33 @@ def observe(u0, u1, eps: float, N: int, seed: int, shared_noise: bool = False) -
     c1 = pad(as_coeffs(u1), N)
     xi0 = standard_normals(seed, 0, N)
     xi1 = xi0 if shared_noise else standard_normals(seed, 1, N)
+    seed = seed if np.ndim(seed) == 0 else tuple(seed)
     return NoisyObservation(eps, N, c0 + eps * xi0, c1 + eps * xi1, seed, shared_noise)
 
 
 def monte_carlo(
-    sample: Callable[[int], tuple[float, ...]], replicates: int, seed: int
+    sample: Callable[[list[int]], Sequence[np.ndarray]], replicates: int, seed: int
 ) -> list[tuple[float, float]]:
     """Monte-Carlo ``(mean, standard error)`` of each quantity ``sample`` returns.
 
-    Replicate ``r`` calls ``sample(replicate_seed(seed, r))``, which returns
-    a tuple of floats, in a fixed loop order, so identical seeds give
-    identical estimates.  Each quantity is reduced as its own contiguous
-    array: numpy sums that pairwise, but sums an ``(R, k)`` block along
-    axis 0 row by row, with different rounding.
+    ``sample`` gets the seeds ``replicate_seed(seed, r)`` of all replicates
+    r, in order, and returns one length-R array per quantity, entry r
+    belonging to replicate r; identical seeds give identical estimates.
+    Each quantity is reduced as its own contiguous array: numpy sums that
+    pairwise, but sums an ``(R, k)`` block along axis 0 row by row, with
+    different rounding.
     """
     if replicates < 2:
         raise DomainError("replicates must be >= 2")
-    values = np.array([sample(replicate_seed(seed, r)) for r in range(replicates)], dtype=float)
+    values = sample([replicate_seed(seed, r) for r in range(replicates)])
     root = math.sqrt(replicates)
-    return [(float(np.mean(v)), float(np.std(v, ddof=1) / root)) for v in values.T.copy()]
+    estimates = []
+    for v in values:
+        v = np.ascontiguousarray(v, dtype=float)
+        if v.shape != (replicates,):
+            raise DomainError(f"sample must return {replicates} values per quantity, got {v.shape}")
+        estimates.append((float(np.mean(v)), float(np.std(v, ddof=1) / root)))
+    return estimates
 
 
 def mise_bound_check(

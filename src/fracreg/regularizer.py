@@ -196,7 +196,8 @@ def regularized_solve(
     solved by :func:`solve_mild` at its default tolerance; all modes with
     ``lam_p > B_N`` are identically zero in the output, whose width is
     ``max(obs.N, P_retained)`` so the dropped modes are visible as explicit
-    zero columns.
+    zero columns.  An observation of R replicates, (R, N) blocks, gives
+    the R fields at once, as an (R, M+1, width) field.
     """
     if cfg.N != obs.N:
         raise DomainError(f"config expects N={cfg.N} but observation has N={obs.N}")
@@ -204,7 +205,10 @@ def regularized_solve(
     width = max(obs.N, P_active)
     if P_active == 0:
         t = np.linspace(0.0, spec.a, M + 1)
-        return FourierField(t, np.zeros((M + 1, width)), picard_diffs=np.zeros(1))
+        batch = obs.obs0.shape[:-1]
+        return FourierField(
+            t, np.zeros(batch + (M + 1, width)), picard_diffs=np.zeros(batch + (1,))
+        )
 
     core = solve_mild(spec, InitialData(obs.obs0, obs.obs1), P_active, M)
     return FourierField(core.t_grid, pad(core.coeffs, width), picard_diffs=core.picard_diffs)

@@ -11,7 +11,6 @@ grid is needed.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,10 +75,12 @@ class EigenSystem:
         return cls(np.asarray(values, dtype=float), BasisKind.USER_SUPPLIED)
 
 
-def as_coeffs(values) -> np.ndarray:
+def as_coeffs(values, rows: bool = False) -> np.ndarray:
+    """A finite float coefficient vector; with ``rows``, also a 2-D block of
+    them, one per row (one row per Monte-Carlo replicate)."""
     c = np.asarray(values, dtype=float)
-    if c.ndim != 1:
-        raise DomainError("coefficient vector must be 1-D")
+    if c.ndim != 1 and not (rows and c.ndim == 2):
+        raise DomainError("coefficient vector must be 1-D" + (" or 2-D rows" if rows else ""))
     if c.size and not np.all(np.isfinite(c)):
         raise DomainError("coefficients must be finite")
     return c
@@ -97,23 +98,25 @@ def pad(c: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def hq_norm(coeffs, q: float, eig: EigenSystem) -> float:
-    """Spectral Sobolev norm sqrt(sum lam_p^q c_p^2).
+def hq_norm(coeffs, q: float, eig: EigenSystem):
+    """Spectral Sobolev norm sqrt(sum lam_p^q c_p^2), a float for a vector and
+    one norm per row for a 2-D block.
 
     For ``q = 0`` the weights are exactly 1.0, so the result is bit-identical
-    to the Parseval norm ``sqrt(sum c_p^2)``.  A norm beyond floating-point
-    range raises :class:`DomainError`.
+    to the Parseval norm ``sqrt(sum c_p^2)``.  Each row is summed as its own
+    contiguous vector, so a row's norm has the bits of the norm of that row
+    alone.  A norm beyond floating-point range raises :class:`DomainError`.
     """
-    if q < 0:
+    if not q >= 0:
         raise DomainError(f"q must be >= 0, got {q}")
-    c = as_coeffs(coeffs)
-    if c.size > eig.count:
+    c = as_coeffs(coeffs, rows=True)
+    if c.shape[-1] > eig.count:
         raise DomainError(
-            f"coefficient vector has {c.size} modes but eigensystem only {eig.count}"
+            f"coefficient vector has {c.shape[-1]} modes but eigensystem only {eig.count}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        w = eig.eigenvalues[: c.size] ** q
-        norm = float(np.sqrt(np.sum(w * (c * c))))
-    if not math.isfinite(norm):
+        w = eig.eigenvalues[: c.shape[-1]] ** q
+        norm = np.sqrt(np.sum(w * (c * c), axis=-1))
+    if not np.all(np.isfinite(norm)):
         raise DomainError(f"the H^q norm with q={q} exceeds floating-point range")
-    return norm
+    return float(norm) if c.ndim == 1 else norm

@@ -92,12 +92,21 @@ def test_overflow_is_one_line_error(tmp_path, argv):
     ("converge", {"shared_noise": "yes"}),
     ("mise-check", {"mise_configs": [[2.0, 64, 8.5, 0.05, 0.5]]}),
     ("mise-check", {"mise_configs": []}),
+    ("converge", {"q": math.nan, "norm": "hq"}),
+    ("converge", {"q": math.inf}),
+    ("converge", {"r": math.nan, "norm": "hq"}),
+    ("converge", {"truth_decay": math.nan}),
+    ("converge", {"truth_u1_scale": math.inf}),
+    ("converge", {"pilot_safety": -1}),
+    ("converge", {"pilot_safety": 0}),
+    ("converge", {"pilot_safety": math.nan}),
 ])
 def test_config_type_fault_is_one_line_error(tmp_path, kind, content):
     (tmp_path / "c.json").write_text(json.dumps(content))
     run = _run_module(tmp_path, kind, "--config", "c.json", "--replicates", "8", "--out", "x.json")
     assert run.returncode == 1
     assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith("error:"), run.stderr
+    assert next(iter(content)) in run.stderr  # the message names the field
     assert not (tmp_path / "x.json").exists()
 
 

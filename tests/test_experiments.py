@@ -5,6 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from fracreg import experiments
 from fracreg.errors import DomainError
 from fracreg.experiments import (
     ErrorReport,
@@ -18,6 +19,7 @@ from fracreg.experiments import (
     mise_check,
     remark_rate_exponent,
 )
+from fracreg.noise_model import replicate_seed
 from fracreg.regularizer import RateParams
 
 RATE = RateParams(b=1.0, m=6.0, k=1.0, gamma=3.5, d=1, mu=2.0)
@@ -176,6 +178,19 @@ def test_config_validation():
                          seed=1, beta=1.5, a=1.0)
 
 
+@pytest.mark.parametrize("name", ["q", "r", "truth_decay", "truth_u1_scale", "pilot_safety"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "0.5", None])
+def test_config_rejects_non_finite_floats_by_name(name, value):
+    with pytest.raises(DomainError, match=name):
+        small_converge_cfg(norm="hq", **{name: value})
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, -0.0])
+def test_config_rejects_nonpositive_pilot_safety(value):
+    with pytest.raises(DomainError, match="pilot_safety"):
+        small_converge_cfg(pilot_safety=value)
+
+
 def test_config_json_round_trip():
     cfg = small_converge_cfg()
     again = ExperimentConfig.from_dict(json.loads(json.dumps(asdict(cfg))))
@@ -275,3 +290,48 @@ def test_report_renders_rows_eps_descending_even_if_built_unordered():
     assert eps_col == [0.2, 0.05, 0.01]
     parsed = json.loads(rep.to_json())
     assert [r["eps"] for r in parsed["rows"]] == [0.2, 0.05, 0.01]
+
+
+def per_replicate_monte_carlo(sample, replicates, seed):
+    """Reference driver: ``sample`` called with one seed per replicate, in
+    order, and each quantity reduced as its own contiguous column."""
+    values = np.array([sample(replicate_seed(seed, r)) for r in range(replicates)], dtype=float)
+    root = math.sqrt(replicates)
+    return [(float(np.mean(v)), float(np.std(v, ddof=1) / root)) for v in values.T.copy()]
+
+
+def assert_batch_equals_per_replicate(monkeypatch, run, cfg):
+    batched = run(cfg)
+    monkeypatch.setattr(experiments, "monte_carlo", per_replicate_monte_carlo)
+    reference = run(cfg)
+    assert batched.meta == reference.meta
+    assert batched.to_json() == reference.to_json()
+    assert batched.to_csv() == reference.to_csv()
+
+
+@pytest.mark.parametrize("shared_noise", [False, True])
+@pytest.mark.parametrize("norm, q", [("l2", 0.0), ("hq", 0.5)])
+def test_converge_batch_equals_per_replicate_loop(monkeypatch, norm, q, shared_noise):
+    cfg = small_converge_cfg(norm=norm, q=q, t_eval=(0.25, 0.5), shared_noise=shared_noise)
+    assert_batch_equals_per_replicate(monkeypatch, convergence_table, cfg)
+
+
+def test_converge_batch_equals_per_replicate_loop_when_every_mode_is_dropped(monkeypatch):
+    # at eps = 0.4 the rule gives N = 2 and B_N = (0.5 ln 2)^1.5 < lam_1 = 1:
+    # no mode is retained, so the estimate is the zero field
+    cfg = small_converge_cfg(eps_grid=(0.4, 0.1, 0.03), t_eval=(0.25, 0.5), eig_count=64,
+                             rate=RateParams(b=1.0, m=0.5, k=1.0, gamma=3.5, d=1, mu=2.0))
+    rows = convergence_table(cfg).meta["rows_detail"]
+    assert rows[0]["P_retained"] == 0 and rows[-1]["P_retained"] > 0
+    assert_batch_equals_per_replicate(monkeypatch, convergence_table, cfg)
+
+
+def test_illposed_batch_equals_per_replicate_loop(monkeypatch):
+    assert_batch_equals_per_replicate(monkeypatch, illposed_demo, small_illposed_cfg())
+
+
+@pytest.mark.parametrize("shared_noise", [False, True])
+def test_mise_check_batch_equals_per_replicate_loop(monkeypatch, shared_noise):
+    cfg = ExperimentConfig(kind="mise-check", eps_grid=(0.05,), replicates=300, seed=12,
+                           beta=1.5, a=1.0, shared_noise=shared_noise)
+    assert_batch_equals_per_replicate(monkeypatch, mise_check, cfg)

@@ -434,3 +434,41 @@ def test_lipschitz_evaluator_spot_check():
         v = rng.normal(size=8)
         w = rng.normal(size=8)
         assert l2(evaluator(0.3, v) - evaluator(0.3, w)) <= K * l2(v - w) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("nl", [NonlinearitySpec.damped(0.5), NonlinearitySpec.gbar(GBAR_C3)])
+def test_batched_solve_rows_equal_single_solves(nl):
+    # (R, P) data is R fields solved at once; row r has the bits of the
+    # solve of data row r alone, residual included
+    spec = ProblemSpec(1.5, 1.0, EigenSystem.dirichlet_laplace_1d(6), nl)
+    rng = np.random.default_rng(8)
+    u0, u1 = rng.normal(size=(5, 6)), rng.normal(size=(5, 6))
+    batch = solve_mild(spec, InitialData(u0, u1), P=4, M=32)
+    assert batch.coeffs.shape == (5, 33, 4)
+    assert batch.picard_diffs.shape == (5, 1)
+    for r in range(5):
+        one = solve_mild(spec, InitialData(u0[r], u1[r]), P=4, M=32)
+        assert np.array_equal(batch.coeffs[r], one.coeffs)
+        assert np.array_equal(batch.picard_diffs[r], one.picard_diffs)
+
+
+def test_one_bad_residual_fails_a_batched_solve():
+    # a zero field has residual exactly 0 and passes any tol; the nonzero
+    # field's rounding residual is above tol = 1e-20, so the batch must fail
+    spec = ProblemSpec(1.5, 1.0, EigenSystem.dirichlet_laplace_1d(6), NonlinearitySpec.damped(0.5))
+    rng = np.random.default_rng(3)
+    u0 = np.zeros((3, 6))
+    u0[1] = rng.normal(size=6)
+    zero = solve_mild(spec, InitialData(u0[0], u0[0]), P=6, M=32, tol=1e-20)
+    assert zero.picard_diffs[0] == 0.0
+    with pytest.raises(NoConvergence, match="field 1") as info:
+        solve_mild(spec, InitialData(u0, np.zeros((3, 6))), P=6, M=32, tol=1e-20)
+    assert info.value.iterations == 1
+    assert 0.0 < info.value.diffs[0]
+
+
+def test_picard_sweeps_take_one_field_at_a_time():
+    spec = ProblemSpec(1.5, 1.0, EigenSystem.dirichlet_laplace_1d(4),
+                       NonlinearitySpec.lipschitz(0.1, lambda t, c: 0.1 * np.sin(c)))
+    with pytest.raises(DomainError, match="one field at a time"):
+        solve_mild(spec, InitialData(np.ones((2, 4)), np.zeros((2, 4))), P=4, M=16)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from fracreg.errors import DomainError
 from fracreg.noise_model import (
@@ -81,7 +82,8 @@ def test_observe_unrolls_definition():
 def test_truncated_noise_energy_matches_eps2N():
     # noise-only data: E ||U_N||^2 = eps^2 N
     eps, N, R = 0.3, 12, 4000
-    sample = lambda s: (float(np.sum(observe(np.zeros(1), np.zeros(1), eps, N, s).obs0 ** 2)),)
+    sample = lambda seeds: (np.sum(observe(np.zeros(1), np.zeros(1), eps, N, seeds).obs0 ** 2,
+                                   axis=-1),)
     [(mean, se)] = monte_carlo(sample, R, 123)
     assert abs(mean - eps * eps * N) <= 4 * se
 
@@ -91,9 +93,9 @@ def sq_dist_sample(truth, eps, N):
     the truth, zero-padded (unobserved modes are zero)."""
     width = max(truth.size, N)
 
-    def sample(s):
-        d = pad(observe(truth, np.zeros(1), eps, N, s).obs0, width) - pad(truth, width)
-        return (float(np.sum(d * d)),)
+    def sample(seeds):
+        d = pad(observe(truth, np.zeros(1), eps, N, seeds).obs0, width) - pad(truth, width)
+        return (np.sum(d * d, axis=-1),)
 
     return sample
 
@@ -102,9 +104,10 @@ def test_monte_carlo_reduces_each_quantity_as_its_own_column():
     # each quantity is reduced as a contiguous 1-D array (pairwise summation);
     # an axis=0 reduction of the (R, 2) block rounds differently
     R = 64
-    sample = lambda s: tuple(standard_normals(s, 0, 2) * [1.0, 1e3] + [0.5, 7.0])
+    draw = lambda seeds: standard_normals(seeds, 0, 2) * [1.0, 1e3] + [0.5, 7.0]
+    sample = lambda seeds: draw(seeds).T  # one strided length-R column per quantity
     for seed in range(8):
-        values = np.array([sample(replicate_seed(seed, r)) for r in range(R)])
+        values = np.array([draw(replicate_seed(seed, r)) for r in range(R)])
         want = [(float(np.mean(col)), float(np.std(col, ddof=1) / math.sqrt(R)))
                 for col in (values[:, 0].copy(), values[:, 1].copy())]
         assert monte_carlo(sample, R, seed) == want
@@ -112,7 +115,8 @@ def test_monte_carlo_reduces_each_quantity_as_its_own_column():
 
 def test_mise_mc_exact_estimator_is_zero():
     truth = np.array([1.0, 2.0, 3.0])
-    [(mean, se)] = monte_carlo(lambda s: (float(np.sum((truth - truth) ** 2)),), 16, 4)
+    sample = lambda seeds: (np.sum((truth - truth) ** 2) * np.ones(len(seeds)),)
+    [(mean, se)] = monte_carlo(sample, 16, 4)
     assert mean == 0.0
     assert se == 0.0
 
@@ -175,3 +179,39 @@ def test_validation_errors():
         observe(np.zeros(2), np.zeros(2), 0.1, 0, seed=1)
     with pytest.raises(DomainError):
         monte_carlo(lambda s: (0.0,), replicates=1, seed=1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seeds=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=6),
+    stream=st.integers(min_value=0, max_value=2),
+    n=st.integers(min_value=0, max_value=37),
+)
+def test_reset_stream_draws_what_a_fresh_philox_draws(seeds, stream, n):
+    # one generator serves a batch, its key, counter and buffer reset per
+    # stream; each row must be the draw of a fresh Philox(key=(seed, stream))
+    block = standard_normals(seeds, stream, n)
+    assert block.shape == (len(seeds), n)
+    for seed, row in zip(seeds, block):
+        fresh = np.random.Generator(np.random.Philox(key=np.array([seed, stream], np.uint64)))
+        want = ndtri((fresh.integers(0, 1 << 53, size=n).astype(np.float64) + 0.5) / 2.0**53)
+        assert np.array_equal(row, want)
+        assert np.array_equal(standard_normals(seed, stream, n), want)
+
+
+@pytest.mark.parametrize("shared_noise", [False, True])
+def test_observe_batch_rows_equal_single_seed_draws(shared_noise):
+    seeds = [replicate_seed(31, r) for r in range(5)]
+    u0, u1 = np.array([1.0, -0.5, 0.25]), np.array([0.2, 0.1])
+    batch = observe(u0, u1, 0.05, 6, seeds, shared_noise=shared_noise)
+    assert batch.obs0.shape == batch.obs1.shape == (5, 6)
+    assert batch.seed == tuple(seeds)
+    for r, seed in enumerate(seeds):
+        one = observe(u0, u1, 0.05, 6, seed, shared_noise=shared_noise)
+        assert np.array_equal(batch.obs0[r], one.obs0)
+        assert np.array_equal(batch.obs1[r], one.obs1)
+
+
+def test_monte_carlo_needs_one_value_per_replicate():
+    with pytest.raises(DomainError, match="8 values per quantity"):
+        monte_carlo(lambda seeds: (np.zeros(len(seeds) - 1),), replicates=8, seed=1)

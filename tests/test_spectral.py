@@ -76,3 +76,14 @@ def test_hq_norm_monotone_in_q():
     qs = [0.0, 0.5, 1.0, 2.0, 3.0]
     vals = [hq_norm(c, q, eig) for q in qs]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+
+def test_hq_norm_of_rows_is_the_norm_of_each_row():
+    eig = EigenSystem.dirichlet_laplace_1d(16)
+    rows = np.random.default_rng(2).normal(size=(7, 11))
+    for q in (0.0, 0.5, 2.0):
+        norms = hq_norm(rows, q, eig)
+        assert norms.shape == (7,)
+        assert [float(x) for x in norms] == [hq_norm(row, q, eig) for row in rows]
+    with pytest.raises(DomainError):
+        hq_norm(np.ones((2, 2, 2)), 0.0, eig)
