@@ -20,14 +20,11 @@ class NonConvergence(RuntimeError):
 
 
 class NoConvergence(RuntimeError):
-    """A mild solve did not reach tolerance.
+    """A mild solve left a residual of its discrete equation above tolerance.
 
-    Picard iteration carries the successive-difference sequence of its
-    sweep budget so callers can inspect how (or whether) the iteration was
-    contracting; an exact solve carries its one residual.
+    ``residual`` is that residual, in the discrete C([0,a]; L2) norm.
     """
 
-    def __init__(self, message: str, iterations: int, diffs):
+    def __init__(self, message: str, residual: float):
         super().__init__(message)
-        self.iterations = iterations
-        self.diffs = list(diffs)
+        self.residual = residual

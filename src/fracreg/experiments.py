@@ -444,7 +444,9 @@ def convergence_table(cfg: ExperimentConfig) -> ErrorReport:
                 for t in t_eval:
                     rows = fld.coeffs[..., t_idx[t], :]
                     ref = truth.coeffs[2 * t_idx[t]]
-                    width = max(rows.shape[-1], ref.size)
+                    # one fixed width, max(N, P_retained, truth modes): the
+                    # summation order of the norm, and so its bits, depend on it
+                    width = max(rc.N, rows.shape[-1], ref.size)
                     errs.append(hq_norm(pad(rows, width) - pad(ref, width), q_eff, eig) ** 2)
                 return errs
 
@@ -557,7 +559,9 @@ def mise_check(cfg: ExperimentConfig) -> ErrorReport:
 
         def sample(seeds):
             """Squared distance of each replicate's data from the truth."""
-            obs = observe(u0, np.zeros(1), float(eps), N, seeds, shared_noise=cfg.shared_noise)
+            # only obs0 is read, and it is stream 0 under either noise model,
+            # so stream 0 alone is drawn
+            obs = observe(u0, np.zeros(1), float(eps), N, seeds, shared_noise=True)
             d = pad(obs.obs0, width) - pad(u0, width)
             return (np.sum(d * d, axis=-1),)
 

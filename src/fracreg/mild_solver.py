@@ -14,20 +14,14 @@ from the interpolation of ``g`` alone.  The kernel is a function of
 is Toeplitz beyond its first column; it is kept as two (P, M+1) arrays of
 generating weights, never as a dense matrix.
 
-Two solver paths reach the fixed point of the discrete equation:
-
-* mode-diagonal kinds (``damped``, ``gbar``) multiply each mode by a known
-  factor ``m_p(t)``, so each mode's discrete equation is the lower-triangular
-  system ``(I - L_p diag(m_p)) U_p = H_p``.  It is solved exactly once per
-  problem shape by forward substitution for unit ``u0`` and ``u1``, one
-  length-i dot per row, and every solve combines the two cached responses
-  linearly;
-* general ``lipschitz`` maps are solved by Picard sweeps starting from the
-  homogeneous part.
-
-The exact path checks the residual of the discrete equation at the field it
-returns, the Picard path the difference of its last two sweeps; either
-raises :class:`NoConvergence` when the tolerance is not met.
+Every source is a mode-diagonal map: mode p is multiplied by a known
+factor ``m_p(t)``, so each mode's discrete equation is the lower-triangular
+system ``(I - L_p diag(m_p)) U_p = H_p``.  It is solved exactly once per
+problem shape by forward substitution for unit ``u0`` and ``u1``, one
+length-i dot per row, and every solve combines the two cached responses
+linearly.  Each solve checks the residual of the discrete equation at the
+field it returns and raises :class:`NoConvergence` when it exceeds the
+tolerance.
 
 Everything here is pure and deterministic; per-mode work is independent (the
 reduction orders are fixed), so results do not depend on any parallel
@@ -39,7 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -47,16 +40,13 @@ from .errors import DomainError, NoConvergence
 from .mittag_leffler import kernel_double_primitive, kernel_primitive, ml_values
 from .spectral import EigenSystem, as_coeffs, pad
 
-DEFAULT_PICARD_TOL = 1e-10
-DEFAULT_MAX_SWEEPS = 200
+DEFAULT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class NonlinearitySpec:
-    """Descriptor of the source nonlinearity G.
+    """Descriptor of the source nonlinearity G, a mode-diagonal map.
 
-    ``lipschitz``  arbitrary coefficient-space map ``evaluator(t, c) -> c``
-                   with Lipschitz constant ``K`` in the L2 norm.
     ``damped``     the damped map of the rate experiments: mode-wise
                    multiplier ``K / (1 + lam_p)``, Lipschitz constant ``K``.
                    :meth:`zero`, no forcing, is ``damped`` with ``K = 0``.
@@ -64,20 +54,16 @@ class NonlinearitySpec:
                    construction: mode-wise multiplier
                    ``exp(lam_p^(1/beta) (t - a)) / (2 a C3)``.
 
-    ``damped`` and ``gbar`` are the mode-diagonal kinds, solved exactly.
     ``K`` must be finite and >= 0, and ``C3`` of ``gbar`` finite and > 0.
     """
 
     kind: str
     K: float = 0.0
     C3: float = math.nan
-    evaluator: Callable[[float, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("lipschitz", "damped", "gbar"):
+        if self.kind not in ("damped", "gbar"):
             raise DomainError(f"unknown nonlinearity kind {self.kind!r}")
-        if self.kind == "lipschitz" and self.evaluator is None:
-            raise DomainError("lipschitz nonlinearity needs an evaluator")
         if not 0.0 <= self.K < math.inf:
             raise DomainError(f"Lipschitz constant must be finite and >= 0, got {self.K}")
         if self.kind == "gbar" and not 0.0 < self.C3 < math.inf:
@@ -89,10 +75,6 @@ class NonlinearitySpec:
         return cls.damped(0.0)
 
     @classmethod
-    def lipschitz(cls, K: float, evaluator) -> "NonlinearitySpec":
-        return cls(kind="lipschitz", K=K, evaluator=evaluator)
-
-    @classmethod
     def damped(cls, K: float) -> "NonlinearitySpec":
         return cls(kind="damped", K=K)
 
@@ -101,9 +83,9 @@ class NonlinearitySpec:
         return cls(kind="gbar", C3=C3)
 
     @property
-    def diagonal_param(self) -> float | None:
-        """The parameter of a mode-diagonal kind (``K`` or ``C3``); None otherwise."""
-        return {"damped": self.K, "gbar": self.C3}.get(self.kind)
+    def diagonal_param(self) -> float:
+        """The parameter of the kind: ``K`` of ``damped``, ``C3`` of ``gbar``."""
+        return self.K if self.kind == "damped" else self.C3
 
 
 @dataclass(frozen=True)
@@ -126,8 +108,8 @@ class ProblemSpec:
 class InitialData:
     """Coefficient vectors of the initial value and initial velocity.
 
-    Each may also be an (R, P) block holding one field's data per row, which
-    the mode-diagonal kinds solve all at once.
+    Each may also be an (R, P) block holding one field's data per row; the
+    R fields are solved at once.
     """
 
     u0: np.ndarray
@@ -147,10 +129,9 @@ class FourierField:
     """Solution values on a uniform time grid: row i holds u(t_i) coefficients.
 
     ``coeffs`` is (M+1, P), or (R, M+1, P) for a batch of R fields solved
-    from (R, P) data.  ``picard_diffs`` records the successive-iterate
-    differences of the sweep that produced the field (contraction
-    diagnostics), or the residual of the discrete equation when the field
-    was solved exactly; a batch has one such row per field.
+    from (R, P) data.  ``picard_diffs`` holds the residual of the discrete
+    equation at the field, shape (1,), or (R, 1) with one row per field of
+    a batch.
     """
 
     t_grid: np.ndarray
@@ -247,15 +228,6 @@ def _multiplier(kind: str, param: float, beta: float, a: float, lam: np.ndarray,
     return np.exp(lam[None, :] ** (1.0 / beta) * (t[:, None] - a)) / (2.0 * a * param)
 
 
-def _g_matrix(spec: ProblemSpec, lam: np.ndarray, t: np.ndarray, U: np.ndarray):
-    """Forcing coefficients G(t_i, u(t_i)) for every grid row."""
-    nl = spec.nonlinearity
-    if nl.diagonal_param is not None:
-        return _multiplier(nl.kind, nl.diagonal_param, spec.beta, spec.a, lam, t) * U
-    rows = [np.asarray(nl.evaluator(float(ti), U[i]), dtype=float) for i, ti in enumerate(t)]
-    return np.vstack(rows)
-
-
 def _max_row_l2(X: np.ndarray) -> float:
     """Discrete C([0,a]; L2) norm: the max over grid rows of the row L2 norm."""
     return float(np.max(np.sqrt(np.sum(X**2, axis=1))))
@@ -300,65 +272,41 @@ def _picard_solve(
     u1: np.ndarray,
     M: int,
     tol: float,
-    max_iter: int,
 ) -> FourierField:
-    """Fixed point of the discrete mild equation: the one entry of every solve.
+    """Exact solution of the discrete mild equation: the one entry of every solve.
 
-    Mode-diagonal kinds combine the cached exact responses, for (P,) data or
-    for every row of (R, P) data at once, and record each field's residual
-    of the discrete equation as its single ``picard_diffs`` entry; other
-    kinds run Picard sweeps on one field and record every successive
-    difference.
+    Combines the cached exact responses, for (P,) data or for every row of
+    (R, P) data at once, and records each field's residual of the discrete
+    equation as its single ``picard_diffs`` entry.
     """
     lams = tuple(lam.tolist())
     E1, E2t, C, W0 = _solver_tables(spec.beta, spec.a, lams, M)
     t = np.linspace(0.0, spec.a, M + 1)
     nl = spec.nonlinearity
-
-    if nl.diagonal_param is not None:
-        F1, F2 = _response_tables(spec.beta, spec.a, lams, M, nl.kind, nl.diagonal_param)
-        rows0, rows1 = u0.reshape(-1, lam.size), u1.reshape(-1, lam.size)
-        U = np.empty((rows0.shape[0],) + F1.shape)
-        residuals = np.empty((rows0.shape[0], 1))
-        # One field at a time, so no temporary is larger than one field.
-        for r, (Ur, c0, c1) in enumerate(zip(U, rows0, rows1)):
-            np.multiply(F1, c0, out=Ur)
-            Ur += F2 * c1
-            H = E1 * c0 + E2t * c1
-            residual = _max_row_l2(H + _volterra_product(C, W0, _g_matrix(spec, lam, t, Ur)) - Ur)
-            # The residual of an exact solve is rounding, which grows with the
-            # field: tol is absolute up to a field norm of 1 and relative beyond.
-            bound = tol * max(1.0, _max_row_l2(Ur))
-            if not residual <= bound:
-                raise NoConvergence(
-                    f"exact {nl.kind} solve of field {r} left a residual "
-                    f"{residual:.3e} above {bound:.3e}",
-                    1,
-                    [residual],
-                )
-            residuals[r] = residual
-        if u0.ndim == 1:
-            U, residuals = U[0], residuals[0]
-        return FourierField(t, U, picard_diffs=residuals)
-
-    if u0.ndim != 1:
-        raise DomainError(f"Picard sweeps of a {nl.kind} map solve one field at a time")
-    H = E1 * u0[None, :] + E2t * u1[None, :]
-    U = H.copy()
-    diffs = []
-    for _ in range(max_iter):
-        U_new = H + _volterra_product(C, W0, _g_matrix(spec, lam, t, U))
-        diff = _max_row_l2(U_new - U)
-        diffs.append(diff)
-        U = U_new
-        if diff <= tol:
-            return FourierField(t, U, picard_diffs=np.asarray(diffs))
-    raise NoConvergence(
-        f"Picard iteration did not reach tol={tol} in {max_iter} sweeps "
-        f"(last difference {diffs[-1]:.3e})",
-        max_iter,
-        diffs,
-    )
+    F1, F2 = _response_tables(spec.beta, spec.a, lams, M, nl.kind, nl.diagonal_param)
+    m = _multiplier(nl.kind, nl.diagonal_param, spec.beta, spec.a, lam, t)
+    rows0, rows1 = u0.reshape(-1, lam.size), u1.reshape(-1, lam.size)
+    U = np.empty((rows0.shape[0],) + F1.shape)
+    residuals = np.empty((rows0.shape[0], 1))
+    # One field at a time, so no temporary is larger than one field.
+    for r, (Ur, c0, c1) in enumerate(zip(U, rows0, rows1)):
+        np.multiply(F1, c0, out=Ur)
+        Ur += F2 * c1
+        H = E1 * c0 + E2t * c1
+        residual = _max_row_l2(H + _volterra_product(C, W0, m * Ur) - Ur)
+        # The residual of an exact solve is rounding, which grows with the
+        # field: tol is absolute up to a field norm of 1 and relative beyond.
+        bound = tol * max(1.0, _max_row_l2(Ur))
+        if not residual <= bound:
+            raise NoConvergence(
+                f"exact {nl.kind} solve of field {r} left a residual "
+                f"{residual:.3e} above {bound:.3e}",
+                residual,
+            )
+        residuals[r] = residual
+    if u0.ndim == 1:
+        U, residuals = U[0], residuals[0]
+    return FourierField(t, U, picard_diffs=residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -392,23 +340,18 @@ def solve_mild(
     data: InitialData,
     P: int,
     M: int,
-    tol: float = DEFAULT_PICARD_TOL,
-    max_iter: int = DEFAULT_MAX_SWEEPS,
+    tol: float = DEFAULT_TOL,
 ) -> FourierField:
     """Fixed point of the coefficient-space mild-solution map.
 
-    Mode-diagonal nonlinearities are solved exactly; their field carries the
-    residual of the discrete equation as its one ``picard_diffs`` entry.
-    Other nonlinearities run Picard sweeps, whose convergence is measured in
-    the discrete C([0,a]; L2) norm: the max over grid rows of the L2
-    distance between successive iterates.  Raises :class:`NoConvergence`
-    with the difference sequence if ``max_iter`` sweeps do not reach
-    ``tol`` (expected for mode counts or horizons on which the unregularized
-    growth is too strong), or with the residual if an exact solve leaves
-    one above ``tol`` (times the field norm, where that exceeds 1).
+    The discrete equation is solved exactly, and the field carries its
+    residual, measured in the discrete C([0,a]; L2) norm (the max over grid
+    rows of the row L2 norm), as its one ``picard_diffs`` entry.  Raises
+    :class:`NoConvergence` with that residual if it exceeds ``tol`` (times
+    the field norm, where that exceeds 1).
 
     Data holding (R, P) blocks gives an (R, M+1, P) field, row r solved from
-    data row r; only the mode-diagonal kinds take such blocks.
+    data row r.
 
     The un-truncated problem is ill-posed; this is the desk-scale forward
     map on finitely many modes, not a well-posedness claim.
@@ -420,7 +363,7 @@ def solve_mild(
     if not tol > 0:
         raise DomainError("tol must be positive")
     lam = spec.eig.eigenvalues[:P]
-    return _picard_solve(spec, lam, pad(data.u0, P), pad(data.u1, P), M, tol, max_iter)
+    return _picard_solve(spec, lam, pad(data.u0, P), pad(data.u1, P), M, tol)
 
 
 def power_law_profile(decay: float, cutoff: int, u1_scale: float = 0.0):

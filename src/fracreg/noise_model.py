@@ -32,6 +32,17 @@ from .errors import DomainError
 from .spectral import EigenSystem, as_coeffs, hq_norm, pad
 
 _TWO53 = float(1 << 53)
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+
+
+def _normals_from_words(k: np.ndarray) -> np.ndarray:
+    """Standard normals of 53-bit words ``k`` via the uniform ``(k + 0.5) / 2^53``.
+
+    That uniform rounds to exactly 1.0 at ``k = 2^53 - 1``, alone of all
+    words, so it is clamped to the largest double below 1; every other word
+    keeps its bits.
+    """
+    return ndtri(np.minimum((k.astype(np.float64) + 0.5) / _TWO53, _BELOW_ONE))
 
 
 def standard_normals(seed, stream: int, n: int) -> np.ndarray:
@@ -39,9 +50,10 @@ def standard_normals(seed, stream: int, n: int) -> np.ndarray:
 
     ``seed`` is one seed, giving an (n,) array, or a sequence of R seeds,
     giving an (R, n) block whose row r is the draw of ``seed[r]`` alone.
-    The open-interval uniform ``(k + 0.5) / 2^53`` keeps ndtri finite and
-    makes the draw count per sample fixed (unlike rejection samplers), which
-    is what keeps substreams aligned.
+    Each normal is one 53-bit word through :func:`_normals_from_words`,
+    whose uniforms lie strictly inside (0, 1), so ndtri stays finite; the
+    draw count per sample is fixed (unlike rejection samplers), which is
+    what keeps substreams aligned.
 
     The streams share one Philox generator whose key, counter and buffer
     are reset for each, which draws what a fresh ``Philox(key=...)`` draws
@@ -65,7 +77,7 @@ def standard_normals(seed, stream: int, n: int) -> np.ndarray:
         key[0] = int(s) % (1 << 64)
         gen.bit_generator.state = state
         k[i] = gen.integers(0, 1 << 53, size=n)
-    z = ndtri((k.astype(np.float64) + 0.5) / _TWO53)
+    z = _normals_from_words(k)
     return z if np.ndim(seed) else z[0]
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainError
 from .mild_solver import FourierField, InitialData, ProblemSpec, solve_mild
 from .noise_model import NoisyObservation
-from .spectral import EigenSystem, pad
+from .spectral import EigenSystem
 
 
 @dataclass(frozen=True)
@@ -193,25 +193,21 @@ def regularized_solve(
     """Fixed point of the spectrally truncated integral map on the M-step grid.
 
     Retained modes start from the observed noisy coefficients and are
-    solved by :func:`solve_mild` at its default tolerance; all modes with
-    ``lam_p > B_N`` are identically zero in the output, whose width is
-    ``max(obs.N, P_retained)`` so the dropped modes are visible as explicit
-    zero columns.  An observation of R replicates, (R, N) blocks, gives
-    the R fields at once, as an (R, M+1, width) field.
+    solved by :func:`solve_mild` at its default tolerance.  The field holds
+    the retained modes only, ``P_retained`` columns (none when no mode is
+    retained): every mode with ``lam_p > B_N`` is zero, and a caller that
+    compares against a wider field pads with :func:`spectral.pad`.  An
+    observation of R replicates, (R, N) blocks, gives the R fields at once,
+    as an (R, M+1, P_retained) field.
     """
     if cfg.N != obs.N:
         raise DomainError(f"config expects N={cfg.N} but observation has N={obs.N}")
     P_active = min(cfg.P_retained, spec.eig.count)
-    width = max(obs.N, P_active)
     if P_active == 0:
         t = np.linspace(0.0, spec.a, M + 1)
         batch = obs.obs0.shape[:-1]
-        return FourierField(
-            t, np.zeros(batch + (M + 1, width)), picard_diffs=np.zeros(batch + (1,))
-        )
-
-    core = solve_mild(spec, InitialData(obs.obs0, obs.obs1), P_active, M)
-    return FourierField(core.t_grid, pad(core.coeffs, width), picard_diffs=core.picard_diffs)
+        return FourierField(t, np.zeros(batch + (M + 1, 0)), picard_diffs=np.zeros(batch + (1,)))
+    return solve_mild(spec, InitialData(obs.obs0, obs.obs1), P_active, M)
 
 
 def theory_bound_l2(

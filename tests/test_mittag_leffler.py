@@ -1,5 +1,7 @@
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from fracreg.mittag_leffler import (
     ml_values,
 )
 
-from oracles import kernel_primitive_reference, ml_reference
+from oracles import ml_reference
 
 # Frozen oracle values (mpmath series, 60 digits; see oracles.ml_reference).
 E_15_1_AT_1 = 1.9394872614337489665
@@ -243,13 +245,17 @@ def test_kernel_primitive_closed_forms():
 
 
 def test_kernel_primitive_matches_quadrature():
+    # the references are kernel_primitive_reference at dps = 25, written by
+    # tests/make_kernel_primitive_table.py at these same 100 draws
+    table = json.loads((Path(__file__).parent / "kernel_primitive_table.json").read_text())
+    assert table["dps"] == 25 and len(table["rows"]) == 100
     rng = np.random.default_rng(3)
-    for _ in range(100):
+    for beta_t, lam_t, s_t, ref in table["rows"]:
         beta = rng.uniform(1.05, 1.95)
         lam = rng.uniform(0.0, 30.0)
         s = rng.uniform(0.05, 2.0)
+        assert (beta_t, lam_t, s_t) == (beta, lam, s)
         got = kernel_primitive(beta, lam, s)
-        ref = kernel_primitive_reference(beta, lam, s, dps=25)
         assert got == pytest.approx(ref, rel=1e-8)
 
 

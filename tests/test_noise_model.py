@@ -8,6 +8,7 @@ from scipy.special import ndtri
 
 from fracreg.errors import DomainError
 from fracreg.noise_model import (
+    _normals_from_words,
     mise_bound_check,
     monte_carlo,
     observe,
@@ -197,6 +198,19 @@ def test_reset_stream_draws_what_a_fresh_philox_draws(seeds, stream, n):
         want = ndtri((fresh.integers(0, 1 << 53, size=n).astype(np.float64) + 0.5) / 2.0**53)
         assert np.array_equal(row, want)
         assert np.array_equal(standard_normals(seed, stream, n), want)
+
+
+def test_extreme_words_give_finite_normals():
+    # (k + 0.5) / 2^53 rounds to 1.0 at the top word alone, where ndtri is
+    # inf; that word is clamped below 1.0, and its neighbours keep their bits
+    top = (1 << 53) - 1
+    k = np.array([0, 1, 1 << 52, top - 1, top], dtype=np.int64)
+    z = _normals_from_words(k)
+    assert np.all(np.isfinite(z))
+    assert z[-1] == ndtri(np.nextafter(1.0, 0.0)) and z[-1] > z[-2] > 0.0
+    assert z[0] == ndtri(2.0**-54) < 0.0
+    for word, got in zip(k[:-1], z[:-1]):
+        assert got == ndtri((float(word) + 0.5) / 2.0**53)
 
 
 @pytest.mark.parametrize("shared_noise", [False, True])

@@ -11,6 +11,6 @@ def test_library_use_example_runs():
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     scope = {}
     exec(compile(block, "README.md", "exec"), scope)
-    assert scope["estimate"].coeffs.shape == (65, scope["cfg"].N)
+    assert scope["estimate"].coeffs.shape == (65, scope["cfg"].P_retained)
     # a small error, measured to better than its own size
     assert 0.0 < scope["std_err"] < scope["mise"] < 1e-4

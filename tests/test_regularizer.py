@@ -24,9 +24,8 @@ from fracreg.spectral import EigenSystem
 B_N_WORKED = 5.312253222519525
 
 
-def dirichlet_spec(beta=1.5, a=1.0, count=16, nl=None):
-    return ProblemSpec(beta, a, EigenSystem.dirichlet_laplace_1d(count),
-                       nl or NonlinearitySpec.zero())
+def dirichlet_spec(beta=1.5, a=1.0, count=16):
+    return ProblemSpec(beta, a, EigenSystem.dirichlet_laplace_1d(count), NonlinearitySpec.zero())
 
 
 def manual_cfg(eig, B_N, N):
@@ -115,9 +114,13 @@ def test_regularized_solve_zeroes_dropped_modes():
     cfg = manual_cfg(spec.eig, B_N=5.0, N=8)  # retains lam = 1, 4 only
     field = regularized_solve(spec, obs, cfg, 16)
     assert cfg.P_retained == 2
-    assert field.coeffs.shape[1] == 8
-    assert np.max(np.abs(field.coeffs[:, 2:])) == 0.0
-    assert np.max(np.abs(field.coeffs[:, :2])) > 0.0
+    # the field holds the retained modes only; dropped modes are not stored
+    assert field.coeffs.shape == (17, 2)
+    assert np.max(np.abs(field.coeffs)) > 0.0
+    # no mode retained: a zero-width field on the same grid
+    none = regularized_solve(spec, obs, manual_cfg(spec.eig, B_N=0.5, N=8), 16)
+    assert none.coeffs.shape == (17, 0)
+    assert np.array_equal(none.t_grid, field.t_grid)
 
 
 def test_regularized_solve_no_coupling_linear_case():
@@ -146,23 +149,6 @@ def test_regularized_solve_requires_matching_N():
     cfg = manual_cfg(spec.eig, B_N=4.0, N=5)
     with pytest.raises(DomainError):
         regularized_solve(spec, obs, cfg, 16)
-
-
-def test_picard_differences_supergeometric_tail():
-    # strong Lipschitz forcing: early ratios may exceed 1, but the
-    # factorial denominator eventually wins and ratios fall below 1
-    K = 8.0
-    nl = NonlinearitySpec.lipschitz(K, lambda t, c: K * c)
-    spec = dirichlet_spec(count=2, nl=nl)
-    # the solve a cutoff B_N = 4 runs: both modes retained
-    obs = observe(np.array([1.0, 0.2]), np.zeros(2), 0.01, 2, seed=3)
-    field = solve_mild(spec, InitialData(obs.obs0, obs.obs1), P=2, M=32, max_iter=400)
-    d = [x for x in field.picard_diffs if x > 0]
-    ratios = [d[i + 1] / d[i] for i in range(len(d) - 1)]
-    assert len(ratios) >= 4
-    tail = ratios[-3:]
-    assert all(r < 1.0 for r in tail)
-    assert tail == sorted(tail, reverse=True)  # still shrinking at the end
 
 
 def test_theory_bound_l2_structure():
@@ -248,6 +234,6 @@ def test_regularized_solve_wider_cutoff_than_data():
     cfg = manual_cfg(spec.eig, B_N=60.0, N=2)  # retains lam <= 60: 7 modes
     field = regularized_solve(spec, obs, cfg, 8)
     assert cfg.P_retained == 7
-    assert field.coeffs.shape[1] == 7
+    assert field.coeffs.shape == (9, 7)
     assert np.max(np.abs(field.coeffs[:, 2:])) == 0.0
     assert np.max(np.abs(field.coeffs[:, :2])) > 0.0
