@@ -392,24 +392,37 @@ def test_problem_spec_validation():
 
 
 def test_gbar_multiplier_is_contractive_coefficient_map():
-    # both sources are mode-wise linear: gbar with multiplier
-    # exp(lam^(1/beta)(t-a)) / (2 a C3) <= 1/(2 a C3), the damped map of the
-    # rate experiments with K / (1 + lam) <= K, so each one's Lipschitz
-    # constant in the coefficient L2 norm is at most that bound; spot-check
-    # on random pairs through the solver's multiplier
-    beta, a, P = 1.5, 1.0, 8
+    # the construction nonlinearity is mode-wise linear with multiplier
+    # exp(lam^(1/beta)(t-a)) / (2 a C3) <= 1/(2 a C3), so its Lipschitz
+    # constant in the coefficient L2 norm is at most that; spot-check on
+    # random pairs through the solver's multiplier
+    beta, a, P = 1.5, 1.0, 6
     lam = EigenSystem.dirichlet_laplace_1d(P).eigenvalues
     t = np.linspace(0.0, a, 9)
     C3 = calibrate_growth_constants(beta, a).C3
+    m = _multiplier("gbar", C3, beta, a, lam, t)
+    assert m.shape == (9, P)
     rng = np.random.default_rng(17)
-    for kind, param, bound in (("gbar", C3, 1.0 / (2.0 * a * C3)), ("damped", 0.7, 0.7)):
-        m = _multiplier(kind, param, beta, a, lam, t)
-        assert m.shape == (9, P)
-        for _ in range(20):
-            v = rng.normal(size=(9, P))
-            w = rng.normal(size=(9, P))
-            for i in range(9):
-                assert l2(m[i] * v[i] - m[i] * w[i]) <= bound * l2(v[i] - w[i]) * (1 + 1e-12)
+    bound = 1.0 / (2.0 * a * C3)
+    for _ in range(20):
+        v = rng.normal(size=(9, P))
+        w = rng.normal(size=(9, P))
+        for i in range(9):
+            assert l2(m[i] * v[i] - m[i] * w[i]) <= bound * l2(v[i] - w[i]) * (1 + 1e-12)
+
+
+def test_lipschitz_evaluator_spot_check():
+    # the diagonal damped map used by the rate experiments obeys its
+    # declared Lipschitz constant on random pairs, through the solver's
+    # multiplier K / (1 + lam)
+    K = 0.7
+    lam = EigenSystem.dirichlet_laplace_1d(8).eigenvalues
+    m = _multiplier("damped", K, 1.5, 1.0, lam, np.array([0.3]))[0]
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        v = rng.normal(size=8)
+        w = rng.normal(size=8)
+        assert l2(m * v - m * w) <= K * l2(v - w) * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("nl", [NonlinearitySpec.damped(0.5), NonlinearitySpec.gbar(GBAR_C3)])
