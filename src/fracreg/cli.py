@@ -6,11 +6,11 @@ Mittag-Leffler evaluator:
     fracreg ml-eval   --beta B --gamma G --z Z [--tol T]
     fracreg illposed  --beta B --a A --eps-grid 1e-1,1e-2,... --replicates R --seed S --out PATH
     fracreg converge  --norm {l2,hq} [--q Q] [--r R] ... --out PATH
-    fracreg mise-check ... --out PATH
+    fracreg mise-check --replicates R --seed S --out PATH
 
 Every experiment flag can also come from a JSON file via ``--config``
 (explicit flags win).  Exit status: 0 on success, 2 when a declared
-experiment invariant fails, 1 on error.
+experiment invariant fails, 1 on error, a bad command line included.
 """
 
 from __future__ import annotations
@@ -38,20 +38,30 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(",") if x.strip())
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose bad command lines are errors: one line, exit status 1."""
+
+    def error(self, message):
+        raise DomainError(f"{self.prog}: {message}")
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file with configuration defaults")
-    parser.add_argument("--eps-grid", help="comma-separated decreasing noise levels")
     parser.add_argument("--replicates", type=int)
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--a", type=float)
-    parser.add_argument("--m-steps", type=int, dest="M", help="time steps")
     parser.add_argument("--out", required=False, help="output path")
     parser.add_argument("--format", choices=("csv", "json"), default=None)
 
 
+def _add_problem(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--eps-grid", help="comma-separated decreasing noise levels")
+    parser.add_argument("--beta", type=float)
+    parser.add_argument("--a", type=float)
+    parser.add_argument("--m-steps", type=int, dest="M", help="time steps")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fracreg",
         description="Fourier-truncation regularization experiments for the "
         "ill-posed fractional Cauchy problem with white-noise data",
@@ -68,10 +78,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     ill = sub.add_parser("illposed", help="instability demonstration")
     _add_common(ill)
+    _add_problem(ill)
     ill.add_argument("--p-cap", type=int, dest="p_cap")
 
     conv = sub.add_parser("converge", help="convergence-rate table")
     _add_common(conv)
+    _add_problem(conv)
     conv.add_argument("--norm", choices=("l2", "hq"))
     conv.add_argument("--q", type=float)
     conv.add_argument("--r", type=float)
@@ -89,11 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
                       action="store_const", const=True, default=None,
                       help="drive value and velocity noise from one stream")
 
-    mc = sub.add_parser("mise-check", help="data-MISE identity validation")
-    _add_common(mc)
-    mc.add_argument("--shared-noise", dest="shared_noise",
-                    action="store_const", const=True, default=None,
-                    help="drive value and velocity noise from one stream")
+    _add_common(sub.add_parser("mise-check", help="data-MISE identity validation"))
     return parser
 
 
@@ -185,8 +193,8 @@ def _run_experiment(args: argparse.Namespace, kind: str) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "ml-eval":
             value = ml(args.beta, args.gamma, args.z, args.tol)
             sys.stdout.write("value,est_abs_err\n")

@@ -36,7 +36,6 @@ from .mild_solver import (
     NonlinearitySpec,
     ProblemSpec,
     manufacture,
-    power_law_profile,
     solve_mild,
 )
 from .mittag_leffler import calibrate_growth_constants
@@ -54,6 +53,9 @@ from .spectral import EigenSystem, hq_norm, pad
 
 #: Substream offset separating pilot replicates from the main sweep.
 _PILOT_STREAM = 1_000_003
+
+#: Rows per trailing window of the per-row log-log slopes.
+_SLOPE_WINDOW = 3
 
 #: Exit-status contract of the CLI: 0 ok, 2 invariant violated, 1 error.
 EXIT_OK = 0
@@ -214,11 +216,12 @@ def least_squares_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
     return float(np.dot(xm, y - y.mean()) / np.dot(xm, xm))
 
 
-def _attach_window_slopes(rows: list[ReportRow], window: int = 3) -> list[ReportRow]:
-    """Per-row log-log slope of mise vs eps over trailing windows of 3.
+def _attach_window_slopes(rows: list[ReportRow]) -> list[ReportRow]:
+    """Per-row log-log slope of mise vs eps over trailing windows of
+    ``_SLOPE_WINDOW`` rows.
 
-    Rows are grouped by evaluation time; the first ``window - 1`` rows of a
-    group (and any window touching a nonpositive mise) carry no slope.
+    Rows are grouped by evaluation time; the first ``_SLOPE_WINDOW - 1`` rows
+    of a group (and any window touching a nonpositive mise) carry no slope.
     """
     by_t: dict[float, list[int]] = {}
     for i, row in enumerate(rows):
@@ -226,9 +229,9 @@ def _attach_window_slopes(rows: list[ReportRow], window: int = 3) -> list[Report
     out = list(rows)
     for idxs in by_t.values():
         for j, i in enumerate(idxs):
-            if j < window - 1:
+            if j < _SLOPE_WINDOW - 1:
                 continue
-            chunk = [rows[idxs[j - k]] for k in range(window)]
+            chunk = [rows[idxs[j - k]] for k in range(_SLOPE_WINDOW)]
             if any(r.mise <= 0 or r.eps <= 0 for r in chunk):
                 continue
             slope = least_squares_slope(
@@ -408,8 +411,7 @@ def convergence_table(cfg: ExperimentConfig) -> ErrorReport:
     eig = _convergence_eig(cfg)
     lam_full = eig.eigenvalues
     spec = ProblemSpec(cfg.beta, cfg.a, eig, NonlinearitySpec.damped(cfg.lipschitz_K))
-    profile = power_law_profile(cfg.truth_decay, cfg.truth_modes, u1_scale=cfg.truth_u1_scale)
-    data, truth = manufacture(spec, cfg.truth_modes, profile, M=cfg.M)
+    data, truth = manufacture(spec, cfg.truth_modes, cfg.truth_decay, cfg.truth_u1_scale, cfg.M)
 
     t_eval = cfg.t_eval or (cfg.a / 2.0,)
     t_idx = {t: _t_index(t, cfg.a, cfg.M) for t in t_eval}

@@ -54,12 +54,14 @@ class NonlinearitySpec:
                    construction: mode-wise multiplier
                    ``exp(lam_p^(1/beta) (t - a)) / (2 a C3)``.
 
-    ``K`` must be finite and >= 0, and ``C3`` of ``gbar`` finite and > 0.
+    ``K`` must be finite and >= 0, and ``C3`` finite (and > 0 for
+    ``gbar``; ``damped`` ignores it).  With no NaN field, equal sources
+    compare equal, so a source keys the solver's table cache.
     """
 
     kind: str
     K: float = 0.0
-    C3: float = math.nan
+    C3: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("damped", "gbar"):
@@ -68,6 +70,8 @@ class NonlinearitySpec:
             raise DomainError(f"Lipschitz constant must be finite and >= 0, got {self.K}")
         if self.kind == "gbar" and not 0.0 < self.C3 < math.inf:
             raise DomainError(f"gbar needs a finite positive C3, got {self.C3}")
+        if not math.isfinite(self.C3):
+            raise DomainError(f"C3 must be finite, got {self.C3}")
 
     @classmethod
     def zero(cls) -> "NonlinearitySpec":
@@ -82,10 +86,11 @@ class NonlinearitySpec:
     def gbar(cls, C3: float) -> "NonlinearitySpec":
         return cls(kind="gbar", C3=C3)
 
-    @property
-    def diagonal_param(self) -> float:
-        """The parameter of the kind: ``K`` of ``damped``, ``C3`` of ``gbar``."""
-        return self.K if self.kind == "damped" else self.C3
+    def multiplier(self, beta: float, a: float, lam: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """(len(t), P) mode-wise multiplier ``m_p(t_i)``: ``G_p(t_i, u) = m_p(t_i) u_p``."""
+        if self.kind == "damped":
+            return np.broadcast_to(self.K / (1.0 + lam), (t.size, lam.size))
+        return np.exp(lam[None, :] ** (1.0 / beta) * (t[:, None] - a)) / (2.0 * a * self.C3)
 
 
 @dataclass(frozen=True)
@@ -157,8 +162,7 @@ class FourierField:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=32)
-def _solver_tables(beta: float, a: float, lams: tuple, M: int):
+def _kernel_tables(beta: float, a: float, lam: np.ndarray, M: int):
     """Homogeneous-mode tables and Toeplitz Volterra weights on the M-grid.
 
     Returns ``(E1, E2t, C, W0)``.  ``E1`` and ``E2t`` are (M+1, P) tables of
@@ -171,10 +175,8 @@ def _solver_tables(beta: float, a: float, lams: tuple, M: int):
         L_p[i, j] = C[p, i-j]   for 1 <= j <= i,
         L_p[i, 0] = W0[p, i]    (W0[p, 0] = 0),
 
-    and zero above the diagonal.  Storage is O(P M).  Cached so Monte-Carlo
-    replicates over the same problem pay for the Mittag-Leffler sweep once.
+    and zero above the diagonal.  Storage is O(P M).
     """
-    lam = np.asarray(lams, dtype=float)
     t = np.linspace(0.0, a, M + 1)
     dt = a / M
     z = lam[:, None] * t[None, :] ** beta  # (P, M+1)
@@ -221,33 +223,29 @@ def _volterra_product(C: np.ndarray, W0: np.ndarray, G: np.ndarray) -> np.ndarra
     return V
 
 
-def _multiplier(kind: str, param: float, beta: float, a: float, lam: np.ndarray, t: np.ndarray):
-    """(len(t), P) mode-wise multiplier ``m_p(t_i)`` of a mode-diagonal kind."""
-    if kind == "damped":
-        return np.broadcast_to(param / (1.0 + lam), (t.size, lam.size))
-    return np.exp(lam[None, :] ** (1.0 / beta) * (t[:, None] - a)) / (2.0 * a * param)
-
-
 def _max_row_l2(X: np.ndarray) -> float:
     """Discrete C([0,a]; L2) norm: the max over grid rows of the row L2 norm."""
     return float(np.max(np.sqrt(np.sum(X**2, axis=1))))
 
 
 @lru_cache(maxsize=32)
-def _response_tables(beta: float, a: float, lams: tuple, M: int, kind: str, param: float):
-    """Exact responses of the discrete mild equation to unit initial data.
+def _problem_tables(beta: float, a: float, lams: tuple, M: int, source: NonlinearitySpec):
+    """Every table of one solve problem, built once per problem shape.
 
-    For a mode-diagonal nonlinearity ``G_p(t, u) = m_p(t) u_p`` the discrete
-    equation of mode p is the lower-triangular system
-    ``(I - L_p diag(m_p)) U_p = H_p`` with ``H_p = E1[:, p] u0_p + E2t[:, p] u1_p``.
-    Forward substitution, row by row and vectorised over modes and both
-    right-hand sides, returns ``(F1, F2)``, each (M+1, P), such that
-    ``U = F1 * u0 + F2 * u1`` solves the system for any data.  Cached so
-    Monte-Carlo replicates over the same problem pay for it once.
+    Returns ``(E1, E2t, C, W0, m, F1, F2)``: the kernel tables of
+    :func:`_kernel_tables`, the (M+1, P) multiplier ``m`` of ``source``, and
+    the exact responses of the discrete mild equation to unit initial data.
+    For ``G_p(t, u) = m_p(t) u_p`` the discrete equation of mode p is the
+    lower-triangular system ``(I - L_p diag(m_p)) U_p = H_p`` with
+    ``H_p = E1[:, p] u0_p + E2t[:, p] u1_p``.  Forward substitution, row by
+    row and vectorised over modes and both right-hand sides, gives ``F1``
+    and ``F2``, each (M+1, P), such that ``U = F1 * u0 + F2 * u1`` solves
+    the system for any data.  Cached so Monte-Carlo replicates over the same
+    problem pay for the Mittag-Leffler sweep and the substitution once.
     """
-    E1, E2t, C, W0 = _solver_tables(beta, a, lams, M)
     lam = np.asarray(lams, dtype=float)
-    m = _multiplier(kind, param, beta, a, lam, np.linspace(0.0, a, M + 1))
+    E1, E2t, C, W0 = _kernel_tables(beta, a, lam, M)
+    m = source.multiplier(beta, a, lam, np.linspace(0.0, a, M + 1))
     H = np.stack([E1.T, E2t.T], axis=1)  # (P, 2, M+1)
     F = np.empty_like(H)
     mF = np.empty_like(H)  # forcing of the responses, m * F
@@ -262,7 +260,7 @@ def _response_tables(beta: float, a: float, lams: tuple, M: int, kind: str, para
         row[:, M - i] = C[:, i]
         F[:, :, i] = rhs / (1.0 - C[:, 0] * m[i])[:, None]
         mF[:, :, i] = m[i][:, None] * F[:, :, i]
-    return F[:, 0].T.copy(), F[:, 1].T.copy()
+    return E1, E2t, C, W0, m, F[:, 0].T.copy(), F[:, 1].T.copy()
 
 
 def _picard_solve(
@@ -279,12 +277,9 @@ def _picard_solve(
     (R, P) data at once, and records each field's residual of the discrete
     equation as its single ``picard_diffs`` entry.
     """
-    lams = tuple(lam.tolist())
-    E1, E2t, C, W0 = _solver_tables(spec.beta, spec.a, lams, M)
-    t = np.linspace(0.0, spec.a, M + 1)
-    nl = spec.nonlinearity
-    F1, F2 = _response_tables(spec.beta, spec.a, lams, M, nl.kind, nl.diagonal_param)
-    m = _multiplier(nl.kind, nl.diagonal_param, spec.beta, spec.a, lam, t)
+    E1, E2t, C, W0, m, F1, F2 = _problem_tables(
+        spec.beta, spec.a, tuple(lam.tolist()), M, spec.nonlinearity
+    )
     rows0, rows1 = u0.reshape(-1, lam.size), u1.reshape(-1, lam.size)
     U = np.empty((rows0.shape[0],) + F1.shape)
     residuals = np.empty((rows0.shape[0], 1))
@@ -299,40 +294,19 @@ def _picard_solve(
         bound = tol * max(1.0, _max_row_l2(Ur))
         if not residual <= bound:
             raise NoConvergence(
-                f"exact {nl.kind} solve of field {r} left a residual "
+                f"exact {spec.nonlinearity.kind} solve of field {r} left a residual "
                 f"{residual:.3e} above {bound:.3e}",
                 residual,
             )
         residuals[r] = residual
     if u0.ndim == 1:
         U, residuals = U[0], residuals[0]
-    return FourierField(t, U, picard_diffs=residuals)
+    return FourierField(np.linspace(0.0, spec.a, M + 1), U, picard_diffs=residuals)
 
 
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
-
-
-def volterra_step(spec: ProblemSpec, p: int, g_history, t_i: float) -> float:
-    """Product-quadrature value of the mode-p Volterra integral over [0, t_i].
-
-    ``g_history`` holds the forcing coefficient on the uniform grid
-    0 = t_0 < ... < t_n = t_i; it is interpolated linearly on each cell and
-    the kernel moments are integrated exactly.
-    """
-    g = np.asarray(g_history, dtype=float)
-    if g.ndim != 1 or g.size == 0:
-        raise DomainError("g_history must be a nonempty 1-D array")
-    if t_i < 0:
-        raise DomainError("t_i must be >= 0")
-    n = g.size - 1
-    if n == 0 or t_i == 0.0:
-        return 0.0
-    lam = spec.eig.lam(p)
-    _, _, C, W0 = _solver_tables(spec.beta, t_i, (lam,), n)
-    # row n of L: [W0[n], C[n-1], ..., C[0]]
-    return float(np.concatenate((W0[0, n:], C[0, n - 1 :: -1])) @ g)
 
 
 def solve_mild(
@@ -366,40 +340,18 @@ def solve_mild(
     return _picard_solve(spec, lam, pad(data.u0, P), pad(data.u1, P), M, tol)
 
 
-def power_law_profile(decay: float, cutoff: int, u1_scale: float = 0.0):
-    """Initial-data profile p -> (p^(-decay), u1_scale p^(-decay)) up to a cutoff.
-
-    Finitely many nonzero modes guarantee every spectral source condition
-    holds with computable constants.
-    """
-    if cutoff < 1:
-        raise DomainError("cutoff must be >= 1")
-
-    def profile(p: int) -> tuple[float, float]:
-        if p > cutoff:
-            return 0.0, 0.0
-        w = float(p) ** (-decay)
-        return w, u1_scale * w
-
-    return profile
-
-
 def manufacture(
-    spec: ProblemSpec,
-    P: int,
-    profile,
-    M: int = 64,
+    spec: ProblemSpec, P: int, decay: float, u1_scale: float, M: int
 ) -> tuple[InitialData, FourierField]:
-    """Manufactured ground truth: initial data plus its solution at 2M steps.
+    """Manufactured ground truth: power-law data plus its solution at 2M steps.
 
-    ``profile`` maps the 1-based mode index to ``(u0_p, u1_p)``.  The
-    reference field is solved on a grid twice as fine as the working grid
-    so discretization bias in experiments is dominated by the coarse side.
+    Modes ``p = 1..P`` carry ``u0_p = p^(-decay)`` and ``u1_p = u1_scale
+    p^(-decay)``; finitely many nonzero modes make every spectral source
+    condition hold with computable constants.  The reference field is
+    solved on a grid twice as fine as the working grid so discretization
+    bias in experiments is dominated by the coarse side.
     """
-    pairs = [profile(p) for p in range(1, P + 1)]
-    data = InitialData(
-        np.array([x for x, _ in pairs], dtype=float),
-        np.array([x for _, x in pairs], dtype=float),
-    )
+    w = np.array([float(p) ** (-decay) for p in range(1, P + 1)])
+    data = InitialData(w, u1_scale * w)
     field = solve_mild(spec, data, P, 2 * M)
     return data, field

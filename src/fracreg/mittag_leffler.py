@@ -62,6 +62,11 @@ ASYMPTOTIC_TERMS = 5
 # Internal relative accuracy target for the dispatcher.
 _REL_TOL = 1e-13
 
+# Reference grid and headroom of calibrate_growth_constants.
+_GROWTH_LAM_MAX = 400
+_GROWTH_TIMES = 201
+_GROWTH_HEADROOM = 1.005
+
 
 def _check_params(beta: float, gamma: float) -> None:
     """``beta`` must lie in (0, 2] and ``gamma`` must be positive and finite."""
@@ -324,29 +329,25 @@ def growth_ratio_grids(
     return r1, r2, r3
 
 
-def calibrate_growth_constants(
-    beta: float, a: float, lam_max: int = 400, n_t: int = 201, headroom: float = 1.005
-) -> GrowthConstants:
+def calibrate_growth_constants(beta: float, a: float) -> GrowthConstants:
     """Empirical suprema of the growth ratios over a reference grid.
 
-    The reference grid is all integer eigenvalues up to ``lam_max`` crossed
-    with ``n_t`` uniform times in [0, a].  The constants are never quoted in
-    closed form anywhere; they exist, and this pins usable values.  The
-    ``headroom`` factor covers the residual grid-refinement error so the
+    The reference grid is all integer eigenvalues up to 400 crossed with
+    201 uniform times in [0, a].  The constants are never quoted in closed
+    form anywhere; they exist, and this pins usable values.  A headroom
+    factor of 1.005 covers the residual grid-refinement error so the
     constants keep dominating the ratios between reference points (the
     ratios plateau in t for large lam, so 0.5% is generous).
     """
     if a <= 0:
         raise DomainError(f"horizon a must be positive, got {a}")
-    if headroom < 1.0:
-        raise DomainError("headroom must be >= 1")
-    lams = np.arange(1, lam_max + 1, dtype=float)
-    ts = np.linspace(0.0, a, n_t)
+    lams = np.arange(1, _GROWTH_LAM_MAX + 1, dtype=float)
+    ts = np.linspace(0.0, a, _GROWTH_TIMES)
     r1, r2, r3 = growth_ratio_grids(beta, lams, ts)
     return GrowthConstants(
         beta,
         a,
-        float(r1.max()) * headroom,
-        float(r2.max()) * headroom,
-        float(r3.max()) * headroom,
+        float(r1.max()) * _GROWTH_HEADROOM,
+        float(r2.max()) * _GROWTH_HEADROOM,
+        float(r3.max()) * _GROWTH_HEADROOM,
     )

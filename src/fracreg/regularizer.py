@@ -292,18 +292,3 @@ def hq_envelope_decreasing(B: float, q: float, coef: float, beta: float) -> bool
         return q == 0.0
     return (coef / beta) * B ** (1.0 / beta) >= q
 
-
-def hq_envelope_max(
-    q: float, coef: float, beta: float, B: float, z_max: float | None = None, n: int = 20001
-) -> tuple[float, float]:
-    """Grid-scan maximum of ``z^q exp(-coef z^(1/beta))`` over [B, z_max].
-
-    Independent check of the envelope monotonicity: when the threshold
-    holds, the returned argmax is ``B`` itself.
-    """
-    if z_max is None:
-        z_max = max(4.0 * B, B + 100.0)
-    z = np.linspace(B, z_max, n)
-    vals = z**q * np.exp(-coef * z ** (1.0 / beta))
-    i = int(np.argmax(vals))
-    return float(vals[i]), float(z[i])

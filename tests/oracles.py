@@ -1,13 +1,14 @@
 """Independent high-precision references used only by the tests.
 
 Everything here is deliberately dumb and slow: straight series summation in
-mpmath working precision, and adaptive quadrature.  None of it shares code
-with the package under test.
+mpmath working precision, adaptive quadrature, and a dense grid scan.  None
+of it shares code with the package under test.
 """
 
 from __future__ import annotations
 
 import mpmath as mp
+import numpy as np
 
 
 def ml_reference(beta: float, gamma: float, z: float, dps: int = 60) -> float:
@@ -70,3 +71,19 @@ def kernel_primitive_reference(beta: float, lam: float, s: float, dps: int = 40)
             return tau ** (b - 1) * acc
 
         return float(mp.quad(kernel, [0, mp.mpf(s)]))
+
+
+def hq_envelope_max(
+    q: float, coef: float, beta: float, B: float, z_max: float | None = None, n: int = 20001
+) -> tuple[float, float]:
+    """Grid-scan maximum of ``z^q exp(-coef z^(1/beta))`` over [B, z_max].
+
+    Independent check of the envelope monotonicity: when the threshold
+    holds, the returned argmax is ``B`` itself.
+    """
+    if z_max is None:
+        z_max = max(4.0 * B, B + 100.0)
+    z = np.linspace(B, z_max, n)
+    vals = z**q * np.exp(-coef * z ** (1.0 / beta))
+    i = int(np.argmax(vals))
+    return float(vals[i]), float(z[i])

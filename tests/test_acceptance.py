@@ -18,18 +18,13 @@ from fracreg.experiments import (
     least_squares_slope,
     mise_check,
 )
-from fracreg.mild_solver import (
-    InitialData,
-    NonlinearitySpec,
-    ProblemSpec,
-    solve_mild,
-    volterra_step,
-)
+from fracreg.mild_solver import InitialData, NonlinearitySpec, ProblemSpec, solve_mild
 from fracreg.mittag_leffler import calibrate_growth_constants, growth_ratio_grids, ml
-from fracreg.regularizer import RateParams, hq_envelope_decreasing, hq_envelope_max
+from fracreg.regularizer import RateParams, hq_envelope_decreasing
 from fracreg.spectral import EigenSystem
 
-from oracles import volterra_reference
+from oracles import hq_envelope_max, volterra_reference
+from test_mild_solver import volterra_step
 
 SEED = 20260809
 

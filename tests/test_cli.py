@@ -75,11 +75,22 @@ def _run_module(tmp_path, *argv):
     ["illposed", "--seed", "-5", "--out", "x.csv"],
     ["converge", "--b", "inf", "--replicates", "8", "--out", "x.json"],
     ["converge", "--t-eval", "nan", "--replicates", "8", "--out", "x.json"],
+    # a bad command line is an error too, not argparse's usage block and exit 2
+    ["converge", "--replicates", "abc"],
+    ["mise-check", "--bogus"],
+    [],
+    ["mise-check", "--beta", "1.5"],  # mise-check reads no problem flags
 ])
 def test_overflow_is_one_line_error(tmp_path, argv):
     run = _run_module(tmp_path, *argv)
     assert run.returncode == 1
     assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith("error:"), run.stderr
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["mise-check", "--help"]])
+def test_help_exits_0(tmp_path, argv):
+    run = _run_module(tmp_path, *argv)
+    assert run.returncode == 0 and run.stdout.startswith("usage:") and run.stderr == ""
 
 
 @pytest.mark.parametrize("kind, content", [

@@ -13,11 +13,9 @@ from fracreg.mild_solver import (
     NonlinearitySpec,
     ProblemSpec,
     manufacture,
-    power_law_profile,
     solve_mild,
-    volterra_step,
 )
-from fracreg.mild_solver import _multiplier, _response_tables, _solver_tables, _volterra_product
+from fracreg.mild_solver import _kernel_tables, _problem_tables, _volterra_product
 from fracreg.mittag_leffler import (
     calibrate_growth_constants,
     kernel_double_primitive,
@@ -67,7 +65,7 @@ def test_zero_forcing_is_the_homogeneous_solution(beta, P, M):
     rng = np.random.default_rng(P)
     data = InitialData(rng.normal(size=P), rng.normal(size=P))
     field = solve_mild(spec, data, P=P, M=M)
-    E1, E2t, _, _ = _solver_tables(beta, 1.0, tuple(spec.eig.eigenvalues.tolist()), M)
+    E1, E2t, _, _ = _kernel_tables(beta, 1.0, spec.eig.eigenvalues, M)
     assert field.coeffs.tobytes() == (E1 * data.u0 + E2t * data.u1).tobytes()
     assert field.picard_diffs.tolist() == [0.0]
 
@@ -119,6 +117,16 @@ def test_mode_decoupling_for_zero_forcing():
     delta = bumped.coeffs - base.coeffs
     assert np.max(np.abs(delta[:, [0, 1, 3, 4]])) == 0.0
     assert np.max(np.abs(delta[:, 2])) > 0.0
+
+
+def volterra_step(spec, p, g_history, t_i):
+    """Product-quadrature value of the mode-p Volterra integral over [0, t_i]:
+    row n of L_p on the n-cell grid, from the solver's weight table, applied
+    to the forcing history ``g_history`` (n + 1 values)."""
+    n = len(g_history) - 1
+    _, _, C, W0 = _kernel_tables(spec.beta, t_i, np.array([spec.eig.lam(p)]), n)
+    # row n of L_p: [W0[n], C[n-1], ..., C[0]]
+    return float(np.concatenate((W0[0, n:], C[0, n - 1 :: -1])) @ g_history)
 
 
 def test_volterra_step_zero_history():
@@ -193,7 +201,7 @@ def test_exact_solve_residual_is_checked():
     # a multiplier that makes the triangular system singular at the first
     # step leaves a nonfinite field, which the residual check reports
     lam = EigenSystem.dirichlet_laplace_1d(2).eigenvalues
-    C = _solver_tables(1.5, 1.0, tuple(lam.tolist()), 16)[2]
+    C = _kernel_tables(1.5, 1.0, lam, 16)[2]
     K = (1.0 + lam[0]) / C[0, 0]  # C[p, 0] is the diagonal of L_p below row 0
     spec = ProblemSpec(1.5, 1.0, EigenSystem.dirichlet_laplace_1d(2), NonlinearitySpec.damped(K))
     with pytest.raises(NoConvergence) as info, np.errstate(all="ignore"):
@@ -229,7 +237,7 @@ def dense_solve_reference(beta, a, lam, M, m, data):
     """Each mode's lower-triangular system (I - L_p diag(m_p)) U_p = H_p,
     built from the dense weights and solved by np.linalg.solve.  ``m`` is
     the (M+1, P) multiplier of the source on the grid."""
-    E1, E2t, _, _ = _solver_tables(beta, a, tuple(lam.tolist()), M)
+    E1, E2t, _, _ = _kernel_tables(beta, a, lam, M)
     H = E1 * data.u0 + E2t * data.u1
     L = dense_weights_reference(beta, a, lam, M)
     U = np.empty_like(H)
@@ -249,7 +257,7 @@ TOEPLITZ_SHAPES = [(1.5, 14, 128), (1.8, 8, 512)]
 @pytest.mark.parametrize("beta,P,M", TOEPLITZ_SHAPES)
 def test_toeplitz_weights_reproduce_dense_stack(beta, P, M):
     lam = EigenSystem.dirichlet_laplace_1d(P).eigenvalues
-    _, _, C, W0 = _solver_tables(beta, 1.0, tuple(lam.tolist()), M)
+    _, _, C, W0 = _kernel_tables(beta, 1.0, lam, M)
     L = dense_weights_reference(beta, 1.0, lam, M)
     i = np.arange(M + 1)
     lag = i[:, None] - i[None, :]
@@ -264,7 +272,7 @@ def test_toeplitz_weights_reproduce_dense_stack(beta, P, M):
 @pytest.mark.parametrize("beta,P,M", TOEPLITZ_SHAPES)
 def test_volterra_product_matches_dense_einsum(beta, P, M):
     lam = EigenSystem.dirichlet_laplace_1d(P).eigenvalues
-    _, _, C, W0 = _solver_tables(beta, 1.0, tuple(lam.tolist()), M)
+    _, _, C, W0 = _kernel_tables(beta, 1.0, lam, M)
     L = dense_weights_reference(beta, 1.0, lam, M)
     G = np.random.default_rng(M).normal(size=(M + 1, P))
     want = np.einsum("pij,jp->ip", L, G)
@@ -281,8 +289,7 @@ def test_cold_gbar_solve_memory_is_linear_in_grid():
     eig = EigenSystem.dirichlet_laplace_1d(P)
     spec = ProblemSpec(beta, 1.0, eig, NonlinearitySpec.gbar(calibrate_growth_constants(beta, 1.0).C3))
     data = InitialData(0.01 * np.ones(P), np.zeros(P))
-    _solver_tables.cache_clear()
-    _response_tables.cache_clear()
+    _problem_tables.cache_clear()
     tracemalloc.start()
     try:
         solve_mild(spec, data, P=P, M=M)
@@ -290,8 +297,21 @@ def test_cold_gbar_solve_memory_is_linear_in_grid():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
-    tables = _solver_tables(beta, 1.0, tuple(eig.eigenvalues.tolist()), M)
-    assert sum(x.nbytes for x in tables) == 4 * P * (M + 1) * 8
+    # the solve's one miss, then one hit: E1, E2t, C, W0, m, F1, F2
+    tables = _problem_tables(beta, 1.0, tuple(eig.eigenvalues.tolist()), M, spec.nonlinearity)
+    assert _problem_tables.cache_info()[:2] == (1, 1)
+    assert sum(x.nbytes for x in tables) == 7 * P * (M + 1) * 8
+
+
+def test_equal_sources_share_one_table():
+    # the table cache is keyed on the source, so equal sources built apart
+    # must hit it
+    eig = EigenSystem.dirichlet_laplace_1d(4)
+    data = InitialData(np.ones(4), np.zeros(4))
+    _problem_tables.cache_clear()
+    for nl in (NonlinearitySpec.damped(0.02), NonlinearitySpec("damped", 0.02, 0.0)):
+        solve_mild(ProblemSpec(1.5, 1.0, eig, nl), data, P=4, M=16)
+    assert _problem_tables.cache_info()[:2] == (1, 1)
 
 
 def test_exact_solve_of_large_field_matches_picard():
@@ -325,7 +345,7 @@ def test_diagonal_solves_are_linear(kind, x, y):
 
 def test_manufacture_single_mode_matches_closed_form():
     spec = linear_spec()
-    data, field = manufacture(spec, P=1, profile=power_law_profile(2.0, 1), M=16)
+    data, field = manufacture(spec, P=1, decay=2.0, u1_scale=0.0, M=16)
     assert data.u0[0] == 1.0 and data.u1[0] == 0.0
     for i, t in enumerate(field.t_grid):
         want = ml(1.5, 1.0, float(t) ** 1.5).value
@@ -334,7 +354,7 @@ def test_manufacture_single_mode_matches_closed_form():
 
 def test_manufacture_four_modes_is_superposition_of_closed_forms():
     spec = linear_spec()
-    data, field = manufacture(spec, P=4, profile=power_law_profile(2.0, 4), M=16)
+    data, field = manufacture(spec, P=4, decay=2.0, u1_scale=0.0, M=16)
     for p in range(1, 5):
         lam = float(p * p)
         amp = float(p) ** -2.0
@@ -386,6 +406,9 @@ def test_problem_spec_validation():
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(DomainError):
             NonlinearitySpec.gbar(bad)
+    for bad in (math.inf, math.nan):  # damped ignores C3, but a NaN would miss the table cache
+        with pytest.raises(DomainError):
+            NonlinearitySpec("damped", 0.5, bad)
     for kind in ("zero", "lipschitz"):
         with pytest.raises(DomainError):
             NonlinearitySpec(kind=kind)
@@ -400,7 +423,7 @@ def test_gbar_multiplier_is_contractive_coefficient_map():
     lam = EigenSystem.dirichlet_laplace_1d(P).eigenvalues
     t = np.linspace(0.0, a, 9)
     C3 = calibrate_growth_constants(beta, a).C3
-    m = _multiplier("gbar", C3, beta, a, lam, t)
+    m = NonlinearitySpec.gbar(C3).multiplier(beta, a, lam, t)
     assert m.shape == (9, P)
     rng = np.random.default_rng(17)
     bound = 1.0 / (2.0 * a * C3)
@@ -417,7 +440,7 @@ def test_lipschitz_evaluator_spot_check():
     # multiplier K / (1 + lam)
     K = 0.7
     lam = EigenSystem.dirichlet_laplace_1d(8).eigenvalues
-    m = _multiplier("damped", K, 1.5, 1.0, lam, np.array([0.3]))[0]
+    m = NonlinearitySpec.damped(K).multiplier(1.5, 1.0, lam, np.array([0.3]))[0]
     rng = np.random.default_rng(23)
     for _ in range(50):
         v = rng.normal(size=8)

@@ -12,13 +12,14 @@ from fracreg.regularizer import (
     admissibility_scan,
     choose_params,
     hq_envelope_decreasing,
-    hq_envelope_max,
     regularized_solve,
     retained_count,
     theory_bound_hq,
     theory_bound_l2,
 )
 from fracreg.spectral import EigenSystem
+
+from oracles import hq_envelope_max
 
 # Frozen: (ln 21)^1.5 evaluated directly
 B_N_WORKED = 5.312253222519525
