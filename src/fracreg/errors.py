@@ -14,10 +14,6 @@ class NonConvergence(RuntimeError):
     should be using the large-argument branch instead.
     """
 
-    def __init__(self, message: str, terms: int):
-        super().__init__(message)
-        self.terms = terms
-
 
 class NoConvergence(RuntimeError):
     """A mild solve left a residual of its discrete equation above tolerance.

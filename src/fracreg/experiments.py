@@ -471,12 +471,10 @@ def convergence_table(cfg: ExperimentConfig) -> ErrorReport:
         """Bound value at C1 = D1 = c for a stat row."""
         rc = reg_cfgs[cfg.eps_grid.index(s["eps"])]
         if cfg.norm == "l2":
-            return theory_bound_l2(
-                rp, rc, s["t"], s["eps"], M0, M_src, c, c, cfg.a, cfg.beta
-            ).l2_bound
+            return theory_bound_l2(rp, rc, s["t"], s["eps"], M0, M_src, c, c, cfg.a, cfg.beta)
         return theory_bound_hq(
             rp, rc, s["t"], cfg.r, q_eff, s["eps"], M0, M1, c, c, cfg.a, cfg.beta
-        ).hq_bound
+        )
 
     # Out-of-sample pilot: an independent Monte-Carlo sweep of the same grid
     # calibrates the undetermined bound constants as the max empirical

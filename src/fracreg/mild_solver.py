@@ -49,7 +49,7 @@ class NonlinearitySpec:
 
     ``damped``     the damped map of the rate experiments: mode-wise
                    multiplier ``K / (1 + lam_p)``, Lipschitz constant ``K``.
-                   :meth:`zero`, no forcing, is ``damped`` with ``K = 0``.
+                   ``K = 0`` is no forcing.
     ``gbar``       the contraction nonlinearity of the instability
                    construction: mode-wise multiplier
                    ``exp(lam_p^(1/beta) (t - a)) / (2 a C3)``.
@@ -72,11 +72,6 @@ class NonlinearitySpec:
             raise DomainError(f"gbar needs a finite positive C3, got {self.C3}")
         if not math.isfinite(self.C3):
             raise DomainError(f"C3 must be finite, got {self.C3}")
-
-    @classmethod
-    def zero(cls) -> "NonlinearitySpec":
-        """No forcing: the linear, mode-decoupled problem."""
-        return cls.damped(0.0)
 
     @classmethod
     def damped(cls, K: float) -> "NonlinearitySpec":

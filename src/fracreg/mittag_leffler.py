@@ -3,8 +3,8 @@
 Evaluates ``E(beta, gamma; z) = sum_k z^k / Gamma(beta*k + gamma)`` for
 ``z >= 0`` together with the exact antiderivatives of the Volterra kernel
 ``s^(beta-1) * E(beta, beta; lam * s^beta)`` that the mild solver needs, and
-the empirical calibration of the exponential growth envelopes used both by
-the test suite and by the instability-demo nonlinearity.
+the empirical calibration of the kernel growth constant ``C3`` that scales
+the instability-demo nonlinearity.
 
 Evaluation strategy
 -------------------
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln, rgamma
@@ -191,8 +192,7 @@ def _series(
         arg = k * lnz - lg[k]
         if np.any(arg > 709.0):  # exp overflows: z is beyond the series' reach
             raise NonConvergence(
-                f"series term {k} of E({beta},{gamma}) overflows at z={float(z.max())!r}",
-                k,
+                f"series term {k} of E({beta},{gamma}) overflows at z={float(z.max())!r}"
             )
         return np.where(pos, np.exp(arg), 0.0)
 
@@ -214,9 +214,7 @@ def _series(
             tail = np.where(r_next < 1.0, t_k / (1.0 - r_next), np.inf)
         if np.all(~pos | ((r_next < 1.0) & (tail <= tol))):
             return total, np.where(pos, tail, 0.0)
-    raise NonConvergence(
-        f"series for E({beta},{gamma}) exceeded {SERIES_TERM_CAP} terms", SERIES_TERM_CAP
-    )
+    raise NonConvergence(f"series for E({beta},{gamma}) exceeded {SERIES_TERM_CAP} terms")
 
 
 def _asymptotic(beta: float, gamma: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -273,81 +271,41 @@ def kernel_double_primitive(beta: float, lam, s):
 
 
 # ---------------------------------------------------------------------------
-# Exponential growth envelopes
+# Exponential growth envelope
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class GrowthConstants:
-    """Empirical envelope constants for the three kernel growth bounds.
+    """Empirical envelope constant of the kernel growth bound.
 
-    ``C1``, ``C2``, ``C3`` are the suprema over a reference (lam, t) grid of
-
-    * ``E(beta,1; lam t^beta) / exp(lam^(1/beta) t)``
-    * ``t E(beta,2; lam t^beta) / ((1 + lam^(-1/beta)) exp(lam^(1/beta) t))``
-    * ``t^(beta-1) E(beta,beta; lam t^beta) / exp(lam^(1/beta) t)``
-
-    respectively.  ``C3`` also scales the contraction nonlinearity used by
-    the instability demo.
+    ``C3`` is the supremum over a reference (lam, t) grid of
+    ``t^(beta-1) E(beta,beta; lam t^beta) / exp(lam^(1/beta) t)``; it
+    scales the contraction nonlinearity used by the instability demo.
     """
 
-    beta: float
-    a: float
-    C1: float
-    C2: float
     C3: float
 
 
-def growth_ratio_grids(
-    beta: float, lams: np.ndarray, ts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three normalized growth ratios on the tensor grid lams x ts.
+@lru_cache(maxsize=32)
+def calibrate_growth_constants(beta: float, a: float) -> GrowthConstants:
+    """Empirical supremum of the kernel growth ratio over a reference grid.
 
-    Rows index ``lams``, columns ``ts``.  Requires ``beta`` in (1, 2):
-    for ``beta <= 1`` the third ratio is unbounded as ``t -> 0`` and the
-    envelope in this form does not exist.
+    The reference grid is all integer eigenvalues up to 400 crossed with
+    201 uniform times in [0, a].  The constant is never quoted in closed
+    form anywhere; it exists, and this pins a usable value.  A headroom
+    factor of 1.005 covers the residual grid-refinement error so the
+    constant keeps dominating the ratio between reference points (the
+    ratio plateaus in t for large lam, so 0.5% is generous).  Requires
+    ``beta`` in (1, 2): for ``beta <= 1`` the ratio is unbounded as
+    ``t -> 0``.  The result depends only on ``(beta, a)`` and is cached.
     """
     if not (1.0 < beta < 2.0):
         raise DomainError(f"growth ratios require beta in (1, 2), got {beta}")
-    lams = np.asarray(lams, dtype=float)
-    ts = np.asarray(ts, dtype=float)
-    if np.any(lams <= 0):
-        raise DomainError("eigenvalues must be positive")
-    if np.any(ts < 0):
-        raise DomainError("times must be >= 0")
-
-    z = lams[:, None] * ts[None, :] ** beta
-    damp = np.exp(-(lams[:, None] ** (1.0 / beta)) * ts[None, :])
-
-    e1, _ = ml_values(beta, 1.0, z)
-    e2, _ = ml_values(beta, 2.0, z)
-    e3, _ = ml_values(beta, beta, z)
-
-    r1 = e1 * damp
-    r2 = ts[None, :] * e2 * damp / (1.0 + lams[:, None] ** (-1.0 / beta))
-    r3 = ts[None, :] ** (beta - 1.0) * e3 * damp
-    return r1, r2, r3
-
-
-def calibrate_growth_constants(beta: float, a: float) -> GrowthConstants:
-    """Empirical suprema of the growth ratios over a reference grid.
-
-    The reference grid is all integer eigenvalues up to 400 crossed with
-    201 uniform times in [0, a].  The constants are never quoted in closed
-    form anywhere; they exist, and this pins usable values.  A headroom
-    factor of 1.005 covers the residual grid-refinement error so the
-    constants keep dominating the ratios between reference points (the
-    ratios plateau in t for large lam, so 0.5% is generous).
-    """
     if a <= 0:
         raise DomainError(f"horizon a must be positive, got {a}")
-    lams = np.arange(1, _GROWTH_LAM_MAX + 1, dtype=float)
-    ts = np.linspace(0.0, a, _GROWTH_TIMES)
-    r1, r2, r3 = growth_ratio_grids(beta, lams, ts)
-    return GrowthConstants(
-        beta,
-        a,
-        float(r1.max()) * _GROWTH_HEADROOM,
-        float(r2.max()) * _GROWTH_HEADROOM,
-        float(r3.max()) * _GROWTH_HEADROOM,
-    )
+    lams = np.arange(1, _GROWTH_LAM_MAX + 1, dtype=float)[:, None]
+    ts = np.linspace(0.0, a, _GROWTH_TIMES)[None, :]
+    e, _ = ml_values(beta, beta, lams * ts**beta)
+    ratio = ts ** (beta - 1.0) * e * np.exp(-(lams ** (1.0 / beta)) * ts)
+    return GrowthConstants(float(ratio.max()) * _GROWTH_HEADROOM)

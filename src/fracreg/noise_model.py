@@ -90,17 +90,16 @@ def replicate_seed(seed: int, r: int) -> int:
 
 @dataclass(frozen=True)
 class NoisyObservation:
-    """The 2N observed noisy coefficients plus the noise level and stream seed.
+    """The 2N observed noisy coefficients plus the noise level.
 
     ``obs0`` and ``obs1`` are (N,) vectors, or (R, N) blocks holding one
-    replicate per row, whose stream seeds ``seed`` then lists.
+    replicate per row.
     """
 
     eps: float
     N: int
     obs0: np.ndarray
     obs1: np.ndarray
-    seed: int | tuple[int, ...]
     shared_noise: bool = False
 
     def __post_init__(self):
@@ -133,8 +132,7 @@ def observe(
     c1 = pad(as_coeffs(u1), N)
     xi0 = standard_normals(seed, 0, N)
     xi1 = xi0 if shared_noise else standard_normals(seed, 1, N)
-    seed = seed if np.ndim(seed) == 0 else tuple(seed)
-    return NoisyObservation(eps, N, c0 + eps * xi0, c1 + eps * xi1, seed, shared_noise)
+    return NoisyObservation(eps, N, c0 + eps * xi0, c1 + eps * xi1, shared_noise)
 
 
 def monte_carlo(

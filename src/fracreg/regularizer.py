@@ -82,28 +82,6 @@ class RateParams:
             )
 
 
-@dataclass(frozen=True)
-class TheoryBound:
-    """Evaluated right-hand side of a convergence bound at one (t, eps).
-
-    ``terms`` breaks the bound into its noise, bias and truncation pieces;
-    whichever of ``l2_bound`` / ``hq_bound`` applies is set.  For the H^q
-    bound, ``envelope_decreasing`` records whether the cutoff already sits
-    in the monotone regime of ``z^q exp(-2(a-t+r) z^(1/beta))``.
-    """
-
-    t: float
-    l2_bound: float | None
-    hq_bound: float | None
-    terms: dict
-    envelope_decreasing: bool | None = None
-
-    def __post_init__(self):
-        for v in self.terms.values():
-            if not 0.0 <= v < math.inf:
-                raise DomainError(f"bound terms must be finite and nonnegative, got {v!r}")
-
-
 @contextmanager
 def _representable(what: str):
     """Turn float overflow or division by zero inside the block into DomainError."""
@@ -111,6 +89,14 @@ def _representable(what: str):
         yield
     except (OverflowError, ZeroDivisionError) as exc:
         raise DomainError(f"{what} is not representable: {exc}") from None
+
+
+def _bound_sum(noise: float, bias: float, trunc: float) -> float:
+    """``noise + bias + trunc``, after checking each term is finite and >= 0."""
+    for v in (noise, bias, trunc):
+        if not 0.0 <= v < math.inf:
+            raise DomainError(f"bound terms must be finite and nonnegative, got {v!r}")
+    return noise + bias + trunc
 
 
 def retained_count(eig: EigenSystem, B_N: float) -> int:
@@ -221,8 +207,8 @@ def theory_bound_l2(
     D1: float,
     a: float,
     beta: float,
-) -> TheoryBound:
-    """Right-hand side of the L2 convergence bound with its term breakdown.
+) -> float:
+    """Right-hand side of the L2 convergence bound: noise + bias + truncation.
 
     ``M0`` bounds the H^{2 gamma} size of the initial pair and ``M_source``
     the exponentially weighted spectral sum of the solution.  The
@@ -238,8 +224,7 @@ def theory_bound_l2(
         noise = 2.0 * C1 * amp * 2.0 * eps * eps * cfg.N
         bias = 2.0 * C1 * amp * M0 / cfg.lam_N ** (2.0 * rp.gamma)
         trunc = 2.0 * D1 * math.exp(-2.0 * (a - t) * x) * cfg.B_N ** (-rp.mu) * M_source**2
-    terms = {"noise_term": noise, "bias_term": bias, "truncation_term": trunc}
-    return TheoryBound(t=t, l2_bound=noise + bias + trunc, hq_bound=None, terms=terms)
+    return _bound_sum(noise, bias, trunc)
 
 
 def theory_bound_hq(
@@ -255,8 +240,8 @@ def theory_bound_hq(
     D1: float,
     a: float,
     beta: float,
-) -> TheoryBound:
-    """Right-hand side of the H^q convergence bound with its term breakdown.
+) -> float:
+    """Right-hand side of the H^q convergence bound: noise + bias + truncation.
 
     ``M1`` bounds the ``exp(2(a-t+r) lam^(1/beta))``-weighted spectral sum
     of the solution for the given margin ``r > 0``.
@@ -272,23 +257,4 @@ def theory_bound_hq(
         noise = 4.0 * C1 * amp * 2.0 * eps * eps * cfg.N
         bias = 4.0 * C1 * amp * M0 / cfg.lam_N ** (2.0 * rp.gamma)
         trunc = M1**2 * (2.0 * D1 + 1.0) * bq * math.exp(-2.0 * (a - t + r) * x)
-    terms = {"noise_term": noise, "bias_term": bias, "truncation_term": trunc}
-    return TheoryBound(
-        t=t,
-        l2_bound=None,
-        hq_bound=noise + bias + trunc,
-        terms=terms,
-        envelope_decreasing=hq_envelope_decreasing(cfg.B_N, q, 2.0 * (a - t + r), beta),
-    )
-
-
-def hq_envelope_decreasing(B: float, q: float, coef: float, beta: float) -> bool:
-    """True when ``z^q exp(-coef z^(1/beta))`` is nonincreasing for z >= B.
-
-    Differentiating gives the threshold ``(coef/beta) B^(1/beta) >= q``;
-    past it the spectral-tail envelope is maximized at the cutoff itself.
-    """
-    if B <= 0:
-        return q == 0.0
-    return (coef / beta) * B ** (1.0 / beta) >= q
-
+    return _bound_sum(noise, bias, trunc)

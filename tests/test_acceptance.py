@@ -19,12 +19,14 @@ from fracreg.experiments import (
     mise_check,
 )
 from fracreg.mild_solver import InitialData, NonlinearitySpec, ProblemSpec, solve_mild
-from fracreg.mittag_leffler import calibrate_growth_constants, growth_ratio_grids, ml
-from fracreg.regularizer import RateParams, hq_envelope_decreasing
+from fracreg.mittag_leffler import calibrate_growth_constants, ml
+from fracreg.regularizer import RateParams
 from fracreg.spectral import EigenSystem
 
 from oracles import hq_envelope_max, volterra_reference
 from test_mild_solver import volterra_step
+from test_mittag_leffler import calibrate_c1_c2, growth_ratio_grids
+from test_regularizer import hq_envelope_decreasing
 
 SEED = 20260809
 
@@ -95,11 +97,12 @@ def test_criterion_2_growth_bound_suite():
     ts = np.linspace(0.0, 1.0, 101)
     violations = 0
     for beta in betas:
-        gc = calibrate_growth_constants(beta, 1.0)
+        C1, C2 = calibrate_c1_c2(beta, 1.0)
+        C3 = calibrate_growth_constants(beta, 1.0).C3
         r1, r2, r3 = growth_ratio_grids(beta, lams, ts)
-        violations += int(np.sum(r1 > gc.C1))
-        violations += int(np.sum(r2 > gc.C2))
-        violations += int(np.sum(r3 > gc.C3))
+        violations += int(np.sum(r1 > C1))
+        violations += int(np.sum(r2 > C2))
+        violations += int(np.sum(r3 > C3))
     elapsed = time.perf_counter() - start
     report(
         2,
@@ -132,7 +135,7 @@ def test_criterion_4_forward_solver_oracle():
     worst = 0.0
     for beta in (1.3, 1.5, 1.7):
         eig = EigenSystem.dirichlet_laplace_1d(4)
-        spec = ProblemSpec(beta, 1.0, eig, NonlinearitySpec.zero())
+        spec = ProblemSpec(beta, 1.0, eig, NonlinearitySpec.damped(0.0))
         rng = np.random.default_rng(SEED + 1)
         data = InitialData(rng.normal(size=4), rng.normal(size=4))
         field = solve_mild(spec, data, P=4, M=32)
@@ -148,7 +151,7 @@ def test_criterion_4_forward_solver_oracle():
     closed_ok = worst <= 1e-9
 
     # quadrature self-convergence of the Volterra term
-    spec = ProblemSpec(1.5, 1.0, EigenSystem.dirichlet_laplace_1d(4), NonlinearitySpec.zero())
+    spec = ProblemSpec(1.5, 1.0, EigenSystem.dirichlet_laplace_1d(4), NonlinearitySpec.damped(0.0))
     ref = volterra_reference(1.5, 4.0, 1.0, lambda eta: math.cos(3.0 * eta))
     Ms = [32, 64, 128, 256]
     errs = []

@@ -33,7 +33,8 @@ GBAR_C3 = calibrate_growth_constants(1.5, 1.0).C3
 
 
 def linear_spec(beta=1.5, a=1.0, count=16):
-    return ProblemSpec(beta, a, EigenSystem.dirichlet_laplace_1d(count), NonlinearitySpec.zero())
+    eig = EigenSystem.dirichlet_laplace_1d(count)
+    return ProblemSpec(beta, a, eig, NonlinearitySpec.damped(0.0))
 
 
 def l2(c):
@@ -394,12 +395,12 @@ def test_initial_slope_recovers_velocity():
 def test_problem_spec_validation():
     eig = EigenSystem.dirichlet_laplace_1d(2)
     with pytest.raises(DomainError):
-        ProblemSpec(1.0, 1.0, eig, NonlinearitySpec.zero())
+        ProblemSpec(1.0, 1.0, eig, NonlinearitySpec.damped(0.0))
     with pytest.raises(DomainError):
-        ProblemSpec(2.0, 1.0, eig, NonlinearitySpec.zero())
+        ProblemSpec(2.0, 1.0, eig, NonlinearitySpec.damped(0.0))
     for a in (0.0, math.inf, math.nan):
         with pytest.raises(DomainError):
-            ProblemSpec(1.5, a, eig, NonlinearitySpec.zero())
+            ProblemSpec(1.5, a, eig, NonlinearitySpec.damped(0.0))
     for bad in (-1.0, math.inf, math.nan):
         with pytest.raises(DomainError):
             NonlinearitySpec.damped(bad)

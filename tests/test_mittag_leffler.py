@@ -21,7 +21,6 @@ from fracreg.mittag_leffler import (
     _asymptotic,
     _series,
     calibrate_growth_constants,
-    growth_ratio_grids,
     kernel_double_primitive,
     kernel_primitive,
     ml,
@@ -280,20 +279,95 @@ def test_kernel_primitive_domain():
         kernel_primitive(1.5, -1.0, 1.0)
 
 
+def growth_ratio_grids(beta, lams, ts):
+    """The three normalized growth ratios on the tensor grid lams x ts.
+
+    Rows index ``lams``, columns ``ts``:
+
+    * ``E(beta,1; lam t^beta) / exp(lam^(1/beta) t)``
+    * ``t E(beta,2; lam t^beta) / ((1 + lam^(-1/beta)) exp(lam^(1/beta) t))``
+    * ``t^(beta-1) E(beta,beta; lam t^beta) / exp(lam^(1/beta) t)``
+    """
+    lams = np.asarray(lams, dtype=float)
+    ts = np.asarray(ts, dtype=float)
+    z = lams[:, None] * ts[None, :] ** beta
+    damp = np.exp(-(lams[:, None] ** (1.0 / beta)) * ts[None, :])
+
+    e1, _ = ml_values(beta, 1.0, z)
+    e2, _ = ml_values(beta, 2.0, z)
+    e3, _ = ml_values(beta, beta, z)
+
+    r1 = e1 * damp
+    r2 = ts[None, :] * e2 * damp / (1.0 + lams[:, None] ** (-1.0 / beta))
+    r3 = ts[None, :] ** (beta - 1.0) * e3 * damp
+    return r1, r2, r3
+
+
+def calibrate_c1_c2(beta, a):
+    """The envelope constants ``C1``, ``C2`` of the first two growth ratios,
+    calibrated like ``C3``: reference-grid supremum times the headroom."""
+    lams = np.arange(1, mlmod._GROWTH_LAM_MAX + 1, dtype=float)
+    ts = np.linspace(0.0, a, mlmod._GROWTH_TIMES)
+    r1, r2, _ = growth_ratio_grids(beta, lams, ts)
+    return float(r1.max()) * mlmod._GROWTH_HEADROOM, float(r2.max()) * mlmod._GROWTH_HEADROOM
+
+
 def test_growth_bounds_calibrated_then_validated():
     # Constants calibrated on the reference grid must dominate an
     # independent validation grid with zero violations.
     for beta in (1.1, 1.5, 1.9):
         gc = calibrate_growth_constants(beta, 1.0)
         assert isinstance(gc, GrowthConstants)
+        C1, C2 = calibrate_c1_c2(beta, 1.0)
         lams = np.arange(1, 401, dtype=float)
         ts = np.linspace(0.0, 1.0, 101)
         r1, r2, r3 = growth_ratio_grids(beta, lams, ts)
-        assert float(r1.max()) <= gc.C1
-        assert float(r2.max()) <= gc.C2
+        assert float(r1.max()) <= C1
+        assert float(r2.max()) <= C2
         assert float(r3.max()) <= gc.C3
 
 
-def test_growth_ratios_reject_small_beta():
-    with pytest.raises(DomainError):
-        growth_ratio_grids(0.9, np.array([1.0]), np.array([0.5]))
+# repr(calibrate_growth_constants(beta, a).C3) with numpy 2.4.6 and scipy
+# 1.17.1; C3 scales the illposed source, so a moved bit moves its reports
+C3_BITS = {
+    (1.1, 0.5): 0.8910166898323928,
+    (1.1, 1.0): 0.9067217486910975,
+    (1.1, 2.0): 0.9125441723328711,
+    (1.5, 0.5): 0.567350980749941,
+    (1.5, 1.0): 0.6371159019223328,
+    (1.5, 2.0): 0.66516737692621,
+    (1.8, 0.5): 0.40359864425411646,
+    (1.8, 1.0): 0.5050740730474156,
+    (1.8, 2.0): 0.5509315311425691,
+    (1.9, 0.5): 0.35861454909959234,
+    (1.9, 1.0): 0.46844117800211393,
+    (1.9, 2.0): 0.5206640274170247,
+}
+
+
+@pytest.mark.parametrize("beta, a", sorted(C3_BITS))
+def test_growth_constant_bits_are_pinned(beta, a):
+    assert calibrate_growth_constants(beta, a).C3 == C3_BITS[(beta, a)]
+
+
+@pytest.mark.parametrize("beta, a", [(0.9, 1.0), (2.0, 1.0), (1.5, 0.0)])
+def test_growth_constant_rejects_bad_input_on_every_call(beta, a):
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            calibrate_growth_constants(beta, a)
+
+
+def test_growth_calibration_is_one_cached_sweep(monkeypatch):
+    sweeps = []
+
+    def counting(*args, **kwargs):
+        sweeps.append(args)
+        return ml_values(*args, **kwargs)
+
+    monkeypatch.setattr(mlmod, "ml_values", counting)
+    calibrate_growth_constants.cache_clear()
+    first = calibrate_growth_constants(1.7, 0.75)
+    assert [s[:2] for s in sweeps] == [(1.7, 1.7)]
+    assert np.shape(sweeps[0][2]) == (400, 201)
+    assert calibrate_growth_constants(1.7, 0.75) is first
+    assert len(sweeps) == 1

@@ -11,7 +11,6 @@ from fracreg.regularizer import (
     RegConfig,
     admissibility_scan,
     choose_params,
-    hq_envelope_decreasing,
     regularized_solve,
     retained_count,
     theory_bound_hq,
@@ -26,7 +25,8 @@ B_N_WORKED = 5.312253222519525
 
 
 def dirichlet_spec(beta=1.5, a=1.0, count=16):
-    return ProblemSpec(beta, a, EigenSystem.dirichlet_laplace_1d(count), NonlinearitySpec.zero())
+    eig = EigenSystem.dirichlet_laplace_1d(count)
+    return ProblemSpec(beta, a, eig, NonlinearitySpec.damped(0.0))
 
 
 def manual_cfg(eig, B_N, N):
@@ -158,22 +158,31 @@ def test_theory_bound_l2_structure():
     cfg = manual_cfg(eig, B_N=9.0, N=10)
     a, beta = 1.0, 1.5
 
-    at_horizon = theory_bound_l2(rp, cfg, t=a, eps=0.01, M0=1.0, M_source=2.0,
-                                 C1=1.0, D1=1.0, a=a, beta=beta)
-    assert at_horizon.terms["truncation_term"] == pytest.approx(
+    def l2(t, eps, M0, M_source, C1, D1):
+        return theory_bound_l2(rp, cfg, t=t, eps=eps, M0=M0, M_source=M_source,
+                               C1=C1, D1=D1, a=a, beta=beta)
+
+    # C1 = 0 leaves only the truncation term
+    at_horizon = l2(t=a, eps=0.01, M0=1.0, M_source=2.0, C1=0.0, D1=1.0)
+    assert at_horizon == pytest.approx(
         2.0 * 9.0**-2.0 * 4.0, rel=1e-12
     )  # exp factor is exactly 1 at t = a
 
-    small_eps = theory_bound_l2(rp, cfg, t=0.5, eps=1e-300, M0=1.0, M_source=2.0,
-                                C1=1.0, D1=1.0, a=a, beta=beta)
-    assert small_eps.terms["noise_term"] == pytest.approx(0.0, abs=1e-290)
-    assert small_eps.terms["bias_term"] > 0
-    assert small_eps.terms["truncation_term"] > 0
+    # at eps = 1e-300 the noise term (alone at M0 = D1 = 0) vanishes; bias
+    # (alone at D1 = 0 once noise is gone) and truncation (C1 = 0) do not
+    assert l2(t=0.5, eps=1e-300, M0=0.0, M_source=2.0, C1=1.0, D1=0.0) == pytest.approx(
+        0.0, abs=1e-290
+    )
+    assert l2(t=0.5, eps=1e-300, M0=1.0, M_source=2.0, C1=1.0, D1=0.0) > 0
+    assert l2(t=0.5, eps=1e-300, M0=1.0, M_source=2.0, C1=0.0, D1=1.0) > 0
 
-    full = theory_bound_l2(rp, cfg, t=0.5, eps=0.01, M0=1.0, M_source=2.0,
-                           C1=3.0, D1=0.5, a=a, beta=beta)
-    assert full.l2_bound == pytest.approx(sum(full.terms.values()), rel=1e-14)
-    assert 0 < full.l2_bound < math.inf
+    full = l2(t=0.5, eps=0.01, M0=1.0, M_source=2.0, C1=3.0, D1=0.5)
+    noise = l2(t=0.5, eps=0.01, M0=0.0, M_source=2.0, C1=3.0, D1=0.0)
+    bias = l2(t=0.5, eps=0.0, M0=1.0, M_source=2.0, C1=3.0, D1=0.0)
+    trunc = l2(t=0.5, eps=0.01, M0=1.0, M_source=2.0, C1=0.0, D1=0.5)
+    assert min(noise, bias, trunc) > 0
+    assert full == pytest.approx(noise + bias + trunc, rel=1e-14)
+    assert 0 < full < math.inf
 
 
 def test_unrepresentable_bounds_raise_domain_error():
@@ -200,15 +209,33 @@ def test_theory_bound_hq_reduces_at_q_zero():
     eig = EigenSystem.dirichlet_laplace_1d(32)
     cfg = manual_cfg(eig, B_N=9.0, N=10)
     a, beta, t, r, eps = 1.0, 1.5, 0.5, 0.1, 0.01
-    hq = theory_bound_hq(rp, cfg, t=t, r=r, q=0.0, eps=eps, M0=1.0, M1=2.0,
-                         C1=1.0, D1=1.0, a=a, beta=beta)
+
+    def hq(eps, M0, M1, C1):
+        return theory_bound_hq(rp, cfg, t=t, r=r, q=0.0, eps=eps, M0=M0, M1=M1,
+                               C1=C1, D1=1.0, a=a, beta=beta)
+
     x = 9.0 ** (1 / 1.5)
     want_noise = 4.0 * math.exp(2 * x * t) * 2.0 * eps * eps * 10
     want_trunc = 4.0 * (2.0 + 1.0) * math.exp(-2.0 * (a - t + r) * x)
-    assert hq.terms["noise_term"] == pytest.approx(want_noise, rel=1e-12)
-    assert hq.terms["truncation_term"] == pytest.approx(want_trunc, rel=1e-12)
-    assert hq.hq_bound == pytest.approx(sum(hq.terms.values()), rel=1e-14)
-    assert hq.envelope_decreasing
+    noise = hq(eps, M0=0.0, M1=0.0, C1=1.0)  # M0 = M1 = 0: the noise term alone
+    trunc = hq(eps, M0=1.0, M1=2.0, C1=0.0)  # C1 = 0: the truncation term alone
+    bias = hq(0.0, M0=1.0, M1=0.0, C1=1.0)
+    assert noise == pytest.approx(want_noise, rel=1e-12)
+    assert trunc == pytest.approx(want_trunc, rel=1e-12)
+    assert bias > 0
+    assert hq(eps, M0=1.0, M1=2.0, C1=1.0) == pytest.approx(noise + bias + trunc, rel=1e-14)
+    assert hq_envelope_decreasing(cfg.B_N, 0.0, 2.0 * (a - t + r), beta)
+
+
+def hq_envelope_decreasing(B: float, q: float, coef: float, beta: float) -> bool:
+    """True when ``z^q exp(-coef z^(1/beta))`` is nonincreasing for z >= B.
+
+    Differentiating gives the threshold ``(coef/beta) B^(1/beta) >= q``;
+    past it the spectral-tail envelope is maximized at the cutoff itself.
+    """
+    if B <= 0:
+        return q == 0.0
+    return (coef / beta) * B ** (1.0 / beta) >= q
 
 
 def test_hq_envelope_grid_scan():

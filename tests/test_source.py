@@ -43,3 +43,32 @@ def test_cli_import_loads_no_heavy_scipy_modules():
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_every_public_name_is_used_by_the_package():
+    # a public function, class or method that no package module reads is
+    # surface kept only for tests; __init__ re-exports do not count as use
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(Path(fracreg.__file__).resolve().parent.glob("*.py"))}
+    used = set()
+    for name, tree in trees.items():
+        if name == "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    defs = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
+    unused = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, defs) or node.name.startswith("_"):
+                continue
+            if node.name not in used:
+                unused.append(f"{name}:{node.name}")
+            if isinstance(node, ast.ClassDef):
+                unused += [f"{name}:{node.name}.{m.name}" for m in node.body
+                           if isinstance(m, defs) and not m.name.startswith("_")
+                           and m.name not in used]
+    assert unused == []
