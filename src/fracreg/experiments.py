@@ -261,7 +261,10 @@ def illposed_mode_count(eps: float, a: float, beta: float) -> int:
     """Blow-up observation count: floor((2/a ln(1/eps))^(beta/2)) + 1."""
     if not (0 < eps < 1):
         raise DomainError("eps must lie in (0, 1)")
-    return math.floor((2.0 / a * math.log(1.0 / eps)) ** (beta / 2.0)) + 1
+    x = (2.0 / a * math.log(1.0 / eps)) ** (beta / 2.0)
+    if not math.isfinite(x):
+        raise DomainError(f"the mode count at eps={eps}, a={a}, beta={beta} is not representable")
+    return math.floor(x) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +301,9 @@ def illposed_demo(cfg: ExperimentConfig) -> ErrorReport:
 
         def sample(seeds):
             """Input energy and max-row output energy of noise-only replicates."""
-            obs = observe(np.zeros(1), np.zeros(1), eps, N, seeds)
+            # only obs0 is read, and it is stream 0 under either noise model,
+            # so stream 0 alone is drawn
+            obs = observe(np.zeros(1), np.zeros(1), eps, N, seeds, shared_noise=True)
             fld = solve_mild(spec, InitialData(obs.obs0, np.zeros_like(obs.obs0)), P=N, M=cfg.M)
             return np.sum(obs.obs0**2, axis=-1), np.max(np.sum(fld.coeffs**2, axis=-1), axis=-1)
 
@@ -386,12 +391,16 @@ def _source_constants(
     exponentially weighted spectral sums, maximized over the time grid."""
     growth = lam ** (1.0 / beta)
     u_sq = truth.coeffs**2
-    w_mu = lam**mu * np.exp(
-        2.0 * (a - truth.t_grid)[:, None] * growth[None, :]
-    )
-    m_src = float(np.max(np.sum(w_mu * u_sq, axis=1)))
-    w_r = np.exp(2.0 * (a - truth.t_grid + r)[:, None] * growth[None, :])
-    m1 = float(np.max(np.sum(w_r * u_sq, axis=1)))
+    # an overflow leaves an inf or nan in the sum, which the checks below report
+    with np.errstate(over="ignore", invalid="ignore"):
+        w_mu = lam**mu * np.exp(
+            2.0 * (a - truth.t_grid)[:, None] * growth[None, :]
+        )
+        m_src = float(np.max(np.sum(w_mu * u_sq, axis=1)))
+        w_r = np.exp(2.0 * (a - truth.t_grid + r)[:, None] * growth[None, :])
+        m1 = float(np.max(np.sum(w_r * u_sq, axis=1)))
+    if not (math.isfinite(m_src) and math.isfinite(m1)):
+        raise DomainError(f"the source sums of the truth are not representable at mu={mu}, r={r}")
     return m_src, m1
 
 

@@ -264,7 +264,6 @@ def _picard_solve(
     u0: np.ndarray,
     u1: np.ndarray,
     M: int,
-    tol: float,
 ) -> FourierField:
     """Exact solution of the discrete mild equation: the one entry of every solve.
 
@@ -285,8 +284,9 @@ def _picard_solve(
         H = E1 * c0 + E2t * c1
         residual = _max_row_l2(H + _volterra_product(C, W0, m * Ur) - Ur)
         # The residual of an exact solve is rounding, which grows with the
-        # field: tol is absolute up to a field norm of 1 and relative beyond.
-        bound = tol * max(1.0, _max_row_l2(Ur))
+        # field: DEFAULT_TOL is absolute up to a field norm of 1 and relative
+        # beyond.
+        bound = DEFAULT_TOL * max(1.0, _max_row_l2(Ur))
         if not residual <= bound:
             raise NoConvergence(
                 f"exact {spec.nonlinearity.kind} solve of field {r} left a residual "
@@ -309,15 +309,14 @@ def solve_mild(
     data: InitialData,
     P: int,
     M: int,
-    tol: float = DEFAULT_TOL,
 ) -> FourierField:
     """Fixed point of the coefficient-space mild-solution map.
 
     The discrete equation is solved exactly, and the field carries its
     residual, measured in the discrete C([0,a]; L2) norm (the max over grid
     rows of the row L2 norm), as its one ``picard_diffs`` entry.  Raises
-    :class:`NoConvergence` with that residual if it exceeds ``tol`` (times
-    the field norm, where that exceeds 1).
+    :class:`NoConvergence` with that residual if it exceeds ``DEFAULT_TOL``
+    (times the field norm, where that exceeds 1).
 
     Data holding (R, P) blocks gives an (R, M+1, P) field, row r solved from
     data row r.
@@ -329,10 +328,8 @@ def solve_mild(
         raise DomainError(f"P must be in 1..{spec.eig.count}, got {P}")
     if M < 1:
         raise DomainError("M must be >= 1")
-    if not tol > 0:
-        raise DomainError("tol must be positive")
     lam = spec.eig.eigenvalues[:P]
-    return _picard_solve(spec, lam, pad(data.u0, P), pad(data.u1, P), M, tol)
+    return _picard_solve(spec, lam, pad(data.u0, P), pad(data.u1, P), M)
 
 
 def manufacture(

@@ -50,10 +50,11 @@ def standard_normals(seed, stream: int, n: int) -> np.ndarray:
 
     ``seed`` is one seed, giving an (n,) array, or a sequence of R seeds,
     giving an (R, n) block whose row r is the draw of ``seed[r]`` alone.
-    Each normal is one 53-bit word through :func:`_normals_from_words`,
-    whose uniforms lie strictly inside (0, 1), so ndtri stays finite; the
-    draw count per sample is fixed (unlike rejection samplers), which is
-    what keeps substreams aligned.
+    Each normal is the top 53 bits of one raw Philox word (raw words, unlike
+    ``Generator`` methods, keep their stream across numpy releases) through
+    :func:`_normals_from_words`, whose uniforms lie strictly inside (0, 1),
+    so ndtri stays finite; the draw count per sample is fixed (unlike
+    rejection samplers), which is what keeps substreams aligned.
 
     The streams share one Philox generator whose key, counter and buffer
     are reset for each, which draws what a fresh ``Philox(key=...)`` draws
@@ -62,21 +63,15 @@ def standard_normals(seed, stream: int, n: int) -> np.ndarray:
     if n < 0:
         raise DomainError("n must be >= 0")
     seeds = [seed] if np.ndim(seed) == 0 else seed
-    gen = np.random.Generator(np.random.Philox(0))  # a fixed seed reads no OS entropy
-    key = np.array([0, stream % (1 << 64)], dtype=np.uint64)
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, np.uint64), "key": key},
-        "buffer": np.zeros(4, np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    k = np.empty((len(seeds), n), dtype=np.int64)
+    bits = np.random.Philox(0)  # a fixed seed reads no OS entropy
+    state = bits.state  # counter zero, buffer empty
+    key = state["state"]["key"]
+    key[1] = stream % (1 << 64)
+    k = np.empty((len(seeds), n), dtype=np.uint64)
     for i, s in enumerate(seeds):
         key[0] = int(s) % (1 << 64)
-        gen.bit_generator.state = state
-        k[i] = gen.integers(0, 1 << 53, size=n)
+        bits.state = state
+        k[i] = bits.random_raw(n) >> 11
     z = _normals_from_words(k)
     return z if np.ndim(seed) else z[0]
 
@@ -90,21 +85,18 @@ def replicate_seed(seed: int, r: int) -> int:
 
 @dataclass(frozen=True)
 class NoisyObservation:
-    """The 2N observed noisy coefficients plus the noise level.
+    """The 2N observed noisy coefficients.
 
     ``obs0`` and ``obs1`` are (N,) vectors, or (R, N) blocks holding one
     replicate per row.
     """
 
-    eps: float
     N: int
     obs0: np.ndarray
     obs1: np.ndarray
     shared_noise: bool = False
 
     def __post_init__(self):
-        if not self.eps > 0:
-            raise DomainError("eps must be positive")
         if self.N < 1:
             raise DomainError("N must be >= 1")
         o0 = as_coeffs(self.obs0, rows=True)
@@ -132,7 +124,7 @@ def observe(
     c1 = pad(as_coeffs(u1), N)
     xi0 = standard_normals(seed, 0, N)
     xi1 = xi0 if shared_noise else standard_normals(seed, 1, N)
-    return NoisyObservation(eps, N, c0 + eps * xi0, c1 + eps * xi1, shared_noise)
+    return NoisyObservation(N, c0 + eps * xi0, c1 + eps * xi1, shared_noise)
 
 
 def monte_carlo(

@@ -122,10 +122,11 @@ def choose_params(
         raise DomainError(f"eps must lie in (0, 1), got {eps}")
     if a <= 0 or not (0 < beta < 2):
         raise DomainError("need a > 0 and beta in (0, 2)")
-    N = math.floor(eps ** (-2.0 * rp.b / (2.0 * rp.m + 1.0)))
-    if N < 1:
-        raise DomainError(f"eps={eps} gives no observations under the rule")
-    B_N = ((rp.m / (rp.k * a)) * math.log(N)) ** beta
+    with _representable(f"the rule at eps={eps}, b={rp.b}, m={rp.m}, k={rp.k}, a={a}"):
+        N = math.floor(eps ** (-2.0 * rp.b / (2.0 * rp.m + 1.0)))
+        if N < 1:
+            raise DomainError(f"eps={eps} gives no observations under the rule")
+        B_N = ((rp.m / (rp.k * a)) * math.log(N)) ** beta
     return RegConfig(B_N=B_N, N=N, P_retained=retained_count(eig, B_N), lam_N=eig.lam(N))
 
 
@@ -179,7 +180,7 @@ def regularized_solve(
     """Fixed point of the spectrally truncated integral map on the M-step grid.
 
     Retained modes start from the observed noisy coefficients and are
-    solved by :func:`solve_mild` at its default tolerance.  The field holds
+    solved by :func:`solve_mild`.  The field holds
     the retained modes only, ``P_retained`` columns (none when no mode is
     retained): every mode with ``lam_p > B_N`` is zero, and a caller that
     compares against a wider field pads with :func:`spectral.pad`.  An

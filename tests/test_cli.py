@@ -75,6 +75,12 @@ def _run_module(tmp_path, *argv):
     ["illposed", "--seed", "-5", "--out", "x.csv"],
     ["converge", "--b", "inf", "--replicates", "8", "--out", "x.json"],
     ["converge", "--t-eval", "nan", "--replicates", "8", "--out", "x.json"],
+    ["converge", "--k", "1e-300", "--replicates", "8", "--out", "x.json"],
+    ["converge", "--b", "1e308", "--replicates", "8", "--out", "x.json"],
+    ["illposed", "--a", "1e-310", "--out", "x.csv"],
+    # no numpy overflow warning may precede the error line
+    ["converge", "--mu", "1e308", "--replicates", "8", "--out", "x.json"],
+    ["converge", "--norm", "hq", "--r", "1e308", "--replicates", "8", "--out", "x.json"],
     # a bad command line is an error too, not argparse's usage block and exit 2
     ["converge", "--replicates", "abc"],
     ["mise-check", "--bogus"],

@@ -5,7 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from fracreg import experiments
+from fracreg import experiments, noise_model
 from fracreg.errors import DomainError
 from fracreg.experiments import (
     ErrorReport,
@@ -19,7 +19,7 @@ from fracreg.experiments import (
     mise_check,
     remark_rate_exponent,
 )
-from fracreg.noise_model import replicate_seed
+from fracreg.noise_model import replicate_seed, standard_normals
 from fracreg.regularizer import RateParams
 
 RATE = RateParams(b=1.0, m=6.0, k=1.0, gamma=3.5, d=1, mu=2.0)
@@ -335,3 +335,24 @@ def test_mise_check_batch_equals_per_replicate_loop(monkeypatch, shared_noise):
     cfg = ExperimentConfig(kind="mise-check", eps_grid=(0.05,), replicates=300, seed=12,
                            beta=1.5, a=1.0, shared_noise=shared_noise)
     assert_batch_equals_per_replicate(monkeypatch, mise_check, cfg)
+
+
+@pytest.mark.parametrize("run, cfg, streams", [
+    (illposed_demo, small_illposed_cfg(), {0}),
+    (mise_check, ExperimentConfig(kind="mise-check", eps_grid=(0.05,), replicates=8, seed=12,
+                                  beta=1.5, a=1.0), {0}),
+    (convergence_table, small_converge_cfg(), {0, 1}),
+    (convergence_table, small_converge_cfg(shared_noise=True), {0}),
+])
+def test_each_experiment_draws_only_the_streams_it_reads(monkeypatch, run, cfg, streams):
+    # illposed and mise-check read obs0 alone, which is stream 0 under
+    # either noise model; converge reads both fields
+    drawn = set()
+
+    def spy(seed, stream, n):
+        drawn.add(stream)
+        return standard_normals(seed, stream, n)
+
+    monkeypatch.setattr(noise_model, "standard_normals", spy)
+    run(cfg)
+    assert drawn == streams

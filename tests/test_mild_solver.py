@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fracreg import mild_solver
 from fracreg.errors import DomainError, NoConvergence
 from fracreg.mild_solver import (
     InitialData,
@@ -465,16 +466,17 @@ def test_batched_solve_rows_equal_single_solves(nl):
         assert np.array_equal(batch.picard_diffs[r], one.picard_diffs)
 
 
-def test_one_bad_residual_fails_a_batched_solve():
-    # a zero field has residual exactly 0 and passes any tol; the nonzero
-    # field's rounding residual is above tol = 1e-20, so the batch must fail
+def test_one_bad_residual_fails_a_batched_solve(monkeypatch):
+    # a zero field has residual exactly 0 and passes any tolerance; the
+    # nonzero field's rounding residual is above 1e-20, so the batch must fail
+    monkeypatch.setattr(mild_solver, "DEFAULT_TOL", 1e-20)
     spec = ProblemSpec(1.5, 1.0, EigenSystem.dirichlet_laplace_1d(6), NonlinearitySpec.damped(0.5))
     rng = np.random.default_rng(3)
     u0 = np.zeros((3, 6))
     u0[1] = rng.normal(size=6)
-    zero = solve_mild(spec, InitialData(u0[0], u0[0]), P=6, M=32, tol=1e-20)
+    zero = solve_mild(spec, InitialData(u0[0], u0[0]), P=6, M=32)
     assert zero.picard_diffs[0] == 0.0
     with pytest.raises(NoConvergence, match="field 1") as info:
-        solve_mild(spec, InitialData(u0, np.zeros((3, 6))), P=6, M=32, tol=1e-20)
+        solve_mild(spec, InitialData(u0, np.zeros((3, 6))), P=6, M=32)
     assert 0.0 < info.value.residual
 

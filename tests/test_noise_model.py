@@ -190,11 +190,15 @@ def test_validation_errors():
 )
 def test_reset_stream_draws_what_a_fresh_philox_draws(seeds, stream, n):
     # one generator serves a batch, its key, counter and buffer reset per
-    # stream; each row must be the draw of a fresh Philox(key=(seed, stream))
+    # stream; each row must be the draw of a fresh Philox(key=(seed, stream)),
+    # read as raw words and, equally, through numpy's bounded integers
     block = standard_normals(seeds, stream, n)
     assert block.shape == (len(seeds), n)
     for seed, row in zip(seeds, block):
-        fresh = np.random.Generator(np.random.Philox(key=np.array([seed, stream], np.uint64)))
+        key = np.array([seed, stream], np.uint64)
+        raw = np.random.Philox(key=key).random_raw(n) >> 11
+        assert np.array_equal(row, _normals_from_words(raw))
+        fresh = np.random.Generator(np.random.Philox(key=key))
         want = ndtri((fresh.integers(0, 1 << 53, size=n).astype(np.float64) + 0.5) / 2.0**53)
         assert np.array_equal(row, want)
         assert np.array_equal(standard_normals(seed, stream, n), want)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fracreg import mild_solver
 from fracreg.errors import DomainError
 from fracreg.mild_solver import InitialData, NonlinearitySpec, ProblemSpec, solve_mild
 from fracreg.noise_model import observe
@@ -94,7 +95,7 @@ def test_admissibility_scan_borderline_configuration_reports_honestly():
     assert scan["bias_vanishing"]
 
 
-def test_regularized_solve_matches_forward_map_when_inactive():
+def test_regularized_solve_matches_forward_map_when_inactive(monkeypatch):
     # tiny noise, cutoff above every retained eigenvalue: the regularized
     # solution is the forward solution on the retained set
     spec = dirichlet_spec(count=4)
@@ -105,7 +106,8 @@ def test_regularized_solve_matches_forward_map_when_inactive():
     cfg = manual_cfg(eig, B_N=100.0, N=4)
     reg = regularized_solve(spec, obs, cfg, 16)
     tol = 1e-12
-    mild = solve_mild(spec, InitialData(u0, u1), P=4, M=16, tol=tol)
+    monkeypatch.setattr(mild_solver, "DEFAULT_TOL", tol)
+    mild = solve_mild(spec, InitialData(u0, u1), P=4, M=16)
     assert np.max(np.abs(reg.coeffs - mild.coeffs)) <= 10 * tol + 1e-280
 
 

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import fracreg
 
 
@@ -72,3 +74,28 @@ def test_every_public_name_is_used_by_the_package():
                            if isinstance(m, defs) and not m.name.startswith("_")
                            and m.name not in used]
     assert unused == []
+
+
+def _is_bit_source(name: str) -> bool:
+    obj = getattr(np.random, name, None)
+    is_bit_generator = isinstance(obj, type) and issubclass(obj, np.random.BitGenerator)
+    return name == "SeedSequence" or is_bit_generator
+
+
+def test_randomness_comes_only_from_bit_generator_words():
+    # Generator methods and the legacy samplers may change their streams
+    # between numpy releases; raw bit-generator words and SeedSequence do not,
+    # so the package reads numpy.random only for those
+    found = []
+    for path in sorted(Path(fracreg.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "random" and isinstance(node.value.value, ast.Name)
+                    and node.value.value.id in ("np", "numpy")):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy.random":
+                names = [a.name for a in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if not _is_bit_source(n)]
+    assert found == []
