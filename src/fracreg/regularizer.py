@@ -10,8 +10,8 @@ identically zero.  The a-priori parameter rule
 
 links the observation count to the cutoff.  The error-bound evaluators
 implement the convergence error bounds with their undetermined constants
-``C1``, ``D1`` supplied by the caller (the experiment harness calibrates
-surrogates from pilot data, since no usable closed form for them exists).
+``C1``, ``D1`` supplied by the caller (the experiment harness fits them to
+the exact expected error of its linear problem).
 """
 
 from __future__ import annotations

@@ -114,9 +114,7 @@ def test_help_exits_0(tmp_path, argv):
     ("converge", {"r": math.nan, "norm": "hq"}),
     ("converge", {"truth_decay": math.nan}),
     ("converge", {"truth_u1_scale": math.inf}),
-    ("converge", {"pilot_safety": -1}),
-    ("converge", {"pilot_safety": 0}),
-    ("converge", {"pilot_safety": math.nan}),
+    ("converge", {"pilot_safety": 1.5}),  # an unknown key
 ])
 def test_config_type_fault_is_one_line_error(tmp_path, kind, content):
     (tmp_path / "c.json").write_text(json.dumps(content))
@@ -218,6 +216,36 @@ def test_unrepresentable_bound_is_one_line_error(tmp_path, capsys):
                            "--replicates", "8", "--out", str(tmp_path / "r.json"))
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_single_observation_noise_level_is_one_line_error(tmp_path, capsys):
+    # eps = 0.9 gives N = 1, so B_N = (m/(k a) ln 1)^beta = 0 and no mode is kept
+    code, _, err = run_cli(capsys, "converge", "--eps-grid", "0.9,0.5", "--replicates", "8",
+                           "--out", str(tmp_path / "r.json"))
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "eps=0.9" in err
+
+
+def test_converge_cli_bound_holds_at_a_high_mise_seed(tmp_path, capsys):
+    # this seed's eps = 3e-7 row exceeds a bound whose constants are fitted
+    # to another 64-replicate sweep (mise/bound 1.048); constants fitted to
+    # the exact expected error cover it
+    code, _, err = run_cli(capsys, "converge", "--norm", "l2", "--seed", "3347278117",
+                           "--out", str(tmp_path / "r.csv"))
+    assert code == 0, err
+
+
+def test_mise_check_config_block_reproduces_the_report(tmp_path, capsys):
+    first = tmp_path / "a.json"
+    assert run_cli(capsys, "mise-check", "--replicates", "200", "--seed", "5",
+                   "--out", str(first))[0] == 0
+    block = json.loads(first.read_text())["meta"]["config"]
+    assert set(block) == {"kind", "replicates", "seed", "mise_configs"}
+    (tmp_path / "c.json").write_text(json.dumps(block))
+    again = tmp_path / "b.json"
+    assert run_cli(capsys, "mise-check", "--config", str(tmp_path / "c.json"),
+                   "--out", str(again))[0] == 0
+    assert again.read_bytes() == first.read_bytes()
 
 
 def test_converge_cli_invariant_failure_exits_2(tmp_path, capsys):

@@ -22,6 +22,8 @@ from fracreg.experiments import (
 from fracreg.noise_model import replicate_seed, standard_normals
 from fracreg.regularizer import RateParams
 
+from test_acceptance import CONVERGE_CFG
+
 RATE = RateParams(b=1.0, m=6.0, k=1.0, gamma=3.5, d=1, mu=2.0)
 
 
@@ -178,17 +180,11 @@ def test_config_validation():
                          seed=1, beta=1.5, a=1.0)
 
 
-@pytest.mark.parametrize("name", ["q", "r", "truth_decay", "truth_u1_scale", "pilot_safety"])
+@pytest.mark.parametrize("name", ["q", "r", "truth_decay", "truth_u1_scale"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "0.5", None])
 def test_config_rejects_non_finite_floats_by_name(name, value):
     with pytest.raises(DomainError, match=name):
         small_converge_cfg(norm="hq", **{name: value})
-
-
-@pytest.mark.parametrize("value", [0.0, -1.0, -0.0])
-def test_config_rejects_nonpositive_pilot_safety(value):
-    with pytest.raises(DomainError, match="pilot_safety"):
-        small_converge_cfg(pilot_safety=value)
 
 
 def test_config_json_round_trip():
@@ -356,3 +352,43 @@ def test_each_experiment_draws_only_the_streams_it_reads(monkeypatch, run, cfg, 
     monkeypatch.setattr(noise_model, "standard_normals", spy)
     run(cfg)
     assert drawn == streams
+
+
+@pytest.mark.parametrize("shared_noise", [False, True])
+@pytest.mark.parametrize("norm, q", [("l2", 0.0), ("hq", 0.5)])
+def test_exact_mise_matches_brute_force_monte_carlo(norm, q, shared_noise):
+    # the closed form against an independent estimate: thousands of noisy
+    # solves on a tiny problem
+    cfg = small_converge_cfg(M=16, eps_grid=(1e-4, 1e-5, 1e-6), replicates=4000,
+                             norm=norm, q=q, t_eval=(0.25, 0.5), shared_noise=shared_noise)
+    for row in convergence_table(cfg).meta["rows_detail"]:
+        assert abs(row["mise"] - row["exact_mise"]) <= 4.0 * row["se"], row
+
+
+@pytest.mark.parametrize("norm, q", [("l2", 0.0), ("hq", 0.5)])
+def test_exact_mise_within_4se_at_the_acceptance_configs(norm, q):
+    rep = convergence_table(ExperimentConfig(**{**CONVERGE_CFG, "norm": norm, "q": q}))
+    for row in rep.meta["rows_detail"]:
+        assert abs(row["mise"] - row["exact_mise"]) <= 4.0 * row["se"], row
+
+
+def test_convergence_table_makes_one_monte_carlo_sweep(monkeypatch):
+    calls = []
+
+    def spy(sample, replicates, seed):
+        calls.append(seed)
+        return noise_model.monte_carlo(sample, replicates, seed)
+
+    monkeypatch.setattr(experiments, "monte_carlo", spy)
+    cfg = small_converge_cfg()
+    convergence_table(cfg)
+    assert calls == [replicate_seed(cfg.seed, idx) for idx in range(len(cfg.eps_grid))]
+
+
+def test_bound_check_fails_below_the_fitted_constants(monkeypatch):
+    # the l2 bound is linear in C1 = D1, so at half the safety factor the row
+    # that fixes the constants has a bound of 0.75 times its exact error
+    monkeypatch.setattr(experiments, "_BOUND_SAFETY", 0.75)
+    rep = convergence_table(ExperimentConfig(**CONVERGE_CFG))
+    assert rep.meta["per_t"]["0.25"]["bound_satisfied"] is False
+    assert not rep.meta["invariants_ok"]

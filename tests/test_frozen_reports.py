@@ -19,22 +19,22 @@ CONVERGE_SHORT = ["--replicates", "8", "--m-steps", "32", "--eps-grid", "1e-4,1e
 RUNS = {
     "converge-l2": (
         ["converge", "--norm", "l2", *CONVERGE_SHORT],
-        "390528209e03fe51788f5d62a0cd77b046c582fcedf45dbc7fb90d2f3d8d719b",
-        "d7215f114ea77b2295bb8fd16eb62e1199c2ffd1f55fbdf6f08ac01147c4f5c5",
+        "c8938b80e3697adf24d4db6296ef6e2329df49d03c352733a4810468c4a3ce27",
+        "8ae20a920e0022abd2eac9405cc9c069ae3a1d4b850efe694bafd9509f3178d9",
     ),
     "converge-hq": (
         ["converge", "--norm", "hq", "--q", "0.5", *CONVERGE_SHORT],
-        "69e5d5d4acab95fce838af838b569437b70637a89054c81879189a160610ae3d",
-        "dd99a2f36c0e80cb7acd01da000a87a6969f92e01731bdaac86ca226d01e00cb",
+        "bffb252dccfa4184a7aba32816eba98d341497e748d0e06133af72c3983eeecc",
+        "f140728ab22e0ded109faa87dad5e71f29089f3d58d7f1b5779afe6003b78955",
     ),
     "illposed": (
         ["illposed", "--replicates", "8", "--m-steps", "16"],
-        "c1134a47276841db99e6616aa7ba7d46a82cced3e8f4288d38a443c44175e77d",
+        "856e35ffc570f47bed2a3ad8d0e5a4a99c8da353bcca097efd9a64d9394280e6",
         "11df912a201a8ac1fd78ae2d9efe7f159101e7f71af93f3d4da8d74af6ff3274",
     ),
     "mise-check": (
         ["mise-check", "--replicates", "200"],
-        "9daaa636d9aab01365472cb72c7e90c3d91f1b17eee54b0744e10b0adf8fc6b2",
+        "bdb2a959854936078b764939fbf663acc6dcda126a3f23f0ac7df0a0ea5f77d8",
         "3c0b47795ccf92fe0d0a0598807ddb1b2707ec810ef8b782163071cf3ead27b7",
     ),
 }
