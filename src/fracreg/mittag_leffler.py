@@ -34,6 +34,14 @@ every call the solver makes (``gamma`` is 1, 2, ``beta``, ``beta + 1`` or
 asymptotic correction just past the switchover is no longer small; the
 error then grows to about its size, which ``est_abs_err`` reports.
 
+``log Gamma`` (the series terms) and ``1 / Gamma`` (the asymptotic
+corrections) are ports of the Cephes routines ``lgam`` and ``rgamma``
+(Moshier, *Methods and Programs for Mathematical Functions*, 1989) in
+:mod:`fracreg._special`.  Their logarithms come from libm through
+``math.log``, never numpy's ``np.log``, which rounds a few inputs in a
+million differently; so ``gammaln`` returns the bits of
+``scipy.special.gammaln``.
+
 Only real ``z >= 0`` is supported; the solver never needs anything else.
 A value beyond floating-point range raises :class:`DomainError`.
 """
@@ -45,8 +53,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, rgamma
 
+from ._special import gammaln, rgamma
 from .errors import DomainError, NonConvergence
 
 # Series/asymptotic switchover in x = z**(1/beta).  The series still
@@ -177,7 +185,7 @@ def _series(
     if n == 0:
         return total, np.zeros(n)
     pos = z > 0.0
-    if not np.any(pos):
+    if not pos.any():
         return total, np.zeros(n)
     lnz = np.where(pos, np.log(np.where(pos, z, 1.0)), -np.inf)
     if tol is None:
@@ -190,30 +198,34 @@ def _series(
 
     def term(k: int) -> np.ndarray:
         arg = k * lnz - lg[k]
-        if np.any(arg > 709.0):  # exp overflows: z is beyond the series' reach
+        if (arg > 709.0).any():  # exp overflows: z is beyond the series' reach
             raise NonConvergence(
                 f"series term {k} of E({beta},{gamma}) overflows at z={float(z.max())!r}"
             )
         return np.where(pos, np.exp(arg), 0.0)
 
+    off = ~pos
     t_k = term(1)
-    for k in range(1, SERIES_TERM_CAP):
-        y = t_k - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
+    # r_next reaching 1 makes the tail bound a division by zero; np.where
+    # discards it for an infinite bound
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(1, SERIES_TERM_CAP):
+            y = t_k - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
 
-        if k + 2 >= lg.size:
-            more = np.arange(lg.size, min(2 * lg.size, SERIES_TERM_CAP + 2))
-            lg = np.concatenate((lg, gammaln(beta * more + gamma)))
-        # All terms keep being added until the slowest lane (largest z)
-        # meets its bound, so the final tail bound is valid lane-by-lane.
-        r_next = z * math.exp(lg[k + 1] - lg[k + 2])
-        t_k = term(k + 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tail = np.where(r_next < 1.0, t_k / (1.0 - r_next), np.inf)
-        if np.all(~pos | ((r_next < 1.0) & (tail <= tol))):
-            return total, np.where(pos, tail, 0.0)
+            if k + 2 >= lg.size:
+                more = np.arange(lg.size, min(2 * lg.size, SERIES_TERM_CAP + 2))
+                lg = np.concatenate((lg, gammaln(beta * more + gamma)))
+            # All terms keep being added until the slowest lane (largest z)
+            # meets its bound, so the final tail bound is valid lane-by-lane.
+            r_next = z * math.exp(lg[k + 1] - lg[k + 2])
+            t_k = term(k + 1)
+            below = r_next < 1.0
+            tail = np.where(below, t_k / (1.0 - r_next), np.inf)
+            if (off | (below & (tail <= tol))).all():
+                return total, np.where(pos, tail, 0.0)
     raise NonConvergence(f"series for E({beta},{gamma}) exceeded {SERIES_TERM_CAP} terms")
 
 
@@ -224,8 +236,8 @@ def _asymptotic(beta: float, gamma: float, z: np.ndarray) -> tuple[np.ndarray, n
         main = main + x ** (1.0 - gamma) * math.cos(math.pi * (1.0 - gamma)) * np.exp(-x) / beta
     corr = np.zeros_like(z)
     for k in range(1, ASYMPTOTIC_TERMS + 1):
-        corr += float(rgamma(gamma - beta * k)) * z ** (-float(k))
-    err = abs(float(rgamma(gamma - beta * (ASYMPTOTIC_TERMS + 1)))) * z ** (
+        corr += rgamma(gamma - beta * k) * z ** (-float(k))
+    err = abs(rgamma(gamma - beta * (ASYMPTOTIC_TERMS + 1))) * z ** (
         -float(ASYMPTOTIC_TERMS + 1)
     ) + main * (x + 2.0) * 1e-16
     return main - corr, err

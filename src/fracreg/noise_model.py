@@ -4,7 +4,11 @@ Observed coefficients follow ``obs[p] = <u, phi_p> + eps * xi_p`` with
 ``xi_p`` i.i.d. standard normal.  Randomness comes from counter-based
 Philox streams keyed by ``(seed, stream)`` and sampled through the inverse
 normal CDF, so every replicate is an independent substream that can be
-regenerated in any order, bit for bit.
+regenerated in any order, bit for bit.  That CDF is a port of Cephes
+``ndtri`` (Moshier, *Methods and Programs for Mathematical Functions*,
+1989) in :mod:`fracreg._special`; it takes its logarithms from libm through
+``math.log``, never numpy's ``np.log``, which rounds a few inputs in a
+million differently, and so returns the bits of ``scipy.special.ndtri``.
 
 :func:`monte_carlo` is the one replicate loop.  It derives every
 replicate's seed and hands all R of them to the sampler at once; the
@@ -26,8 +30,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtri
+from numpy.random import Philox, SeedSequence  # loads numpy.random at import, not at the first draw
 
+from ._special import ndtri
 from .errors import DomainError
 from .spectral import EigenSystem, as_coeffs, hq_norm, pad
 
@@ -63,7 +68,7 @@ def standard_normals(seed, stream: int, n: int) -> np.ndarray:
     if n < 0:
         raise DomainError("n must be >= 0")
     seeds = [seed] if np.ndim(seed) == 0 else seed
-    bits = np.random.Philox(0)  # a fixed seed reads no OS entropy
+    bits = Philox(0)  # a fixed seed reads no OS entropy
     state = bits.state  # counter zero, buffer empty
     key = state["state"]["key"]
     key[1] = stream % (1 << 64)
@@ -80,7 +85,7 @@ def replicate_seed(seed: int, r: int) -> int:
     """Derived seed of replicate ``r``; order-insensitive and collision-safe."""
     if r < 0:
         raise DomainError("replicate index must be >= 0")
-    return int(np.random.SeedSequence((seed, r)).generate_state(1, np.uint64)[0])
+    return int(SeedSequence((seed, r)).generate_state(1, np.uint64)[0])
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@
 The other tests check rates, bounds and run-to-run determinism, so a change
 to a report's numbers could pass all of them.  These digests pin the bytes
 of four short CLI runs, in JSON and CSV.  They were recorded with numpy
-2.4.6 and scipy 1.17.1; a deliberate change of the numbers (a new
-Mittag-Leffler or noise kernel, say) updates them and says so in
-CHANGES.md.
+2.4.6 and scipy 1.17.1, when the package still took its special functions
+from scipy, which is now a test oracle only; the package's own ports keep
+these bits.  A deliberate change of the numbers (a new Mittag-Leffler or
+noise kernel, say) updates them and says so in CHANGES.md.
 """
 
 import hashlib

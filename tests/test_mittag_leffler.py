@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln
+from scipy.special import gammaln, rgamma
 
 import fracreg.mittag_leffler as mlmod
 
 from fracreg.errors import DomainError, NonConvergence
 from fracreg.mittag_leffler import (
     _REL_TOL,
+    ASYMPTOTIC_TERMS,
     SERIES_SWITCH_X,
     SERIES_TERM_CAP,
     GrowthConstants,
@@ -234,6 +235,41 @@ def test_chunked_log_gamma_table_is_bit_identical(beta, gamma, monkeypatch):
         assert e.tobytes() == we.tobytes()
 
 
+def _asymptotic_scipy(beta, gamma, z):
+    """The large-argument expansion with scipy's reciprocal Gamma: the
+    reference the package's own rgamma must reproduce bit for bit."""
+    x = z ** (1.0 / beta)
+    main = np.exp(x + (1.0 - gamma) / beta * np.log(z) - math.log(beta))
+    if beta == 2.0:
+        main = main + x ** (1.0 - gamma) * math.cos(math.pi * (1.0 - gamma)) * np.exp(-x) / beta
+    corr = np.zeros_like(z)
+    for k in range(1, ASYMPTOTIC_TERMS + 1):
+        corr += float(rgamma(gamma - beta * k)) * z ** (-float(k))
+    err = abs(float(rgamma(gamma - beta * (ASYMPTOTIC_TERMS + 1)))) * z ** (
+        -float(ASYMPTOTIC_TERMS + 1)
+    ) + main * (x + 2.0) * 1e-16
+    return main - corr, err
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    beta=st.one_of(st.sampled_from([2.0, 1.0, 0.5]), st.floats(min_value=0.05, max_value=2.0)),
+    offset=st.sampled_from(["1", "2", "beta", "beta+1", "beta+2"]),
+)
+def test_asymptotic_branch_keeps_its_bits_without_scipy(beta, offset):
+    # the package's rgamma differs from scipy's by up to ~1e-15 relative
+    # outside (-2, 2); the corrections it scales are too small for that to
+    # reach a bit of the value or of est_abs_err
+    gamma = {"1": 1.0, "2": 2.0, "beta": beta, "beta+1": beta + 1.0, "beta+2": beta + 2.0}[offset]
+    x = np.linspace(SERIES_SWITCH_X, 600.0, 300)[1:]
+    z = x**beta
+    z = z[z ** (1.0 / beta) > SERIES_SWITCH_X]
+    vals, errs = ml_values(beta, gamma, z)
+    want_vals, want_errs = _asymptotic_scipy(beta, gamma, z)
+    assert vals.tobytes() == want_vals.tobytes()
+    assert errs.tobytes() == want_errs.tobytes()
+
+
 def test_kernel_primitive_closed_forms():
     # lam = 0 collapses to s^beta / Gamma(beta+1)
     assert kernel_primitive(1.5, 0.0, 2.0) == pytest.approx(
@@ -327,8 +363,9 @@ def test_growth_bounds_calibrated_then_validated():
         assert float(r3.max()) <= gc.C3
 
 
-# repr(calibrate_growth_constants(beta, a).C3) with numpy 2.4.6 and scipy
-# 1.17.1; C3 scales the illposed source, so a moved bit moves its reports
+# repr(calibrate_growth_constants(beta, a).C3), recorded with numpy 2.4.6 and
+# scipy 1.17.1, which is now a test oracle only; C3 scales the illposed
+# source, so a moved bit moves its reports
 C3_BITS = {
     (1.1, 0.5): 0.8910166898323928,
     (1.1, 1.0): 0.9067217486910975,
