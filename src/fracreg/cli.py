@@ -16,6 +16,7 @@ experiment invariant fails, 1 on error, a bad command line included.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -60,6 +61,7 @@ def _add_problem(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--m-steps", type=int, dest="M", help="time steps")
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="fracreg",

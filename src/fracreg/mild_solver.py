@@ -19,9 +19,10 @@ factor ``m_p(t)``, so each mode's discrete equation is the lower-triangular
 system ``(I - L_p diag(m_p)) U_p = H_p``.  It is solved exactly once per
 problem shape by forward substitution for unit ``u0`` and ``u1``, one
 length-i dot per row, and every solve combines the two cached responses
-linearly.  Each solve checks the residual of the discrete equation at the
-field it returns and raises :class:`NoConvergence` when it exceeds the
-tolerance.
+linearly.  The equation's right-hand side for unit data is cached too,
+evaluated by Toeplitz convolution, so each solve checks the residual of
+every field it returns in one array expression and raises
+:class:`NoConvergence` when one exceeds the tolerance.
 
 Everything here is pure and deterministic; per-mode work is independent (the
 reduction orders are fixed), so results do not depend on any parallel
@@ -218,25 +219,29 @@ def _volterra_product(C: np.ndarray, W0: np.ndarray, G: np.ndarray) -> np.ndarra
     return V
 
 
-def _max_row_l2(X: np.ndarray) -> float:
-    """Discrete C([0,a]; L2) norm: the max over grid rows of the row L2 norm."""
-    return float(np.max(np.sqrt(np.sum(X**2, axis=1))))
+def _max_row_l2(X: np.ndarray) -> np.ndarray:
+    """Discrete C([0,a]; L2) norm of each (M+1, P) field in ``X``: the max over
+    grid rows of the row L2 norm."""
+    return np.max(np.sqrt(np.sum(X**2, axis=-1)), axis=-1)
 
 
 @lru_cache(maxsize=32)
 def _problem_tables(beta: float, a: float, lams: tuple, M: int, source: NonlinearitySpec):
     """Every table of one solve problem, built once per problem shape.
 
-    Returns ``(E1, E2t, C, W0, m, F1, F2)``: the kernel tables of
-    :func:`_kernel_tables`, the (M+1, P) multiplier ``m`` of ``source``, and
-    the exact responses of the discrete mild equation to unit initial data.
-    For ``G_p(t, u) = m_p(t) u_p`` the discrete equation of mode p is the
-    lower-triangular system ``(I - L_p diag(m_p)) U_p = H_p`` with
-    ``H_p = E1[:, p] u0_p + E2t[:, p] u1_p``.  Forward substitution, row by
-    row and vectorised over modes and both right-hand sides, gives ``F1``
-    and ``F2``, each (M+1, P), such that ``U = F1 * u0 + F2 * u1`` solves
-    the system for any data.  Cached so Monte-Carlo replicates over the same
-    problem pay for the Mittag-Leffler sweep and the substitution once.
+    Returns ``(F1, F2, A1, A2)``, each (M+1, P).  For ``G_p(t, u) = m_p(t)
+    u_p``, with ``m`` the multiplier of ``source``, the discrete equation of
+    mode p is the lower-triangular system ``(I - L_p diag(m_p)) U_p = H_p``
+    with ``H_p = E1[:, p] u0_p + E2t[:, p] u1_p`` and the kernel tables of
+    :func:`_kernel_tables`.  Forward substitution, row by row and vectorised
+    over modes and both right-hand sides, gives the exact responses ``F1``
+    and ``F2`` to unit data, such that ``U = F1 * u0 + F2 * u1`` solves the
+    system for any data.  ``A1 = E1 + L(m F1)`` and ``A2 = E2t + L(m F2)``
+    are the right-hand side ``H + L(m U)`` of the equation for unit data,
+    with ``L`` applied by Toeplitz convolution rather than by the rows of
+    the substitution, so a solve can check its field against the equation.
+    Cached so Monte-Carlo replicates over the same problem pay for the
+    Mittag-Leffler sweep, the substitution and the convolutions once.
     """
     lam = np.asarray(lams, dtype=float)
     E1, E2t, C, W0 = _kernel_tables(beta, a, lam, M)
@@ -255,48 +260,41 @@ def _problem_tables(beta: float, a: float, lams: tuple, M: int, source: Nonlinea
         row[:, M - i] = C[:, i]
         F[:, :, i] = rhs / (1.0 - C[:, 0] * m[i])[:, None]
         mF[:, :, i] = m[i][:, None] * F[:, :, i]
-    return E1, E2t, C, W0, m, F[:, 0].T.copy(), F[:, 1].T.copy()
+    F1, F2 = F[:, 0].T.copy(), F[:, 1].T.copy()
+    return F1, F2, E1 + _volterra_product(C, W0, m * F1), E2t + _volterra_product(C, W0, m * F2)
 
 
 def _picard_solve(
-    spec: ProblemSpec,
-    lam: np.ndarray,
-    u0: np.ndarray,
-    u1: np.ndarray,
-    M: int,
+    spec: ProblemSpec, lam: np.ndarray, u0: np.ndarray, u1: np.ndarray, M: int
 ) -> FourierField:
     """Exact solution of the discrete mild equation: the one entry of every solve.
 
     Combines the cached exact responses, for (P,) data or for every row of
-    (R, P) data at once, and records each field's residual of the discrete
-    equation as its single ``picard_diffs`` entry.
+    (R, P) data at once, into ``U = F1 u0 + F2 u1``.  The source is linear,
+    so the right-hand side ``H + L(m U)`` of the equation at ``U`` is
+    ``A1 u0 + A2 u1``; each field's residual against it is recorded as the
+    field's single ``picard_diffs`` entry.
     """
-    E1, E2t, C, W0, m, F1, F2 = _problem_tables(
-        spec.beta, spec.a, tuple(lam.tolist()), M, spec.nonlinearity
-    )
-    rows0, rows1 = u0.reshape(-1, lam.size), u1.reshape(-1, lam.size)
-    U = np.empty((rows0.shape[0],) + F1.shape)
-    residuals = np.empty((rows0.shape[0], 1))
-    # One field at a time, so no temporary is larger than one field.
-    for r, (Ur, c0, c1) in enumerate(zip(U, rows0, rows1)):
-        np.multiply(F1, c0, out=Ur)
-        Ur += F2 * c1
-        H = E1 * c0 + E2t * c1
-        residual = _max_row_l2(H + _volterra_product(C, W0, m * Ur) - Ur)
-        # The residual of an exact solve is rounding, which grows with the
-        # field: DEFAULT_TOL is absolute up to a field norm of 1 and relative
-        # beyond.
-        bound = DEFAULT_TOL * max(1.0, _max_row_l2(Ur))
-        if not residual <= bound:
-            raise NoConvergence(
-                f"exact {spec.nonlinearity.kind} solve of field {r} left a residual "
-                f"{residual:.3e} above {bound:.3e}",
-                residual,
-            )
-        residuals[r] = residual
-    if u0.ndim == 1:
-        U, residuals = U[0], residuals[0]
-    return FourierField(np.linspace(0.0, spec.a, M + 1), U, picard_diffs=residuals)
+    F1, F2, A1, A2 = _problem_tables(spec.beta, spec.a, tuple(lam.tolist()), M, spec.nonlinearity)
+    c0, c1 = u0[..., None, :], u1[..., None, :]
+    U = F1 * c0
+    U += F2 * c1
+    residual = A1 * c0
+    residual += A2 * c1
+    residual -= U
+    residual = _max_row_l2(residual)
+    # The residual of an exact solve is rounding, which grows with the field:
+    # DEFAULT_TOL is absolute up to a field norm of 1 and relative beyond.
+    bound = DEFAULT_TOL * np.maximum(1.0, _max_row_l2(U))
+    failed = np.flatnonzero(~(residual <= bound))
+    if failed.size:
+        r = failed[0]
+        raise NoConvergence(
+            f"exact {spec.nonlinearity.kind} solve of field {r} left a residual "
+            f"{residual.flat[r]:.3e} above {bound.flat[r]:.3e}",
+            float(residual.flat[r]),
+        )
+    return FourierField(np.linspace(0.0, spec.a, M + 1), U, picard_diffs=residual[..., None])
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,12 @@ from fracreg.mild_solver import (
     manufacture,
     solve_mild,
 )
-from fracreg.mild_solver import _kernel_tables, _problem_tables, _volterra_product
+from fracreg.mild_solver import (
+    _kernel_tables,
+    _max_row_l2,
+    _problem_tables,
+    _volterra_product,
+)
 from fracreg.mittag_leffler import (
     calibrate_growth_constants,
     kernel_double_primitive,
@@ -299,10 +304,10 @@ def test_cold_gbar_solve_memory_is_linear_in_grid():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
-    # the solve's one miss, then one hit: E1, E2t, C, W0, m, F1, F2
+    # the solve's one miss, then one hit: F1, F2, A1, A2
     tables = _problem_tables(beta, 1.0, tuple(eig.eigenvalues.tolist()), M, spec.nonlinearity)
     assert _problem_tables.cache_info()[:2] == (1, 1)
-    assert sum(x.nbytes for x in tables) == 7 * P * (M + 1) * 8
+    assert sum(x.nbytes for x in tables) == 4 * P * (M + 1) * 8
 
 
 def test_equal_sources_share_one_table():
@@ -480,3 +485,68 @@ def test_one_bad_residual_fails_a_batched_solve(monkeypatch):
         solve_mild(spec, InitialData(u0, np.zeros((3, 6))), P=6, M=32)
     assert 0.0 < info.value.residual
 
+
+@pytest.mark.parametrize("rows", [None, 4])
+@pytest.mark.parametrize(
+    "kind, beta, P, M",
+    [("damped", 1.5, 7, 128), ("damped", 1.5, 4, 16), ("gbar", 1.8, 9, 64), ("gbar", 1.8, 8, 1024)],
+)
+def test_recorded_residual_is_the_direct_residual(kind, beta, P, M, rows):
+    # the solve evaluates L(m U) as L(m F1) u0 + L(m F2) u1 from its cached
+    # tables; it must record the residual H + L(m U) - U that convolving the
+    # field itself gives
+    nl = NonlinearitySpec.damped(0.02) if kind == "damped" else NonlinearitySpec.gbar(
+        calibrate_growth_constants(beta, 1.0).C3
+    )
+    spec = ProblemSpec(beta, 1.0, EigenSystem.dirichlet_laplace_1d(P), nl)
+    shape = (P,) if rows is None else (rows, P)
+    rng = np.random.default_rng(M + P)
+    data = InitialData(rng.normal(size=shape), rng.normal(size=shape))
+    field = solve_mild(spec, data, P=P, M=M)
+    assert field.picard_diffs.shape == shape[:-1] + (1,)
+    E1, E2t, C, W0 = _kernel_tables(beta, 1.0, spec.eig.eigenvalues, M)
+    m = nl.multiplier(beta, 1.0, spec.eig.eigenvalues, np.linspace(0.0, 1.0, M + 1))
+    U = field.coeffs.reshape(-1, M + 1, P)
+    c0, c1 = data.u0.reshape(-1, P), data.u1.reshape(-1, P)
+    for r, got in enumerate(field.picard_diffs.reshape(-1)):
+        want = _max_row_l2(E1 * c0[r] + E2t * c1[r] + _volterra_product(C, W0, m * U[r]) - U[r])
+        assert abs(got - want) <= 1e-14 * max(1.0, _max_row_l2(U[r]))
+
+
+@pytest.mark.parametrize("table", [0, 2], ids=["F1", "A1"])
+def test_perturbed_table_fails_the_next_solve(table):
+    # one entry of a cached response F1, or of the cached right-hand side
+    # A1, off by 1e-6 relative at the field's largest entry: every field whose
+    # u0 reaches that mode must fail the check, and the error names the first
+    spec = ProblemSpec(1.5, 1.0, EigenSystem.dirichlet_laplace_1d(6), NonlinearitySpec.damped(0.5))
+    u0 = np.random.default_rng(5).normal(size=(3, 6))
+    u0[0, 5] = 0.0
+    data = InitialData(u0, np.zeros((3, 6)))
+    _problem_tables.cache_clear()
+    try:
+        solve_mild(spec, data, P=6, M=32)
+        lams = tuple(spec.eig.eigenvalues.tolist())
+        _problem_tables(1.5, 1.0, lams, 32, spec.nonlinearity)[table][32, 5] *= 1.0 + 1e-6
+        with pytest.raises(NoConvergence, match="field 1") as info:
+            solve_mild(spec, data, P=6, M=32)
+        assert info.value.residual > 1e-10
+    finally:
+        _problem_tables.cache_clear()
+
+
+def test_warm_batched_solve_memory_is_a_few_fields():
+    # the converge shape: 64 fields, M = 128, P = 7.  The check's batch
+    # temporaries must stay a few fields' worth, whatever the batch size
+    eig = EigenSystem.dirichlet_laplace_1d(64)
+    spec = ProblemSpec(1.5, 1.0, eig, NonlinearitySpec.damped(0.02))
+    rng = np.random.default_rng(64)
+    data = InitialData(rng.normal(size=(64, 7)), np.zeros((64, 7)))
+    solve_mild(spec, data, P=7, M=128)
+    tracemalloc.start()
+    try:
+        field = solve_mild(spec, data, P=7, M=128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert field.coeffs.shape == (64, 129, 7)
+    assert peak <= 3.5 * field.coeffs.nbytes
