@@ -10,7 +10,7 @@ Import the pieces you need from the submodules, or the common entry points
 from here.
 """
 
-from .errors import DomainError, NoConvergence, NonConvergence
+from .errors import DomainError, NoConvergence
 from .experiments import (
     ErrorReport,
     ExperimentConfig,
@@ -42,7 +42,6 @@ from .spectral import EigenSystem, hq_norm
 __all__ = [
     "DomainError",
     "NoConvergence",
-    "NonConvergence",
     "ErrorReport",
     "ExperimentConfig",
     "convergence_table",

@@ -9,8 +9,9 @@ Mittag-Leffler evaluator:
     fracreg mise-check --replicates R --seed S --out PATH
 
 Every experiment flag can also come from a JSON file via ``--config``
-(explicit flags win).  Exit status: 0 on success, 2 when a declared
-experiment invariant fails, 1 on error, a bad command line included.
+(explicit flags win).  The list flags ``--eps-grid`` and ``--t-eval`` take
+non-empty comma-separated floats.  Exit status: 0 on success, 2 when a
+declared experiment invariant fails, 1 on error, a bad command line included.
 """
 
 from __future__ import annotations
@@ -19,12 +20,11 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Mapping
+from dataclasses import fields
 
-from .errors import DomainError, NoConvergence, NonConvergence
+from .errors import DomainError, NoConvergence
 from .experiments import (
-    EXIT_ERROR,
-    EXIT_INVARIANT_FAILED,
-    EXIT_OK,
     ErrorReport,
     ExperimentConfig,
     convergence_table,
@@ -33,10 +33,19 @@ from .experiments import (
     mise_check,
 )
 from .mittag_leffler import ml
+from .regularizer import RateParams
+
+#: Exit-status contract: 0 ok, 2 invariant violated, 1 error.
+EXIT_OK = 0
+EXIT_ERROR = 1
+EXIT_INVARIANT_FAILED = 2
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(",") if x.strip())
+def _float_list(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(x) for x in text.split(","))  # an empty item is no float
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,15 +56,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON file with configuration defaults")
+    parser.add_argument("--config", default=None, help="JSON file with configuration defaults")
     parser.add_argument("--replicates", type=int)
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--out", required=False, help="output path")
+    parser.add_argument("--out", default=None, help="output path")
     parser.add_argument("--format", choices=("csv", "json"), default=None)
 
 
 def _add_problem(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--eps-grid", help="comma-separated decreasing noise levels")
+    parser.add_argument("--eps-grid", type=_float_list,
+                        help="comma-separated decreasing noise levels")
     parser.add_argument("--beta", type=float)
     parser.add_argument("--a", type=float)
     parser.add_argument("--m-steps", type=int, dest="M", help="time steps")
@@ -78,18 +88,22 @@ def build_parser() -> argparse.ArgumentParser:
                       help="sum the power series to this absolute tolerance, "
                       "whatever z (default: branch by z, relative accuracy ~1e-13)")
 
-    ill = sub.add_parser("illposed", help="instability demonstration")
+    # the experiment flags default to absent, so the namespace holds only
+    # the flags given and _experiment_config merges them as they are
+    experiment = functools.partial(sub.add_parser, argument_default=argparse.SUPPRESS)
+    ill = experiment("illposed", help="instability demonstration")
     _add_common(ill)
     _add_problem(ill)
     ill.add_argument("--p-cap", type=int, dest="p_cap")
 
-    conv = sub.add_parser("converge", help="convergence-rate table")
+    conv = experiment("converge", help="convergence-rate table")
     _add_common(conv)
     _add_problem(conv)
     conv.add_argument("--norm", choices=("l2", "hq"))
     conv.add_argument("--q", type=float)
     conv.add_argument("--r", type=float)
-    conv.add_argument("--t-eval", dest="t_eval", help="comma-separated times")
+    conv.add_argument("--t-eval", dest="t_eval", type=_float_list,
+                      help="comma-separated times")
     conv.add_argument("--b", type=float, help="rate parameter b")
     conv.add_argument("--m", type=float, help="rate parameter m")
     conv.add_argument("--k", type=float, help="rate parameter k")
@@ -99,11 +113,10 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--eig-kind", dest="eig_kind", choices=("dirichlet", "linear"))
     conv.add_argument("--eig-count", dest="eig_count", type=int)
     conv.add_argument("--lipschitz-k", dest="lipschitz_K", type=float)
-    conv.add_argument("--shared-noise", dest="shared_noise",
-                      action="store_const", const=True, default=None,
+    conv.add_argument("--shared-noise", dest="shared_noise", action="store_true",
                       help="drive value and velocity noise from one stream")
 
-    _add_common(sub.add_parser("mise-check", help="data-MISE identity validation"))
+    _add_common(experiment("mise-check", help="data-MISE identity validation"))
     return parser
 
 
@@ -151,30 +164,13 @@ def _experiment_config(args: argparse.Namespace, kind: str) -> ExperimentConfig:
             loaded = json.load(handle)
         if not isinstance(loaded, dict):
             raise DomainError(f"--config {args.config}: top level must be a JSON object")
-        if not isinstance(loaded.get("rate", {}), (dict, type(None))):
-            raise DomainError(f"--config {args.config}: \"rate\" must be a JSON object")
         merged.update(loaded)
-
-    overrides = {}
-    for name in ("replicates", "seed", "beta", "a", "M", "p_cap", "norm", "q", "r",
-                 "eig_kind", "eig_count", "lipschitz_K", "shared_noise"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if getattr(args, "eps_grid", None):
-        overrides["eps_grid"] = _parse_floats(args.eps_grid)
-    if getattr(args, "t_eval", None):
-        overrides["t_eval"] = _parse_floats(args.t_eval)
-    merged.update(overrides)
-
-    if kind == "converge":
-        rate = dict(merged.get("rate") or {})
-        for name in ("b", "m", "k", "gamma", "d", "mu"):
-            value = getattr(args, name, None)
-            if value is not None:
-                rate[name] = value
-        merged["rate"] = rate
-    return ExperimentConfig.from_dict(merged)
+    flags = {name: value for name, value in vars(args).items()
+             if name not in ("command", "config", "out", "format")}  # the run's own flags
+    rate = {f.name: flags.pop(f.name) for f in fields(RateParams) if f.name in flags}
+    if rate and isinstance(merged["rate"], Mapping):  # any other rate is rejected as given
+        merged["rate"] = {**merged["rate"], **rate}
+    return ExperimentConfig.from_dict({**merged, **flags})
 
 
 def _run_experiment(args: argparse.Namespace, kind: str) -> int:
@@ -203,7 +199,7 @@ def main(argv=None) -> int:
             sys.stdout.write(f"{value.value!r},{value.est_abs_err!r}\n")
             return EXIT_OK
         return _run_experiment(args, args.command)
-    except (DomainError, NonConvergence, NoConvergence, OSError, ValueError) as exc:
+    except (NoConvergence, OSError, ValueError) as exc:  # DomainError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

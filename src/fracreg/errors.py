@@ -7,14 +7,6 @@ class DomainError(ValueError):
     """An argument lies outside the mathematical domain of the operation."""
 
 
-class NonConvergence(RuntimeError):
-    """Power series hit the hard term cap before the tail bound was met.
-
-    Signals that the argument is too large for series mode; the caller
-    should be using the large-argument branch instead.
-    """
-
-
 class NoConvergence(RuntimeError):
     """A mild solve left a residual of its discrete equation above tolerance.
 

@@ -24,8 +24,8 @@ from __future__ import annotations
 import io
 import json
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import asdict, dataclass, field, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -58,15 +58,11 @@ _BOUND_SAFETY = 1.5
 #: Rows per trailing window of the per-row log-log slopes.
 _SLOPE_WINDOW = 3
 
-#: Exit-status contract of the CLI: 0 ok, 2 invariant violated, 1 error.
-EXIT_OK = 0
-EXIT_ERROR = 1
-EXIT_INVARIANT_FAILED = 2
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to reproduce one experiment run bit for bit."""
+    """Everything needed to reproduce one experiment run bit for bit; lists
+    become tuples, and a ``rate`` mapping becomes :class:`RateParams`."""
 
     kind: str
     eps_grid: tuple[float, ...]
@@ -96,6 +92,14 @@ class ExperimentConfig:
     )
 
     def __post_init__(self):
+        rate = RateParams(**self.rate) if isinstance(self.rate, Mapping) else self.rate
+        if not isinstance(rate, (RateParams, type(None))):
+            raise DomainError(f"rate must be a mapping of the rate parameters, got {rate!r}")
+        for name, value in (("eps_grid", tuple(float(e) for e in self.eps_grid)),
+                            ("t_eval", tuple(float(t) for t in self.t_eval)),
+                            ("rate", rate),
+                            ("mise_configs", tuple(tuple(c) for c in self.mise_configs))):
+            object.__setattr__(self, name, value)
         if self.kind not in ("illposed", "converge", "mise-check"):
             raise DomainError(f"unknown experiment kind {self.kind!r}")
         for name in ("replicates", "seed", "M", "p_cap", "eig_count", "truth_modes"):
@@ -112,7 +116,7 @@ class ExperimentConfig:
                     "a mise_configs setting is (decay, modes, N, eps, gamma) with "
                     f"integers modes, N >= 1, got {c!r}"
                 )
-        eps = tuple(float(e) for e in self.eps_grid)
+        eps = self.eps_grid
         if self.kind != "mise-check":
             if len(eps) < 2 or any(b >= a for a, b in zip(eps, eps[1:])):
                 raise DomainError("eps_grid must be strictly decreasing")
@@ -136,22 +140,10 @@ class ExperimentConfig:
                 raise DomainError(f"{name} must be finite, got {value!r}")
         if self.norm == "hq" and (self.q < 0 or not self.r > 0):
             raise DomainError("hq norm needs q >= 0 and r > 0")
-        object.__setattr__(self, "eps_grid", eps)
-        object.__setattr__(self, "t_eval", tuple(float(t) for t in self.t_eval))
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
         try:
-            rate = d.get("rate")
-            if rate is not None:
-                d["rate"] = RateParams(**rate)
-            if "eps_grid" in d:
-                d["eps_grid"] = tuple(d["eps_grid"])
-            if "t_eval" in d:
-                d["t_eval"] = tuple(d["t_eval"])
-            if "mise_configs" in d:
-                d["mise_configs"] = tuple(tuple(c) for c in d["mise_configs"])
             return cls(**d)
         except TypeError as exc:  # unknown keys or wrong shapes in a config file
             raise DomainError(f"bad experiment configuration: {exc}") from None

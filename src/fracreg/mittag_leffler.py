@@ -43,7 +43,8 @@ million differently; so ``gammaln`` returns the bits of
 ``scipy.special.gammaln``.
 
 Only real ``z >= 0`` is supported; the solver never needs anything else.
-A value beyond floating-point range raises :class:`DomainError`.
+A value beyond floating-point range raises :class:`DomainError`, and so
+does an argument beyond the reach of the forced series.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._special import gammaln, rgamma
-from .errors import DomainError, NonConvergence
+from .errors import DomainError
 
 # Series/asymptotic switchover in x = z**(1/beta).  The series still
 # converges beyond this point but needs ever more terms, while the
@@ -102,7 +103,10 @@ class MLValue:
 
 
 def _series_term0(gamma: float) -> float:
-    return math.exp(-math.lgamma(gamma))
+    try:
+        return math.exp(-math.lgamma(gamma))
+    except OverflowError:
+        raise DomainError(f"log Gamma({gamma}) exceeds floating-point range") from None
 
 
 def ml(beta: float, gamma: float, z: float, tol: float | None = None) -> MLValue:
@@ -127,8 +131,8 @@ def ml_values(
     that absolute tail bound instead.  The series lanes are driven together:
     the largest argument converges last, so its tail bound terminates the
     shared term loop.  Raises :class:`DomainError` when a value is not
-    representable, and :class:`NonConvergence` when forced series terms
-    overflow or the term cap is reached.
+    representable, and when an argument is beyond the forced series' reach:
+    its terms overflow or the term cap is reached.
     """
     z = np.asarray(z, dtype=float)
     _check_params(beta, gamma)
@@ -179,15 +183,10 @@ def _series(
     ``t_{k+1} / (1 - r_{k+1})`` on every lane's remaining tail is at most
     ``tol`` (absolute), or the relative target when ``tol`` is None.
     """
-    n = z.size
-    total = np.full(n, _series_term0(gamma))
-    comp = np.zeros(n)
-    if n == 0:
-        return total, np.zeros(n)
-    pos = z > 0.0
-    if not pos.any():
-        return total, np.zeros(n)
-    lnz = np.where(pos, np.log(np.where(pos, z, 1.0)), -np.inf)
+    total = np.full(z.size, _series_term0(gamma))
+    comp = np.zeros(z.size)
+    with np.errstate(divide="ignore"):  # z = 0 gives -inf, so its every term is 0.0
+        lnz = np.log(z)
     if tol is None:
         tol = _REL_TOL * _magnitude(beta, gamma, z)
 
@@ -199,12 +198,11 @@ def _series(
     def term(k: int) -> np.ndarray:
         arg = k * lnz - lg[k]
         if (arg > 709.0).any():  # exp overflows: z is beyond the series' reach
-            raise NonConvergence(
+            raise DomainError(
                 f"series term {k} of E({beta},{gamma}) overflows at z={float(z.max())!r}"
             )
-        return np.where(pos, np.exp(arg), 0.0)
+        return np.exp(arg)
 
-    off = ~pos
     t_k = term(1)
     # r_next reaching 1 makes the tail bound a division by zero; np.where
     # discards it for an infinite bound
@@ -224,9 +222,9 @@ def _series(
             t_k = term(k + 1)
             below = r_next < 1.0
             tail = np.where(below, t_k / (1.0 - r_next), np.inf)
-            if (off | (below & (tail <= tol))).all():
-                return total, np.where(pos, tail, 0.0)
-    raise NonConvergence(f"series for E({beta},{gamma}) exceeded {SERIES_TERM_CAP} terms")
+            if (below & (tail <= tol)).all():
+                return total, tail
+    raise DomainError(f"series for E({beta},{gamma}) exceeded {SERIES_TERM_CAP} terms")
 
 
 def _asymptotic(beta: float, gamma: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

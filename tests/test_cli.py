@@ -86,6 +86,13 @@ def _run_module(tmp_path, *argv):
     ["mise-check", "--bogus"],
     [],
     ["mise-check", "--beta", "1.5"],  # mise-check reads no problem flags
+    # a list flag is non-empty comma-separated floats, an empty item is no float
+    ["converge", "--eps-grid", "", "--replicates", "8", "--out", "x.json"],
+    ["converge", "--t-eval", "", "--replicates", "8", "--out", "x.json"],
+    ["converge", "--t-eval", ",", "--replicates", "8", "--out", "x.json"],
+    ["converge", "--eps-grid", "1e-4,,1e-5", "--replicates", "8", "--out", "x.json"],
+    # log Gamma(gamma) itself overflows
+    ["ml-eval", "--beta", "1.5", "--gamma", "1e308", "--z", "2"],
 ])
 def test_overflow_is_one_line_error(tmp_path, argv):
     run = _run_module(tmp_path, *argv)
@@ -115,14 +122,21 @@ def test_help_exits_0(tmp_path, argv):
     ("converge", {"truth_decay": math.nan}),
     ("converge", {"truth_u1_scale": math.inf}),
     ("converge", {"pilot_safety": 1.5}),  # an unknown key
+    ("converge", {"rate": 5}),
 ])
-def test_config_type_fault_is_one_line_error(tmp_path, kind, content):
+def test_config_type_fault_is_one_line_error(tmp_path, kind, content, flags=()):
     (tmp_path / "c.json").write_text(json.dumps(content))
-    run = _run_module(tmp_path, kind, "--config", "c.json", "--replicates", "8", "--out", "x.json")
+    run = _run_module(tmp_path, kind, "--config", "c.json", "--replicates", "8", "--out", "x.json",
+                      *flags)
     assert run.returncode == 1
     assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith("error:"), run.stderr
     assert next(iter(content)) in run.stderr  # the message names the field
     assert not (tmp_path / "x.json").exists()
+
+
+def test_rate_flag_over_a_bad_config_rate_is_one_line_error(tmp_path):
+    # a rate flag is merged into the config's rate only where that is a mapping
+    test_config_type_fault_is_one_line_error(tmp_path, "converge", {"rate": 5}, ["--b", "1"])
 
 
 @pytest.mark.parametrize("kind, pinned", [("converge", CONVERGE_CFG),

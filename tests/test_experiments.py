@@ -193,6 +193,20 @@ def test_config_json_round_trip():
     assert again == cfg
 
 
+def test_config_takes_rate_as_a_mapping():
+    cfg = small_converge_cfg(rate=asdict(RATE), eps_grid=[1e-4, 3e-5], t_eval=[0.25])
+    assert cfg == small_converge_cfg(eps_grid=(1e-4, 3e-5))
+    assert isinstance(cfg.rate, RateParams)
+    assert convergence_table(cfg).to_csv() == convergence_table(small_converge_cfg(
+        eps_grid=(1e-4, 3e-5))).to_csv()
+
+
+@pytest.mark.parametrize("rate", [5, "b=1", [1.0, 6.0, 1.0, 3.5, 1, 2.0]])
+def test_config_rejects_a_rate_that_is_no_mapping(rate):
+    with pytest.raises(DomainError, match="rate"):
+        small_converge_cfg(rate=rate)
+
+
 def test_report_csv_schema_and_order():
     rows = [
         ReportRow(eps=0.1, t=0.5, mise=1.0, std_err=0.1, theory_bound=2.0, loglog_slope=None),

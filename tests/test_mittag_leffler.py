@@ -11,7 +11,7 @@ from scipy.special import gammaln, rgamma
 
 import fracreg.mittag_leffler as mlmod
 
-from fracreg.errors import DomainError, NonConvergence
+from fracreg.errors import DomainError
 from fracreg.mittag_leffler import (
     _REL_TOL,
     ASYMPTOTIC_TERMS,
@@ -71,11 +71,12 @@ def test_series_error_bound_is_honest():
 
 def test_series_rejects_arguments_beyond_its_reach():
     # x = z**(1/beta) ~ 4000: the terms overflow long before the tail
-    # bound could be met, which must surface as NonConvergence at once,
-    # without a numpy overflow warning.
+    # bound could be met, so the argument is outside the forced series'
+    # domain; that must surface as DomainError at once, without a numpy
+    # overflow warning.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonConvergence):
+        with pytest.raises(DomainError, match="overflows"):
             ml(0.5, 1.0, 63.3**2, tol=1e-8)
 
 
