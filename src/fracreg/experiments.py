@@ -116,6 +116,9 @@ class ExperimentConfig:
                     "a mise_configs setting is (decay, modes, N, eps, gamma) with "
                     f"integers modes, N >= 1, got {c!r}"
                 )
+        for i, t in enumerate(self.t_eval):
+            if t in self.t_eval[:i]:
+                raise DomainError(f"evaluation time t={t} is repeated in t_eval")
         eps = self.eps_grid
         if self.kind != "mise-check":
             if len(eps) < 2 or any(b >= a for a, b in zip(eps, eps[1:])):

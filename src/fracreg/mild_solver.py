@@ -17,12 +17,14 @@ generating weights, never as a dense matrix.
 Every source is a mode-diagonal map: mode p is multiplied by a known
 factor ``m_p(t)``, so each mode's discrete equation is the lower-triangular
 system ``(I - L_p diag(m_p)) U_p = H_p``.  It is solved exactly once per
-problem shape by forward substitution for unit ``u0`` and ``u1``, one
-length-i dot per row, and every solve combines the two cached responses
-linearly.  The equation's right-hand side for unit data is cached too,
-evaluated by Toeplitz convolution, so each solve checks the residual of
-every field it returns in one array expression and raises
-:class:`NoConvergence` when one exceeds the tolerance.
+problem shape for unit ``u0`` and ``u1`` by block-wise forward
+substitution: each block of rows takes its history by direct convolution
+and solves its own small triangular system for all modes at once.  Every
+solve combines the two cached responses linearly.  The equation's
+right-hand side for unit data is cached too, evaluated by Toeplitz
+convolution, so each solve checks the residual of every field it returns
+in one array expression and raises :class:`NoConvergence` when one
+exceeds the tolerance.
 
 Everything here is pure and deterministic; per-mode work is independent (the
 reduction orders are fixed), so results do not depend on any parallel
@@ -42,6 +44,9 @@ from .mittag_leffler import kernel_double_primitive, kernel_primitive, ml_values
 from .spectral import EigenSystem, as_coeffs, pad
 
 DEFAULT_TOL = 1e-10
+
+# Rows per step of the block-wise forward substitution in _problem_tables.
+_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -233,35 +238,53 @@ def _problem_tables(beta: float, a: float, lams: tuple, M: int, source: Nonlinea
     u_p``, with ``m`` the multiplier of ``source``, the discrete equation of
     mode p is the lower-triangular system ``(I - L_p diag(m_p)) U_p = H_p``
     with ``H_p = E1[:, p] u0_p + E2t[:, p] u1_p`` and the kernel tables of
-    :func:`_kernel_tables`.  Forward substitution, row by row and vectorised
-    over modes and both right-hand sides, gives the exact responses ``F1``
-    and ``F2`` to unit data, such that ``U = F1 * u0 + F2 * u1`` solves the
-    system for any data.  ``A1 = E1 + L(m F1)`` and ``A2 = E2t + L(m F2)``
-    are the right-hand side ``H + L(m U)`` of the equation for unit data,
-    with ``L`` applied by Toeplitz convolution rather than by the rows of
-    the substitution, so a solve can check its field against the equation.
+    :func:`_kernel_tables`.  Forward substitution in blocks of ``_BLOCK``
+    rows gives the exact responses ``F1`` and ``F2`` to unit data, such that
+    ``U = F1 * u0 + F2 * u1`` solves the system for any data.  A block
+    ``[s, e)`` adds to its right-hand side the history of rows ``1..s-1``,
+    one direct convolution per mode and response, and then solves its
+    in-block triangular system ``I - T diag(m[s:e])``, with ``T[p, i, j] =
+    C[p, i-j]`` shared by every block, for all modes in one batched solve.
+    A step whose diagonal entry is exactly zero has no solution; it leaves
+    the responses NaN from its block on, so every solve fails its check.
+    ``A1 = E1 + L(m F1)`` and ``A2 = E2t + L(m F2)`` are the right-hand
+    side ``H + L(m U)`` of the equation for unit data, with ``L`` applied
+    to all rows by Toeplitz convolution, independently of the substitution,
+    so a solve can check its field against the equation.
     Cached so Monte-Carlo replicates over the same problem pay for the
     Mittag-Leffler sweep, the substitution and the convolutions once.
     """
     lam = np.asarray(lams, dtype=float)
     E1, E2t, C, W0 = _kernel_tables(beta, a, lam, M)
-    m = source.multiplier(beta, a, lam, np.linspace(0.0, a, M + 1))
+    m = source.multiplier(beta, a, lam, np.linspace(0.0, a, M + 1)).T  # (P, M+1)
     H = np.stack([E1.T, E2t.T], axis=1)  # (P, 2, M+1)
     F = np.empty_like(H)
     mF = np.empty_like(H)  # forcing of the responses, m * F
     F[:, :, 0] = H[:, :, 0]
-    mF[:, :, 0] = m[0][:, None] * F[:, :, 0]
-    # Row i of L_p left of its diagonal C[p, 0] is [W0[p, i], C[p, i-1], ..., C[p, 1]]:
-    # row[:, M-i:M] while row[:, M-i] holds W0[:, i], since row[:, M-l] = C[:, l].
-    row = C[:, ::-1].copy()
-    for i in range(1, M + 1):
-        row[:, M - i] = W0[:, i]
-        rhs = H[:, :, i] + (mF[:, :, :i] @ row[:, M - i : M, None])[:, :, 0]
-        row[:, M - i] = C[:, i]
-        F[:, :, i] = rhs / (1.0 - C[:, 0] * m[i])[:, None]
-        mF[:, :, i] = m[i][:, None] * F[:, :, i]
+    mF[:, :, 0] = m[:, None, 0] * F[:, :, 0]
+    # The in-block part of every L_p, shared by all blocks: T[p, i, j] = C[p, i-j], i >= j.
+    lag = np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK))
+    T = np.where(lag >= 0, C[:, np.clip(lag, 0, M)], 0.0)
+    for s in range(1, M + 1, _BLOCK):
+        e = min(s + _BLOCK, M + 1)
+        rhs = H[:, :, s:e] + W0[:, None, s:e] * mF[:, :, :1]
+        if s > 1:  # the history of rows 1..s-1, by direct convolution (see _volterra_product)
+            for p, r in np.ndindex(lam.size, 2):
+                rhs[p, r] += np.convolve(C[p, 1:e], mF[p, r, 1:s], "valid")[: e - s]
+        A = np.eye(e - s) - T[:, : e - s, : e - s] * m[:, None, s:e]
+        try:
+            # A triangular block is singular just where its diagonal holds a
+            # zero, which LAPACK's row pivoting can round into a tiny pivot.
+            if not A.diagonal(0, 1, 2).all():
+                raise np.linalg.LinAlgError("singular step")
+            F[:, :, s:e] = np.linalg.solve(A, rhs.transpose(0, 2, 1)).transpose(0, 2, 1)
+        except np.linalg.LinAlgError:  # an exactly singular step has no solution:
+            F[:, :, s:] = mF[:, :, s:] = np.nan  # the residual check fails every solve
+            break
+        mF[:, :, s:e] = m[:, None, s:e] * F[:, :, s:e]
     F1, F2 = F[:, 0].T.copy(), F[:, 1].T.copy()
-    return F1, F2, E1 + _volterra_product(C, W0, m * F1), E2t + _volterra_product(C, W0, m * F2)
+    A1 = E1 + _volterra_product(C, W0, mF[:, 0].T)
+    return F1, F2, A1, E2t + _volterra_product(C, W0, mF[:, 1].T)
 
 
 def _picard_solve(

@@ -182,11 +182,26 @@ def _series(
     Terms are summed with Kahan compensation until the bound
     ``t_{k+1} / (1 - r_{k+1})`` on every lane's remaining tail is at most
     ``tol`` (absolute), or the relative target when ``tol`` is None.
+
+    The two tests on all lanes read the largest lane alone: a term's
+    exponent ``k*lnz - lg[k]`` overflows somewhere exactly when
+    ``k*max(lnz) - lg[k]`` does, and the ratio ``r = z*c`` is below 1
+    everywhere exactly when ``max(z)*c`` is, because IEEE multiplication
+    by a positive scalar and subtraction of a scalar round monotonically.
+    So the per-lane tail bound is formed only once every lane can meet it.
     """
     total = np.full(z.size, _series_term0(gamma))
+    if gamma + beta == gamma:  # every Gamma argument rounds to gamma: the ratios never fall
+        raise DomainError(
+            f"successive series terms of E({beta},{gamma}) cannot be resolved at gamma={gamma!r}"
+        )
     comp = np.zeros(z.size)
+    y = np.empty(z.size)
+    t = np.empty(z.size)
     with np.errstate(divide="ignore"):  # z = 0 gives -inf, so its every term is 0.0
         lnz = np.log(z)
+    lnz_max = float(lnz.max())
+    z_max = float(z.max())
     if tol is None:
         tol = _REL_TOL * _magnitude(beta, gamma, z)
 
@@ -196,34 +211,32 @@ def _series(
     lg = gammaln(beta * np.arange(64) + gamma)
 
     def term(k: int) -> np.ndarray:
-        arg = k * lnz - lg[k]
-        if (arg > 709.0).any():  # exp overflows: z is beyond the series' reach
-            raise DomainError(
-                f"series term {k} of E({beta},{gamma}) overflows at z={float(z.max())!r}"
-            )
-        return np.exp(arg)
+        if k * lnz_max - lg[k] > 709.0:  # exp overflows: z is beyond the series' reach
+            raise DomainError(f"series term {k} of E({beta},{gamma}) overflows at z={z_max!r}")
+        return np.exp(k * lnz - lg[k])
 
     t_k = term(1)
-    # r_next reaching 1 makes the tail bound a division by zero; np.where
-    # discards it for an infinite bound
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a total that overflows makes inf - inf in the Kahan update; ml_values
+    # reports the nonfinite value
+    with np.errstate(invalid="ignore"):
         for k in range(1, SERIES_TERM_CAP):
-            y = t_k - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
+            np.subtract(t_k, comp, out=y)
+            np.add(total, y, out=t)
+            np.subtract(t, total, out=comp)
+            comp -= y
+            total, t = t, total
 
             if k + 2 >= lg.size:
                 more = np.arange(lg.size, min(2 * lg.size, SERIES_TERM_CAP + 2))
                 lg = np.concatenate((lg, gammaln(beta * more + gamma)))
             # All terms keep being added until the slowest lane (largest z)
             # meets its bound, so the final tail bound is valid lane-by-lane.
-            r_next = z * math.exp(lg[k + 1] - lg[k + 2])
+            c = math.exp(lg[k + 1] - lg[k + 2])
             t_k = term(k + 1)
-            below = r_next < 1.0
-            tail = np.where(below, t_k / (1.0 - r_next), np.inf)
-            if (below & (tail <= tol)).all():
-                return total, tail
+            if z_max * c < 1.0:
+                tail = t_k / (1.0 - z * c)
+                if (tail <= tol).all():
+                    return total, tail
     raise DomainError(f"series for E({beta},{gamma}) exceeded {SERIES_TERM_CAP} terms")
 
 

@@ -93,6 +93,11 @@ def _run_module(tmp_path, *argv):
     ["converge", "--eps-grid", "1e-4,,1e-5", "--replicates", "8", "--out", "x.json"],
     # log Gamma(gamma) itself overflows
     ["ml-eval", "--beta", "1.5", "--gamma", "1e308", "--z", "2"],
+    # gamma + beta rounds to gamma: successive series terms cannot be told apart
+    ["ml-eval", "--beta", "1.5", "--gamma", "1e305", "--z", "2"],
+    ["ml-eval", "--beta", "1.5", "--gamma", "1e17", "--z", "2"],
+    # a repeated evaluation time would report every row twice
+    ["converge", "--t-eval", "0.25,0.25", "--replicates", "8", "--out", "x.json"],
 ])
 def test_overflow_is_one_line_error(tmp_path, argv):
     run = _run_module(tmp_path, *argv)

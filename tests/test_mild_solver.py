@@ -216,6 +216,72 @@ def test_exact_solve_residual_is_checked():
     assert not np.isfinite(info.value.residual)
 
 
+def test_singular_step_in_a_later_block_fails_the_residual_check():
+    # a gbar constant C3 that makes the diagonal entry 1 - C[p, 0] m_p(t_i) of
+    # one mode's triangular system exactly zero at row 40, in the second
+    # block: that block has no solution, and the solve must end in
+    # NoConvergence with a nonfinite residual, not in a LinAlgError
+    beta, P, M, i0, p = 1.5, 4, 64, 40, 1
+    eig = EigenSystem.dirichlet_laplace_1d(P)
+    lam = eig.eigenvalues
+    t = np.linspace(0.0, 1.0, M + 1)
+    C0 = _kernel_tables(beta, 1.0, lam, M)[2][p, 0]
+    C3 = math.exp(lam[p] ** (1.0 / beta) * (t[i0] - 1.0)) * C0 / 2.0
+    for _ in range(64):  # step to the neighbouring doubles until the entry is 0.0
+        nl = NonlinearitySpec.gbar(C3)
+        step = 1.0 - C0 * nl.multiplier(beta, 1.0, lam, t)[i0, p]
+        if step == 0.0:
+            break
+        C3 = float(np.nextafter(C3, math.inf if step < 0.0 else 0.0))
+    assert step == 0.0
+    assert i0 > mild_solver._BLOCK
+    F1 = _problem_tables(beta, 1.0, tuple(lam.tolist()), M, nl)[0]
+    assert np.all(np.isfinite(F1[: mild_solver._BLOCK + 1])) and not np.isfinite(F1[i0, p])
+    spec = ProblemSpec(beta, 1.0, eig, nl)
+    with pytest.raises(NoConvergence) as info, np.errstate(all="ignore"):
+        solve_mild(spec, InitialData(np.ones(P), np.zeros(P)), P=P, M=M)
+    assert not np.isfinite(info.value.residual)
+
+
+def row_substitution_reference(beta, a, lam, M, source):
+    """The exact responses ``(F1, F2)`` by forward substitution one row at a
+    time, one length-i dot per row, vectorised over modes and both
+    right-hand sides: the solver's substitution before it became block-wise."""
+    E1, E2t, C, W0 = _kernel_tables(beta, a, lam, M)
+    m = source.multiplier(beta, a, lam, np.linspace(0.0, a, M + 1))
+    H = np.stack([E1.T, E2t.T], axis=1)  # (P, 2, M+1)
+    F = np.empty_like(H)
+    mF = np.empty_like(H)
+    F[:, :, 0] = H[:, :, 0]
+    mF[:, :, 0] = m[0][:, None] * F[:, :, 0]
+    # Row i of L_p left of its diagonal C[p, 0] is [W0[p, i], C[p, i-1], ..., C[p, 1]]:
+    # row[:, M-i:M] while row[:, M-i] holds W0[:, i], since row[:, M-l] = C[:, l].
+    row = C[:, ::-1].copy()
+    for i in range(1, M + 1):
+        row[:, M - i] = W0[:, i]
+        rhs = H[:, :, i] + (mF[:, :, :i] @ row[:, M - i : M, None])[:, :, 0]
+        row[:, M - i] = C[:, i]
+        F[:, :, i] = rhs / (1.0 - C[:, 0] * m[i])[:, None]
+        mF[:, :, i] = m[i][:, None] * F[:, :, i]
+    return F[:, 0].T, F[:, 1].T
+
+
+@pytest.mark.parametrize("M", [16, 97, 512, 2048])
+@pytest.mark.parametrize("beta", [1.2, 1.5, 1.8])
+@pytest.mark.parametrize("kind", ["damped", "gbar"])
+def test_block_substitution_matches_row_substitution(kind, beta, M):
+    # one block, a partial last block, and many blocks: the block-wise
+    # responses agree with the row-by-row ones to rounding, per mode
+    P = 8
+    lam = EigenSystem.dirichlet_laplace_1d(P).eigenvalues
+    nl = NonlinearitySpec.damped(0.5) if kind == "damped" else NonlinearitySpec.gbar(
+        calibrate_growth_constants(beta, 1.0).C3
+    )
+    got = _problem_tables(beta, 1.0, tuple(lam.tolist()), M, nl)[:2]
+    for table, want in zip(got, row_substitution_reference(beta, 1.0, lam, M, nl)):
+        assert np.all(np.abs(table - want) <= 1e-13 * np.max(np.abs(want), axis=0))
+
+
 def dense_weights_reference(beta, a, lam, M):
     """The dense (P, M+1, M+1) stack of product-integration weights, built
     by the np.where formula the solver used before its Toeplitz form."""
@@ -335,6 +401,19 @@ def test_exact_solve_of_large_field_matches_picard():
     scale = np.max(np.abs(want))
     assert scale > 1e5
     assert np.max(np.abs(exact.coeffs - want)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("beta, P, M", [(1.8, 8, 97), (1.8, 14, 300)])
+def test_block_solve_matches_dense_solve(beta, P, M):
+    # a partial last block, and many blocks at a field of order 1e6: the
+    # reference is each mode's dense triangular system solved on its own
+    C3 = calibrate_growth_constants(beta, 1.0).C3
+    eig = EigenSystem.dirichlet_laplace_1d(P)
+    lam = eig.eigenvalues
+    data = InitialData(0.01 * np.ones(P), np.zeros(P))
+    exact = solve_mild(ProblemSpec(beta, 1.0, eig, NonlinearitySpec.gbar(C3)), data, P=P, M=M)
+    want, _ = dense_solve_reference(beta, 1.0, lam, M, gbar_multiplier(beta, 1.0, C3, lam, M), data)
+    assert np.max(np.abs(exact.coeffs - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @settings(max_examples=25, deadline=None)
