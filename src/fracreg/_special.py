@@ -1,13 +1,11 @@
-"""Inverse normal CDF, log-Gamma and reciprocal Gamma for the package.
+"""Inverse normal CDF and log-Gamma for the package.
 
-Ports of the Cephes routines ``ndtri``, ``lgam`` and ``rgamma`` (S. L.
-Moshier, *Methods and Programs for Mathematical Functions*, 1989), with the
-same coefficient tables and the same order of float64 operations, so
-``ndtri`` and ``gammaln`` return the bits of the Cephes-based
-``scipy.special`` functions.  Their logarithms come from libm
-(``math.log``): numpy's vectorised ``np.log`` rounds a few inputs in a
-million differently.  ``rgamma`` matches ``scipy.special.rgamma`` bitwise
-on (-2, 2) and to about 1e-15 relative beyond.
+Ports of the Cephes routines ``ndtri`` and ``lgam`` (S. L. Moshier,
+*Methods and Programs for Mathematical Functions*, 1989), with the same
+coefficient tables and the same order of float64 operations, so ``ndtri``
+and ``gammaln`` return the bits of the Cephes-based ``scipy.special``
+functions.  Their logarithms come from libm (``math.log``): numpy's
+vectorised ``np.log`` rounds a few inputs in a million differently.
 """
 
 from __future__ import annotations
@@ -45,14 +43,6 @@ _B = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184
       -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5)
 _C = (-3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
       -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6)
-
-# rgamma: Chebyshev series of 1/(x Gamma(x)) - 1 on [0, 1]
-_R = (3.13173458231230000000e-17, -6.70718606477908000000e-16, 2.20039078172259550000e-15,
-      2.47691630348254132600e-13, -6.60074100411295197440e-12, 5.13850186324226978840e-11,
-      1.08965386454418662084e-9, -3.33964630686836942556e-8, 2.68975996440595483619e-7,
-      2.96001177518801696639e-6, -8.04814124978471142852e-5, 4.16609138709688864714e-4,
-      5.06579864028608725080e-3, -6.41925436109158228810e-2, -4.98558728684003594785e-3,
-      1.27546015610523951063e-1)
 
 
 def _polevl(x, coef):
@@ -135,25 +125,3 @@ def gammaln(x) -> np.ndarray:
     out[~small] = np.where(big > 1.0e8, q, q + corr)
     return out.reshape(x.shape)
 
-
-def rgamma(x: float) -> float:
-    """``1 / Gamma(x)`` for ``x > -34``; exactly 0.0 at the poles 0, -1, -2, ..."""
-    if x > 34.84425627277176174:
-        return math.exp(-float(gammaln(x)))
-    z, w = 1.0, x
-    while w > 1.0:
-        w -= 1.0
-        z *= w
-    while w < 0.0:
-        z /= w
-        w += 1.0
-    if w == 0.0:
-        return 0.0
-    if w == 1.0:
-        return 1.0 / z
-    t = 4.0 * w - 2.0
-    b0, b1, b2 = _R[0], 0.0, 0.0
-    for c in _R[1:]:
-        b2, b1 = b1, b0
-        b0 = t * b1 - b2 + c
-    return w * (1.0 + 0.5 * (b0 - b2)) / z

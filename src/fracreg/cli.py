@@ -85,8 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     ml_p.add_argument("--gamma", type=float, required=True)
     ml_p.add_argument("--z", type=float, required=True)
     ml_p.add_argument("--tol", type=float, default=None,
-                      help="sum the power series to this absolute tolerance, "
-                      "whatever z (default: branch by z, relative accuracy ~1e-13)")
+                      help="sum the power series to this absolute tail bound "
+                      "(default: a tail bound of 1e-13 relative to the sum)")
 
     # the experiment flags default to absent, so the namespace holds only
     # the flags given and _experiment_config merges them as they are

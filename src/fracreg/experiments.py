@@ -418,6 +418,12 @@ def convergence_table(cfg: ExperimentConfig) -> ErrorReport:
 
     t_eval = cfg.t_eval or (cfg.a / 2.0,)
     t_idx = {t: _t_index(t, cfg.a, cfg.M) for t in t_eval}
+    by_row: dict[int, float] = {}
+    for t, it in t_idx.items():
+        if by_row.setdefault(it, t) != t:
+            raise DomainError(
+                f"evaluation times t={by_row[it]} and t={t} fall on one row of the M={cfg.M} grid"
+            )
     q_eff = cfg.q if cfg.norm == "hq" else 0.0
 
     gamma2 = 2.0 * rp.gamma

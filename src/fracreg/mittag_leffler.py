@@ -9,42 +9,32 @@ the instability-demo nonlinearity.
 Evaluation strategy
 -------------------
 There is one evaluator, :func:`ml_values`, vectorised over ``z``;
-:func:`ml` is its 0-d call.  All series terms are nonnegative for
-``z >= 0``, so there is no cancellation and double precision suffices
-everywhere.  Each argument takes one of two branches:
+:func:`ml` is its 0-d call.  Every argument takes the power series.  All
+its terms are nonnegative for ``z >= 0``, so there is no cancellation, and
+compensated (Kahan) summation in double precision suffices.  The term
+ratio ``t_{k+1}/t_k = z * Gamma(beta*k+gamma) / Gamma(beta*k+beta+gamma)``
+is strictly decreasing in ``k``, so once it drops below 1 the tail is
+bounded by a geometric series.  Summation stops when that bound is at
+most ``_REL_TOL`` times the running total, which is a lower bound on the
+value, or at most an absolute ``tol`` when one is given.
 
-* ``x = z**(1/beta) <= SERIES_SWITCH_X``: the power series, summed with
-  compensated (Kahan) accumulation.  The term ratio
-  ``t_{k+1}/t_k = z * Gamma(beta*k+gamma) / Gamma(beta*k+beta+gamma)``
-  is strictly decreasing in ``k``, so once it drops below 1 the tail is
-  bounded by a geometric series; summation stops when that bound meets the
-  tolerance (relative ``_REL_TOL`` by default, or an absolute ``tol``,
-  which sends every argument down this branch).
-* ``x > SERIES_SWITCH_X``: the large-argument expansion
-  ``(1/beta) * z^((1-gamma)/beta) * exp(x) - sum_{k=1}^{K} z^(-k)/Gamma(gamma - beta*k)``
-  with ``K = ASYMPTOTIC_TERMS`` corrections.  Correction terms whose Gamma
-  argument sits on a pole vanish (reciprocal Gamma).  For ``beta == 2``
-  exactly, the reflected exponential ``exp(-x)`` branch is added, which makes
-  the ``cosh``/``sinh`` cases exact.  The two branches agree to ~1e-13
-  relative at the switchover (checked by the continuity tests).
+The series needs about ``x / beta`` terms, ``x = z**(1/beta)``.  Rounding
+grows with ``x``: for the parameters the solver uses (``beta`` in (1, 2],
+``gamma`` 1, 2, ``beta``, ``beta + 1`` or ``beta + 2``) the relative error
+against a 40-digit sum stays below 1e-12 up to ``x = 650``.
 
-The ~1e-13 relative accuracy holds for ``gamma <= beta + 2``, which covers
-every call the solver makes (``gamma`` is 1, 2, ``beta``, ``beta + 1`` or
-``beta + 2``).  For larger ``gamma`` with ``beta`` near 1, the first omitted
-asymptotic correction just past the switchover is no longer small; the
-error then grows to about its size, which ``est_abs_err`` reports.
-
-``log Gamma`` (the series terms) and ``1 / Gamma`` (the asymptotic
-corrections) are ports of the Cephes routines ``lgam`` and ``rgamma``
+``log Gamma`` of the series terms is a port of the Cephes routine ``lgam``
 (Moshier, *Methods and Programs for Mathematical Functions*, 1989) in
-:mod:`fracreg._special`.  Their logarithms come from libm through
+:mod:`fracreg._special`.  Its logarithms come from libm through
 ``math.log``, never numpy's ``np.log``, which rounds a few inputs in a
 million differently; so ``gammaln`` returns the bits of
 ``scipy.special.gammaln``.
 
 Only real ``z >= 0`` is supported; the solver never needs anything else.
 A value beyond floating-point range raises :class:`DomainError`, and so
-does an argument beyond the reach of the forced series.
+does an argument beyond the series' reach: its terms overflow, or it needs
+more than ``SERIES_TERM_CAP`` terms (at ``beta < 0.1``, ``x`` beyond about
+450 to 650).
 """
 
 from __future__ import annotations
@@ -55,21 +45,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._special import gammaln, rgamma
+from ._special import gammaln
 from .errors import DomainError
-
-# Series/asymptotic switchover in x = z**(1/beta).  The series still
-# converges beyond this point but needs ever more terms, while the
-# asymptotic remainder is already below 1e-15 relative here.
-SERIES_SWITCH_X = 25.0
 
 # Hard cap on series terms; exceeding it raises instead of truncating.
 SERIES_TERM_CAP = 10_000
 
-# Correction depth of the large-argument expansion.
-ASYMPTOTIC_TERMS = 5
-
-# Internal relative accuracy target for the dispatcher.
+# Relative truncation target when no absolute tol is given.
 _REL_TOL = 1e-13
 
 # Reference grid and headroom of calibrate_growth_constants.
@@ -88,14 +70,12 @@ def _check_params(beta: float, gamma: float) -> None:
 
 @dataclass(frozen=True)
 class MLValue:
-    """Evaluation result with a truncation-error estimate.
+    """Evaluation result with a truncation-error bound.
 
-    ``est_abs_err`` estimates the truncation error of whichever branch
-    produced the value.  On the series branch it is the geometric tail
-    bound, a true bound.  On the asymptotic branch it is the first omitted
-    correction, which just past the switchover can fall slightly short of
-    the true error.  Floating-point rounding adds at most a few ulps on top
-    because all quantities are positive.
+    ``est_abs_err`` is the geometric bound on the omitted series tail, so
+    it bounds truncation only.  Floating-point rounding of the sum comes on
+    top and grows with ``x = z**(1/beta)``: about 6e-13 relative at
+    ``x = 650``.
     """
 
     value: float
@@ -112,9 +92,9 @@ def _series_term0(gamma: float) -> float:
 def ml(beta: float, gamma: float, z: float, tol: float | None = None) -> MLValue:
     """Evaluate ``E(beta, gamma; z)`` at one argument: a 0-d :func:`ml_values`.
 
-    Relative accuracy is ~1e-13 in exact arithmetic terms; the identity
-    test grid (exp, cosh, (e^z-1)/z) holds it to better than 1e-10.  With
-    ``tol`` the power series runs to that absolute tolerance whatever ``z``.
+    The truncation error is at most ``_REL_TOL`` relative, or at most
+    ``tol`` absolute when given; the identity test grid (exp, cosh,
+    (e^z-1)/z) holds the value to better than 1e-10.
     """
     value, err = ml_values(beta, gamma, float(z), tol)
     return MLValue(float(value), float(err))
@@ -125,13 +105,12 @@ def ml_values(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``E(beta, gamma; z)`` over an array of nonnegative arguments.
 
-    Returns ``(values, est_abs_errs)`` with the shape of ``z``.  Each lane
-    takes the branch its ``x = z**(1/beta)`` selects and meets the relative
-    target ``_REL_TOL``; with ``tol`` every lane takes the power series with
-    that absolute tail bound instead.  The series lanes are driven together:
-    the largest argument converges last, so its tail bound terminates the
-    shared term loop.  Raises :class:`DomainError` when a value is not
-    representable, and when an argument is beyond the forced series' reach:
+    Returns ``(values, est_abs_errs)`` with the shape of ``z``.  Every lane
+    takes the power series, summed until its tail bound is at most
+    ``_REL_TOL`` times its running total, or at most ``tol`` when given.
+    The lanes are driven together, so the shared term loop runs until the
+    slowest lane meets its bound.  Raises :class:`DomainError` when a value
+    is not representable, and when an argument is beyond the series' reach:
     its terms overflow or the term cap is reached.
     """
     z = np.asarray(z, dtype=float)
@@ -140,38 +119,16 @@ def ml_values(
         raise DomainError("all z must be finite and >= 0")
     if tol is not None and not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
+    if not z.size:
+        return np.empty(z.shape), np.empty(z.shape)
     flat = z.ravel()
-    vals = np.empty_like(flat)
-    errs = np.empty_like(flat)
-
     with np.errstate(over="ignore"):  # overflow surfaces as the DomainError below
-        if tol is None:
-            ser = flat ** (1.0 / beta) <= SERIES_SWITCH_X
-        else:
-            ser = np.ones(flat.shape, dtype=bool)
-        if np.any(ser):
-            v, e = _series(beta, gamma, flat[ser], tol)
-            vals[ser] = v
-            errs[ser] = e
-        if np.any(~ser):
-            v, e = _asymptotic(beta, gamma, flat[~ser])
-            vals[~ser] = v
-            errs[~ser] = e
+        vals, errs = _series(beta, gamma, flat, tol)
     if not np.all(np.isfinite(vals)):
         raise DomainError(
             f"E({beta},{gamma}; z) exceeds floating-point range at z = {float(flat.max())!r}"
         )
     return vals.reshape(z.shape), errs.reshape(z.shape)
-
-
-def _magnitude(beta: float, gamma: float, z: np.ndarray) -> np.ndarray:
-    """Crude lower-order estimate of E(beta,gamma;z), used to set the
-    absolute series tolerance from the relative target."""
-    first = _series_term0(gamma)
-    pos = z > 0.0
-    zz = np.where(pos, z, 1.0)
-    arg = zz ** (1.0 / beta) + (1.0 - gamma) / beta * np.log(zz) - math.log(beta)
-    return np.where(pos, np.maximum(first, np.exp(np.minimum(arg, 700.0))), first)
 
 
 def _series(
@@ -181,7 +138,9 @@ def _series(
 
     Terms are summed with Kahan compensation until the bound
     ``t_{k+1} / (1 - r_{k+1})`` on every lane's remaining tail is at most
-    ``tol`` (absolute), or the relative target when ``tol`` is None.
+    ``tol`` (absolute), or ``_REL_TOL`` times the lane's running total when
+    ``tol`` is None: all terms are positive, so the running total is a lower
+    bound on the value.
 
     The two tests on all lanes read the largest lane alone: a term's
     exponent ``k*lnz - lg[k]`` overflows somewhere exactly when
@@ -202,8 +161,6 @@ def _series(
         lnz = np.log(z)
     lnz_max = float(lnz.max())
     z_max = float(z.max())
-    if tol is None:
-        tol = _REL_TOL * _magnitude(beta, gamma, z)
 
     # log Gamma(beta*k + gamma), extended in doubling chunks as far as the
     # loop reaches; gammaln is elementwise, so every entry is the same bits
@@ -216,8 +173,9 @@ def _series(
         return np.exp(k * lnz - lg[k])
 
     t_k = term(1)
-    # a total that overflows makes inf - inf in the Kahan update; ml_values
-    # reports the nonfinite value
+    # a total that overflows makes inf - inf in the Kahan update; the NaN
+    # fails no "tail > bound" test, so the loop stops and ml_values reports
+    # the nonfinite value
     with np.errstate(invalid="ignore"):
         for k in range(1, SERIES_TERM_CAP):
             np.subtract(t_k, comp, out=y)
@@ -235,23 +193,9 @@ def _series(
             t_k = term(k + 1)
             if z_max * c < 1.0:
                 tail = t_k / (1.0 - z * c)
-                if (tail <= tol).all():
+                if not (tail > (_REL_TOL * total if tol is None else tol)).any():
                     return total, tail
     raise DomainError(f"series for E({beta},{gamma}) exceeded {SERIES_TERM_CAP} terms")
-
-
-def _asymptotic(beta: float, gamma: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    x = z ** (1.0 / beta)
-    main = np.exp(x + (1.0 - gamma) / beta * np.log(z) - math.log(beta))
-    if beta == 2.0:
-        main = main + x ** (1.0 - gamma) * math.cos(math.pi * (1.0 - gamma)) * np.exp(-x) / beta
-    corr = np.zeros_like(z)
-    for k in range(1, ASYMPTOTIC_TERMS + 1):
-        corr += rgamma(gamma - beta * k) * z ** (-float(k))
-    err = abs(rgamma(gamma - beta * (ASYMPTOTIC_TERMS + 1))) * z ** (
-        -float(ASYMPTOTIC_TERMS + 1)
-    ) + main * (x + 2.0) * 1e-16
-    return main - corr, err
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,11 @@ def _run_module(tmp_path, *argv):
     # gamma + beta rounds to gamma: successive series terms cannot be told apart
     ["ml-eval", "--beta", "1.5", "--gamma", "1e305", "--z", "2"],
     ["ml-eval", "--beta", "1.5", "--gamma", "1e17", "--z", "2"],
+    # gamma + beta rounds to gamma again, at a z whose x = z**(1/beta) overflows:
+    # the error comes before any arithmetic on z, so no numpy warning precedes it
+    ["ml-eval", "--beta", "1e-300", "--gamma", "1e300", "--z", "1.999999"],
+    # x = z**(1/beta) = 500 at beta 0.05 needs more series terms than the cap
+    ["ml-eval", "--beta", "0.05", "--gamma", "1", "--z", repr(500**0.05)],
     # a repeated evaluation time would report every row twice
     ["converge", "--t-eval", "0.25,0.25", "--replicates", "8", "--out", "x.json"],
 ])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fracreg import experiments, noise_model
+from fracreg.cli import main
 from fracreg.errors import DomainError
 from fracreg.experiments import (
     ErrorReport,
@@ -136,6 +137,18 @@ def test_evaluation_time_off_the_grid_names_t():
     for t in (math.nan, math.inf, 1.5, 0.3):
         with pytest.raises(DomainError, match=f"t={t}"):
             convergence_table(small_converge_cfg(t_eval=(t,)))
+
+
+def test_evaluation_times_on_one_grid_row_are_one_line_error(tmp_path, capsys):
+    # 1e-13 apart is inside the grid tolerance of 1e-9 a: both times would
+    # map to one row and the report would hold every row twice
+    code = main(["converge", "--t-eval", "0.25,0.2500000000001", "--replicates", "8",
+                 "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == ("error: evaluation times t=0.25 and t=0.2500000000001"
+                   " fall on one row of the M=128 grid\n")
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_mise_check_experiment():
