@@ -227,7 +227,7 @@ def _volterra_product(C: np.ndarray, W0: np.ndarray, G: np.ndarray) -> np.ndarra
 def _max_row_l2(X: np.ndarray) -> np.ndarray:
     """Discrete C([0,a]; L2) norm of each (M+1, P) field in ``X``: the max over
     grid rows of the row L2 norm."""
-    return np.max(np.sqrt(np.sum(X**2, axis=-1)), axis=-1)
+    return np.sqrt(np.max(np.einsum("...ij,...ij->...i", X, X), axis=-1))
 
 
 @lru_cache(maxsize=32)

@@ -10,13 +10,25 @@ regenerated in any order, bit for bit.  That CDF is a port of Cephes
 ``math.log``, never numpy's ``np.log``, which rounds a few inputs in a
 million differently, and so returns the bits of ``scipy.special.ndtri``.
 
-:func:`monte_carlo` is the one replicate loop.  It derives every
-replicate's seed and hands all R of them to the sampler at once; the
-sampler returns one length-R array per quantity, which the driver reduces
-to a mean and a standard error.  Given a sequence of seeds, :func:`observe`
-draws each replicate's own streams and stacks them into ``(R, N)`` blocks,
-whose row r equals the observation drawn from seed r alone, so the solver
-and the error reduction run once per noise level for all replicates.
+Both generators are ported to numpy array arithmetic, bit for bit, and
+evaluated over every lane at once; ``numpy.random`` is never imported:
+
+* the words are those of Philox4x64-10 (Salmon, Moraes, Dror & Shaw,
+  "Parallel random numbers: as easy as 1, 2, 3", SC'11), as
+  ``numpy.random.Philox(key=(seed, stream)).random_raw()`` draws them;
+* replicate seeds are ``numpy.random.SeedSequence((seed, r))
+  .generate_state(1, np.uint64)``, whose hash is O'Neill's ``seed_seq_fe``
+  mixer with a pool of four 32-bit words (O'Neill, "Developing a seed_seq
+  alternative", pcg-random.org, 2015).
+
+:func:`monte_carlo` is the one replicate loop.  It derives the seeds of all
+R replicates in one hash evaluation and hands them to the sampler as a
+``uint64`` array; the sampler returns one length-R array per quantity,
+which it reduces to a mean and a standard error.  Given a sequence
+of seeds, :func:`observe` draws each replicate's own streams in one Philox
+evaluation and stacks them into ``(R, N)`` blocks, whose row r equals the
+observation drawn from seed r alone, so the solver and the error reduction
+run once per noise level for all replicates.
 
 The default observation model draws independent noise for the initial value
 and the initial velocity; ``shared_noise=True`` reproduces the reading in
@@ -26,11 +38,12 @@ which one white noise drives both.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.random import Philox, SeedSequence  # loads numpy.random at import, not at the first draw
 
 from ._special import ndtri
 from .errors import DomainError
@@ -38,6 +51,124 @@ from .spectral import EigenSystem, as_coeffs, hq_norm, pad
 
 _TWO53 = float(1 << 53)
 _BELOW_ONE = np.nextafter(1.0, 0.0)
+_MASK32 = 0xFFFFFFFF
+
+# Philox4x64 multipliers and Weyl key increments, one row per counter word
+# pair (0, 2), shaped to broadcast over (2, streams, seeds, blocks) lanes.
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], np.uint64).reshape(2, 1, 1, 1)
+_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _MASK32, _PHILOX_M >> 32
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], np.uint64).reshape(2, 1, 1, 1)
+_PHILOX_ROUNDS = 10
+
+# SeedSequence hash constants (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+
+def _nonneg_int(value, name: str) -> int:
+    """``value`` as a Python int, or a DomainError naming it unless it is a
+    non-negative integer."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = -1
+    if n < 0:
+        raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
+    return n
+
+
+def _key_words(values, name: str) -> np.ndarray:
+    """Each non-negative integer in ``values`` mod 2^64, as a uint64 array of its shape.
+
+    An unsigned or non-negative signed integer array is used as it is; any
+    other input is checked value by value.
+    """
+    a = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
+    if a.dtype.kind in "ub" or (a.dtype.kind == "i" and not (a < 0).any()):
+        return a.astype(np.uint64)
+    key = np.frompyfunc(lambda v: _nonneg_int(v, name) % (1 << 64), 1, 1)
+    return np.array(key(a), dtype=np.uint64).reshape(a.shape)
+
+
+def _int_words(n: int) -> list[int]:
+    """The little-endian 32-bit words of ``n >= 0``, as SeedSequence splits an integer."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash_constants(count: int, const: int, mult: int) -> list[tuple[int, int]]:
+    """The xor and multiplier constants of ``count`` successive hash steps,
+    which depend on no entropy."""
+    pairs = []
+    for _ in range(count):
+        pairs.append((const, const := const * mult & _MASK32))
+    return pairs
+
+
+@lru_cache(maxsize=None)
+def _mix_steps(cells: int) -> tuple:
+    """``(src, dst, xor, mult)`` of every mixing step for ``cells - 4`` entropy
+    words past the pool: the pool's cross-mix, then each word into every
+    pool entry, where ``cells[dst]`` absorbs ``hashmix(cells[src])``."""
+    pairs = [(src, dst) for src in range(_POOL_SIZE) for dst in range(_POOL_SIZE) if src != dst]
+    pairs += [(src, dst) for src in range(_POOL_SIZE, cells) for dst in range(_POOL_SIZE)]
+    consts = _hash_constants(_POOL_SIZE + len(pairs), _INIT_A, _MULT_A)[_POOL_SIZE:]
+    return tuple((*pair, *const) for pair, const in zip(pairs, consts))
+
+
+_FILL_CONSTANTS = _hash_constants(_POOL_SIZE, _INIT_A, _MULT_A)
+_GENERATE_CONSTANTS = _hash_constants(2, _INIT_B, _MULT_B)  # two 32-bit words: one uint64
+
+
+def _seed_hash(entropy: list) -> tuple:
+    """Low and high 32-bit words of ``SeedSequence(entropy).generate_state(1, np.uint64)``.
+
+    ``entropy`` is the list of 32-bit entropy words.  Each is a Python int or
+    a uint32 array of lanes, one hash per lane.  The masks keep Python ints
+    to 32 bits, where uint32 arrays wrap by themselves, so that an int never
+    overflows the uint32 lanes it meets.
+    """
+    cells = []  # the pool, then the entropy past it (a seed of 2^96 or more)
+    for i, (xor, mult) in enumerate(_FILL_CONSTANTS):
+        value = ((entropy[i] if i < len(entropy) else 0) ^ xor) * mult & _MASK32
+        cells.append(value ^ value >> 16)
+    cells += entropy[_POOL_SIZE:]
+    for src, dst, xor, mult in _mix_steps(len(cells)):
+        value = (cells[src] ^ xor) * mult & _MASK32
+        value ^= value >> 16
+        value = ((_MIX_MULT_L * cells[dst] & _MASK32) - (_MIX_MULT_R * value & _MASK32)) & _MASK32
+        cells[dst] = value ^ value >> 16
+    out = []
+    for value, (xor, mult) in zip(cells, _GENERATE_CONSTANTS):
+        value = (value ^ xor) * mult & _MASK32
+        out.append(value ^ value >> 16)
+    return out[0], out[1]
+
+
+def _philox_words(k0: np.ndarray, k1: np.ndarray, blocks: int) -> np.ndarray:
+    """Raw Philox4x64-10 words, ``(S, R, 4 blocks)``, of every key ``(k0[r], k1[s])``.
+
+    Lane ``(s, r, b)`` runs counter block ``b + 1``: numpy increments the
+    counter before its first block.  Counter words 0 and 2 are stacked in
+    ``X``, so each round's two 64x64 -> 128-bit multiplies, done in 32-bit
+    halves, are one array expression; ``Y`` holds words 1 and 3.
+    """
+    K = np.stack(np.broadcast_arrays(k0[None, :, None], k1[:, None, None]))
+    X = np.zeros((2, k1.size, k0.size, blocks), np.uint64)
+    X[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    Y = np.zeros_like(X)
+    for _ in range(_PHILOX_ROUNDS):
+        x_lo, x_hi = X & _MASK32, X >> 32
+        lo_hi, hi_lo = x_lo * _PHILOX_M_HI, x_hi * _PHILOX_M_LO
+        mid = (x_lo * _PHILOX_M_LO >> 32) + (lo_hi & _MASK32) + (hi_lo & _MASK32)
+        hi = x_hi * _PHILOX_M_HI + (lo_hi >> 32) + (hi_lo >> 32) + (mid >> 32)
+        X, Y = hi[::-1] ^ Y ^ K, X[::-1] * _PHILOX_M[::-1]
+        K = K + _PHILOX_W
+    return np.stack((X[0], Y[0], X[1], Y[1]), axis=-1).reshape(k1.size, k0.size, 4 * blocks)
 
 
 def _normals_from_words(k: np.ndarray) -> np.ndarray:
@@ -50,42 +181,36 @@ def _normals_from_words(k: np.ndarray) -> np.ndarray:
     return ndtri(np.minimum((k.astype(np.float64) + 0.5) / _TWO53, _BELOW_ONE))
 
 
-def standard_normals(seed, stream: int, n: int) -> np.ndarray:
-    """n standard normals from substream ``(seed, stream)`` via inverse CDF.
+def standard_normals(seed, stream, n: int) -> np.ndarray:
+    """n standard normals from each substream ``(seed, stream)`` via inverse CDF.
 
-    ``seed`` is one seed, giving an (n,) array, or a sequence of R seeds,
-    giving an (R, n) block whose row r is the draw of ``seed[r]`` alone.
-    Each normal is the top 53 bits of one raw Philox word (raw words, unlike
-    ``Generator`` methods, keep their stream across numpy releases) through
-    :func:`_normals_from_words`, whose uniforms lie strictly inside (0, 1),
-    so ndtri stays finite; the draw count per sample is fixed (unlike
-    rejection samplers), which is what keeps substreams aligned.
-
-    The streams share one Philox generator whose key, counter and buffer
-    are reset for each, which draws what a fresh ``Philox(key=...)`` draws
-    without reading OS entropy to seed it first.
+    ``seed`` and ``stream`` are each one non-negative integer or an array
+    (or sequence) of them, taken mod 2^64 as the two Philox key words.  The
+    result has shape ``shape(stream) + shape(seed) + (n,)``: one seed and
+    one stream give an (n,) array, and R seeds an (R, n) block whose row r
+    is the draw of ``seed[r]`` alone.  Every (stream, seed) pair is drawn in
+    one Philox evaluation.  Each normal is the top 53 bits of one raw Philox
+    word (raw words, unlike ``Generator`` methods, keep their stream across
+    numpy releases) through :func:`_normals_from_words`, whose uniforms lie
+    strictly inside (0, 1), so ndtri stays finite; the draw count per sample
+    is fixed (unlike rejection samplers), which is what keeps substreams
+    aligned.
     """
     if n < 0:
         raise DomainError("n must be >= 0")
-    seeds = [seed] if np.ndim(seed) == 0 else seed
-    bits = Philox(0)  # a fixed seed reads no OS entropy
-    state = bits.state  # counter zero, buffer empty
-    key = state["state"]["key"]
-    key[1] = stream % (1 << 64)
-    k = np.empty((len(seeds), n), dtype=np.uint64)
-    for i, s in enumerate(seeds):
-        key[0] = int(s) % (1 << 64)
-        bits.state = state
-        k[i] = bits.random_raw(n) >> 11
-    z = _normals_from_words(k)
-    return z if np.ndim(seed) else z[0]
+    k0, k1 = _key_words(seed, "seed"), _key_words(stream, "stream")
+    words = _philox_words(k0.ravel(), k1.ravel(), -(-n // 4))[..., :n]
+    return _normals_from_words(words >> 11).reshape(k1.shape + k0.shape + (n,))
 
 
 def replicate_seed(seed: int, r: int) -> int:
-    """Derived seed of replicate ``r``; order-insensitive and collision-safe."""
-    if r < 0:
-        raise DomainError("replicate index must be >= 0")
-    return int(SeedSequence((seed, r)).generate_state(1, np.uint64)[0])
+    """Derived seed of replicate ``r``: ``SeedSequence((seed, r))``'s first 64-bit word.
+
+    Order-insensitive and collision-safe.
+    """
+    entropy = _int_words(_nonneg_int(seed, "seed")) + _int_words(_nonneg_int(r, "replicate index"))
+    lo, hi = _seed_hash(entropy)
+    return lo | hi << 32
 
 
 @dataclass(frozen=True)
@@ -127,26 +252,30 @@ def observe(
         raise DomainError("N must be >= 1")
     c0 = pad(as_coeffs(u0), N)
     c1 = pad(as_coeffs(u1), N)
-    xi0 = standard_normals(seed, 0, N)
-    xi1 = xi0 if shared_noise else standard_normals(seed, 1, N)
-    return NoisyObservation(N, c0 + eps * xi0, c1 + eps * xi1, shared_noise)
+    xi = standard_normals(seed, (0,) if shared_noise else (0, 1), N)
+    return NoisyObservation(N, c0 + eps * xi[0], c1 + eps * xi[-1], shared_noise)
 
 
 def monte_carlo(
-    sample: Callable[[list[int]], Sequence[np.ndarray]], replicates: int, seed: int
+    sample: Callable[[np.ndarray], Sequence[np.ndarray]], replicates: int, seed: int
 ) -> list[tuple[float, float]]:
     """Monte-Carlo ``(mean, standard error)`` of each quantity ``sample`` returns.
 
     ``sample`` gets the seeds ``replicate_seed(seed, r)`` of all replicates
-    r, in order, and returns one length-R array per quantity, entry r
-    belonging to replicate r; identical seeds give identical estimates.
+    r, in order, as one uint64 array from one hash evaluation over r, and
+    returns one length-R array per quantity, entry r belonging to replicate
+    r; identical seeds give identical estimates.
     Each quantity is reduced as its own contiguous array: numpy sums that
     pairwise, but sums an ``(R, k)`` block along axis 0 row by row, with
     different rounding.
     """
     if replicates < 2:
         raise DomainError("replicates must be >= 2")
-    values = sample([replicate_seed(seed, r) for r in range(replicates)])
+    if replicates > 1 << 32:  # every index r is then one 32-bit entropy word
+        raise DomainError("replicates must be <= 2^32")
+    r = np.arange(replicates, dtype=np.uint32)
+    lo, hi = _seed_hash(_int_words(_nonneg_int(seed, "seed")) + [r])
+    values = sample(lo.astype(np.uint64) | hi.astype(np.uint64) << 32)
     root = math.sqrt(replicates)
     estimates = []
     for v in values:

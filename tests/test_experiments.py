@@ -372,9 +372,9 @@ def test_each_experiment_draws_only_the_streams_it_reads(monkeypatch, run, cfg, 
     # either noise model; converge reads both fields
     drawn = set()
 
-    def spy(seed, stream, n):
-        drawn.add(stream)
-        return standard_normals(seed, stream, n)
+    def spy(seed, streams, n):
+        drawn.update(streams)
+        return standard_normals(seed, streams, n)
 
     monkeypatch.setattr(noise_model, "standard_normals", spy)
     run(cfg)

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from fracreg.errors import DomainError
 from fracreg.noise_model import (
     _normals_from_words,
+    _philox_words,
     mise_bound_check,
     monte_carlo,
     observe,
@@ -182,26 +183,79 @@ def test_validation_errors():
         monte_carlo(lambda s: (0.0,), replicates=1, seed=1)
 
 
+UINT64 = st.integers(min_value=0, max_value=2**64 - 1)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
-    seeds=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=6),
-    stream=st.integers(min_value=0, max_value=2),
+    seeds=st.lists(UINT64, min_size=1, max_size=6),
+    streams=st.lists(UINT64, min_size=1, max_size=3),
     n=st.integers(min_value=0, max_value=37),
 )
-def test_reset_stream_draws_what_a_fresh_philox_draws(seeds, stream, n):
-    # one generator serves a batch, its key, counter and buffer reset per
-    # stream; each row must be the draw of a fresh Philox(key=(seed, stream)),
-    # read as raw words and, equally, through numpy's bounded integers
-    block = standard_normals(seeds, stream, n)
-    assert block.shape == (len(seeds), n)
-    for seed, row in zip(seeds, block):
-        key = np.array([seed, stream], np.uint64)
-        raw = np.random.Philox(key=key).random_raw(n) >> 11
-        assert np.array_equal(row, _normals_from_words(raw))
-        fresh = np.random.Generator(np.random.Philox(key=key))
-        want = ndtri((fresh.integers(0, 1 << 53, size=n).astype(np.float64) + 0.5) / 2.0**53)
-        assert np.array_equal(row, want)
-        assert np.array_equal(standard_normals(seed, stream, n), want)
+@example(seeds=[2**63, 2**64 - 1, 0], streams=[2**64 - 1, 2**63 + 1], n=37)
+def test_philox_port_draws_what_numpy_philox_draws(seeds, streams, n):
+    # every (stream, seed) pair of one evaluation must draw the raw words of a
+    # fresh numpy Philox(key=(seed, stream)), and its normals must equal
+    # numpy's bounded integers read the same way.  The oracle keys are uint64
+    # arrays: a Python list sends keys of 2^63 and more through float64.
+    words = _philox_words(np.array(seeds, np.uint64), np.array(streams, np.uint64), -(-n // 4))
+    block = standard_normals(seeds, streams, n)
+    assert block.shape == (len(streams), len(seeds), n)
+    for s, stream in enumerate(streams):
+        for r, seed in enumerate(seeds):
+            key = np.array([seed, stream], np.uint64)
+            assert np.array_equal(words[s, r, :n], np.random.Philox(key=key).random_raw(n))
+            fresh = np.random.Generator(np.random.Philox(key=key))
+            want = ndtri((fresh.integers(0, 1 << 53, size=n).astype(np.float64) + 0.5) / 2.0**53)
+            assert np.array_equal(block[s, r], want)
+            assert np.array_equal(standard_normals(seed, stream, n), want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**130), r=st.integers(min_value=0, max_value=2**40))
+@example(seed=2**96 - 1, r=2**40)  # four words of entropy, then five: the tail-mixing loop
+@example(seed=2**96, r=0)
+def test_replicate_seed_is_numpy_seed_sequence(seed, r):
+    want = int(np.random.SeedSequence((seed, r)).generate_state(1, np.uint64)[0])
+    assert replicate_seed(seed, r) == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**130), replicates=st.integers(min_value=2, max_value=40))
+def test_monte_carlo_hands_the_sampler_numpy_seed_sequence_seeds(seed, replicates):
+    handed = []
+
+    def sample(seeds):
+        handed.append(seeds)
+        return (np.zeros(len(seeds)),)
+
+    monte_carlo(sample, replicates, seed)
+    want = [np.random.SeedSequence((seed, r)).generate_state(1, np.uint64)[0]
+            for r in range(replicates)]
+    assert handed[0].dtype == np.uint64
+    assert np.array_equal(handed[0], want)
+
+
+@pytest.mark.parametrize("call, bad", [
+    (lambda: replicate_seed(-1, 0), "-1"),
+    (lambda: replicate_seed(1.5, 0), "1.5"),
+    (lambda: replicate_seed(3, -2), "-2"),
+    (lambda: monte_carlo(lambda seeds: (np.zeros(len(seeds)),), 8, seed=-3), "-3"),
+    (lambda: standard_normals(-1, 0, 3), "-1"),
+    (lambda: standard_normals([1.7], 0, 2), "1.7"),
+    (lambda: standard_normals(np.array([4, -5]), 0, 2), "-5"),
+    (lambda: standard_normals(4, -1, 2), "-1"),
+], ids=["replicate_seed-negative", "replicate_seed-float", "replicate_seed-negative-index",
+        "monte_carlo-negative", "standard_normals-negative", "standard_normals-float-in-list",
+        "standard_normals-negative-in-array", "standard_normals-negative-stream"])
+def test_bad_seed_is_domain_error_naming_it(call, bad):
+    with pytest.raises(DomainError, match=f"non-negative integer, got {bad}"):
+        call()
+
+
+def test_seeds_past_64_bits_keep_their_key_mod_2_64():
+    big = standard_normals([2**64 + 5, 2**70], [2**64 + 1], 9)
+    assert np.array_equal(big, standard_normals(np.array([5, 0], np.uint64), [1], 9))
 
 
 def test_extreme_words_give_finite_normals():

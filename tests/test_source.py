@@ -6,8 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
-
 import fracreg
 
 
@@ -35,17 +33,28 @@ def test_no_private_names_imported_across_modules():
     assert found == []
 
 
-def test_cli_import_loads_no_heavy_scipy_modules():
-    # importing scipy.special alone costs about 0.3 s and 27 MB per run; the
-    # package has its own ports of the three special functions it needs
+def _loaded_by_cli_import(package: str) -> list[str]:
+    """The modules of ``package`` in ``sys.modules`` after a fresh ``import fracreg.cli``."""
     src = str(Path(fracreg.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = (
         "import sys, fracreg, fracreg.cli; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        f"print(sorted(m for m in sys.modules if m == {package!r} or m.startswith({package + '.'!r})))"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    return ast.literal_eval(proc.stdout.strip())
+
+
+def test_cli_import_loads_no_heavy_scipy_modules():
+    # importing scipy.special alone costs about 0.3 s and 27 MB per run; the
+    # package has its own ports of the three special functions it needs
+    assert _loaded_by_cli_import("scipy") == []
+
+
+def test_cli_import_loads_no_numpy_random():
+    # Philox and the SeedSequence hash are ported to numpy arithmetic, so the
+    # package never pays for importing numpy.random
+    assert _loaded_by_cli_import("numpy.random") == []
 
 
 def test_every_public_name_is_used_by_the_package():
@@ -77,26 +86,25 @@ def test_every_public_name_is_used_by_the_package():
     assert unused == []
 
 
-def _is_bit_source(name: str) -> bool:
-    obj = getattr(np.random, name, None)
-    is_bit_generator = isinstance(obj, type) and issubclass(obj, np.random.BitGenerator)
-    return name == "SeedSequence" or is_bit_generator
+def _is_numpy_random(module: str | None) -> bool:
+    return module == "numpy.random" or (module or "").startswith("numpy.random.")
 
 
 def test_randomness_comes_only_from_bit_generator_words():
     # Generator methods and the legacy samplers may change their streams
-    # between numpy releases; raw bit-generator words and SeedSequence do not,
-    # so the package reads numpy.random only for those
+    # between numpy releases; the package draws raw Philox words from its
+    # own port instead, so it reads nothing from numpy.random at all
     found = []
     for path in sorted(Path(fracreg.__file__).resolve().parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
-                    and node.value.attr == "random" and isinstance(node.value.value, ast.Name)
-                    and node.value.value.id in ("np", "numpy")):
-                names = [node.attr]
-            elif isinstance(node, ast.ImportFrom) and node.module == "numpy.random":
-                names = [a.name for a in node.names]
-            else:
-                continue
-            found += [f"{path.name}:{node.lineno} {n}" for n in names if not _is_bit_source(n)]
+            if (isinstance(node, ast.Attribute) and node.attr == "random"
+                    and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+                found.append(f"{path.name}:{node.lineno} {node.value.id}.random")
+            elif isinstance(node, ast.Import):
+                found += [f"{path.name}:{node.lineno} import {a.name}" for a in node.names
+                          if _is_numpy_random(a.name)]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and (
+                    _is_numpy_random(node.module)
+                    or (node.module == "numpy" and any(a.name == "random" for a in node.names))):
+                found.append(f"{path.name}:{node.lineno} from {node.module} import ...")
     assert found == []
