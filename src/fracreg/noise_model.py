@@ -40,7 +40,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -100,53 +99,38 @@ def _int_words(n: int) -> list[int]:
     return words
 
 
-def _hash_constants(count: int, const: int, mult: int) -> list[tuple[int, int]]:
-    """The xor and multiplier constants of ``count`` successive hash steps,
-    which depend on no entropy."""
-    pairs = []
-    for _ in range(count):
-        pairs.append((const, const := const * mult & _MASK32))
-    return pairs
-
-
-@lru_cache(maxsize=None)
-def _mix_steps(cells: int) -> tuple:
-    """``(src, dst, xor, mult)`` of every mixing step for ``cells - 4`` entropy
-    words past the pool: the pool's cross-mix, then each word into every
-    pool entry, where ``cells[dst]`` absorbs ``hashmix(cells[src])``."""
-    pairs = [(src, dst) for src in range(_POOL_SIZE) for dst in range(_POOL_SIZE) if src != dst]
-    pairs += [(src, dst) for src in range(_POOL_SIZE, cells) for dst in range(_POOL_SIZE)]
-    consts = _hash_constants(_POOL_SIZE + len(pairs), _INIT_A, _MULT_A)[_POOL_SIZE:]
-    return tuple((*pair, *const) for pair, const in zip(pairs, consts))
-
-
-_FILL_CONSTANTS = _hash_constants(_POOL_SIZE, _INIT_A, _MULT_A)
-_GENERATE_CONSTANTS = _hash_constants(2, _INIT_B, _MULT_B)  # two 32-bit words: one uint64
-
-
 def _seed_hash(entropy: list) -> tuple:
     """Low and high 32-bit words of ``SeedSequence(entropy).generate_state(1, np.uint64)``.
 
     ``entropy`` is the list of 32-bit entropy words.  Each is a Python int or
     a uint32 array of lanes, one hash per lane.  The masks keep Python ints
     to 32 bits, where uint32 arrays wrap by themselves, so that an int never
-    overflows the uint32 lanes it meets.
+    overflows the uint32 lanes it meets.  The loops are numpy's
+    ``mix_entropy`` and ``generate_state``, around one running hash constant.
     """
-    cells = []  # the pool, then the entropy past it (a seed of 2^96 or more)
-    for i, (xor, mult) in enumerate(_FILL_CONSTANTS):
-        value = ((entropy[i] if i < len(entropy) else 0) ^ xor) * mult & _MASK32
-        cells.append(value ^ value >> 16)
-    cells += entropy[_POOL_SIZE:]
-    for src, dst, xor, mult in _mix_steps(len(cells)):
-        value = (cells[src] ^ xor) * mult & _MASK32
-        value ^= value >> 16
-        value = ((_MIX_MULT_L * cells[dst] & _MASK32) - (_MIX_MULT_R * value & _MASK32)) & _MASK32
-        cells[dst] = value ^ value >> 16
-    out = []
-    for value, (xor, mult) in zip(cells, _GENERATE_CONSTANTS):
-        value = (value ^ xor) * mult & _MASK32
-        out.append(value ^ value >> 16)
-    return out[0], out[1]
+    const = _INIT_A
+
+    def hashmix(value, mult=_MULT_A):
+        nonlocal const
+        value = value ^ const  # not ^=, which would rewrite a caller's lane array
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:  # a seed of 2^96 or more
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const = _INIT_B
+    return tuple(hashmix(value, _MULT_B) for value in pool[:2])  # two words: one uint64
 
 
 def _philox_words(k0: np.ndarray, k1: np.ndarray, blocks: int) -> np.ndarray:

@@ -114,9 +114,11 @@ def choose_params(
     """A-priori parameter choice for noise level ``eps``.
 
     Raises :class:`DomainError` when ``eps`` is too large for the rule to
-    produce at least one observation.  Whether the choice also satisfies
-    the vanishing-term admissibility conditions depends on ``(b, m, k)``;
-    :func:`admissibility_scan` evaluates those limits along an eps grid.
+    produce at least one observation, or when ``eig`` does not reach N: the
+    rule reads the N-th stored eigenvalue as ``lam_N``.  Whether the choice
+    also satisfies the vanishing-term admissibility conditions depends on
+    ``(b, m, k)``; :func:`admissibility_scan` evaluates those limits along
+    an eps grid.
     """
     if not (0.0 < eps < 1.0):
         raise DomainError(f"eps must lie in (0, 1), got {eps}")
@@ -189,12 +191,11 @@ def regularized_solve(
     """
     if cfg.N != obs.N:
         raise DomainError(f"config expects N={cfg.N} but observation has N={obs.N}")
-    P_active = min(cfg.P_retained, spec.eig.count)
-    if P_active == 0:
+    if cfg.P_retained == 0:
         t = np.linspace(0.0, spec.a, M + 1)
         batch = obs.obs0.shape[:-1]
         return FourierField(t, np.zeros(batch + (M + 1, 0)), picard_diffs=np.zeros(batch + (1,)))
-    return solve_mild(spec, InitialData(obs.obs0, obs.obs1), P_active, M)
+    return solve_mild(spec, InitialData(obs.obs0, obs.obs1), cfg.P_retained, M)
 
 
 def theory_bound_l2(

@@ -1,16 +1,17 @@
 """Eigensystem and spectral norms.
 
 Coefficient vectors are plain 1-D float arrays, index 0 holding mode 1 of
-the eigenbasis.  Everything here works for any positive nondecreasing
-eigenvalue sequence; the concrete problem is the Dirichlet Laplacian on
-(0, pi), ``phi_p(y) = sqrt(2/pi) sin(p y)`` with ``lam_p = p**2``.  The
-solver and the experiments work in coefficient space only, so no spatial
-grid is needed.
+the eigenbasis.  A spectrum is its stored eigenvalues, any positive
+nondecreasing sequence, and nothing reads past them: the parameter rule
+picks N from eps up front, so a run needs only the first N.  The concrete
+problem is the Dirichlet Laplacian on (0, pi),
+``phi_p(y) = sqrt(2/pi) sin(p y)`` with ``lam_p = p**2``.  The solver and
+the experiments work in coefficient space only, so no spatial grid is
+needed.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,22 +19,15 @@ import numpy as np
 from .errors import DomainError
 
 
-class BasisKind(enum.Enum):
-    DIRICHLET_LAPLACE_1D = "dirichlet_laplace_1d"
-    USER_SUPPLIED = "user_supplied"
-
-
 @dataclass(frozen=True)
 class EigenSystem:
-    """Positive nondecreasing spectrum of the spatial operator.
+    """Positive nondecreasing spectrum of the spatial operator, as stored values.
 
-    Use :meth:`dirichlet_laplace_1d` for the concrete interval problem
-    (``lam_p = p**2`` exactly) or :meth:`from_eigenvalues` for an abstract
-    spectrum, which cannot be extrapolated past its stored values.
+    Build it from any such sequence, or with :meth:`dirichlet_laplace_1d`
+    for the concrete interval problem (``lam_p = p**2`` exactly).
     """
 
     eigenvalues: np.ndarray
-    basis_kind: BasisKind
 
     def __post_init__(self):
         lam = np.asarray(self.eigenvalues, dtype=float)
@@ -50,29 +44,22 @@ class EigenSystem:
         return int(self.eigenvalues.size)
 
     def lam(self, p: int) -> float:
-        """Eigenvalue of mode ``p`` (1-based).
-
-        For the Dirichlet Laplacian the closed form ``p**2`` extends past
-        the stored range; user-supplied spectra cannot be extrapolated.
-        """
+        """Stored eigenvalue of mode ``p`` (1-based); a mode past ``count``
+        is a :class:`DomainError` that asks for a larger ``eig_count``."""
         if p < 1:
             raise DomainError(f"mode index must be >= 1, got {p}")
-        if p <= self.count:
-            return float(self.eigenvalues[p - 1])
-        if self.basis_kind is BasisKind.DIRICHLET_LAPLACE_1D:
-            return float(p) ** 2
-        raise DomainError(f"mode {p} beyond the {self.count} supplied eigenvalues")
+        if p > self.count:
+            raise DomainError(
+                f"mode {p} is past the {self.count} stored eigenvalues; raise eig_count"
+            )
+        return float(self.eigenvalues[p - 1])
 
     @classmethod
     def dirichlet_laplace_1d(cls, count: int) -> "EigenSystem":
         if count < 1:
             raise DomainError("count must be >= 1")
         p = np.arange(1, count + 1, dtype=float)
-        return cls(p * p, BasisKind.DIRICHLET_LAPLACE_1D)
-
-    @classmethod
-    def from_eigenvalues(cls, values) -> "EigenSystem":
-        return cls(np.asarray(values, dtype=float), BasisKind.USER_SUPPLIED)
+        return cls(p * p)
 
 
 def as_coeffs(values, rows: bool = False) -> np.ndarray:

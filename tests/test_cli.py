@@ -250,6 +250,20 @@ def test_single_observation_noise_level_is_one_line_error(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error:") and "eps=0.9" in err
 
 
+def test_short_spectrum_is_one_error_for_every_eig_kind(capsys):
+    # eps = 1e-7 gives N = 11 under the rule, past the 8 stored eigenvalues;
+    # the fault and its message do not depend on the spectrum's kind
+    errs = []
+    for kind in ("dirichlet", "linear"):
+        code, out, err = run_cli(capsys, "converge", "--eig-count", "8", "--replicates", "8",
+                                 "--m-steps", "32", "--eps-grid", "1e-4,1e-7",
+                                 "--eig-kind", kind)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and "eig_count" in err
+        errs.append(err)
+    assert errs[0] == errs[1]
+
+
 def test_converge_cli_bound_holds_at_a_high_mise_seed(tmp_path, capsys):
     # this seed's eps = 3e-7 row exceeds a bound whose constants are fitted
     # to another 64-replicate sweep (mise/bound 1.048); constants fitted to

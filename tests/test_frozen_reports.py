@@ -16,6 +16,7 @@ mise-check digests did not move.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -47,11 +48,31 @@ RUNS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(RUNS))
-def test_report_bytes_are_frozen(tmp_path, name):
-    argv, json_digest, csv_digest = RUNS[name]
+# A mise-check setting with N = 8 observations past its modes = 4: the only
+# run path whose bound reads an eigenvalue, lam_8, past the truth's modes.
+PAST_MODES = (
+    {"mise_configs": [[2.0, 4, 8, 0.05, 0.5]]},
+    "663308dfcceb00d56be5f54242fda06f8f71b2cdbeae61acd4c5501a3b872b09",
+    "e897a6fb6cc3f45d8edd9f07dc794c5ca0f52b7a793cf39cd5d45488af99dcf0",
+)
+
+
+def assert_frozen(tmp_path, name, argv, json_digest, csv_digest):
     for fmt, want in (("json", json_digest), ("csv", csv_digest)):
         out = tmp_path / f"{name}.{fmt}"
         assert main([*argv, "--out", str(out)]) == 0
         got = hashlib.sha256(out.read_bytes()).hexdigest()
         assert got == want, f"{name} {fmt} report changed: sha256 {got}"
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_report_bytes_are_frozen(tmp_path, name):
+    assert_frozen(tmp_path, name, *RUNS[name])
+
+
+def test_mise_check_past_its_modes_is_frozen(tmp_path):
+    config, json_digest, csv_digest = PAST_MODES
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    argv = ["mise-check", "--replicates", "200", "--config", str(path)]
+    assert_frozen(tmp_path, "mise-past-modes", argv, json_digest, csv_digest)

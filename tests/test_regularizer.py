@@ -77,7 +77,7 @@ def test_rate_params_invariant():
 def test_admissibility_scan_vanishing_configuration():
     # b < 1 makes the noise quantity genuinely vanish
     rp = RateParams(b=0.8, m=1.0, k=1.0, gamma=1.5, d=1, mu=1.0)
-    eig = EigenSystem.dirichlet_laplace_1d(8)
+    eig = EigenSystem.dirichlet_laplace_1d(10_000)  # N reaches 9,999 at eps 1e-6
     scan = admissibility_scan(rp, 1.0, 1.5, eig, [10.0**-k for k in range(1, 7)])
     assert scan["B_increasing"]
     assert scan["noise_vanishing"]
@@ -88,7 +88,7 @@ def test_admissibility_scan_borderline_configuration_reports_honestly():
     # at b = 1, k = 1 the noise quantity eps^2 N exp(...) = eps^2 N^(2m+1)
     # is exactly borderline (constant up to flooring), not vanishing
     rp = RateParams(b=1.0, m=1.0, k=1.0, gamma=1.5, d=1, mu=1.0)
-    eig = EigenSystem.dirichlet_laplace_1d(8)
+    eig = EigenSystem.dirichlet_laplace_1d(10_000)  # N reaches 9,999 at eps 1e-6
     scan = admissibility_scan(rp, 1.0, 1.5, eig, [10.0**-k for k in range(1, 7)])
     assert scan["B_increasing"]
     assert not scan["noise_vanishing"]
@@ -149,8 +149,8 @@ def test_regularized_solve_no_coupling_linear_case():
 def test_regularized_solve_requires_matching_N():
     spec = dirichlet_spec(count=4)
     obs = observe(np.ones(4), np.zeros(4), 0.1, 4, seed=2)
-    cfg = manual_cfg(spec.eig, B_N=4.0, N=5)
-    with pytest.raises(DomainError):
+    cfg = manual_cfg(EigenSystem.dirichlet_laplace_1d(5), B_N=4.0, N=5)
+    with pytest.raises(DomainError, match="config expects N=5 but observation has N=4"):
         regularized_solve(spec, obs, cfg, 16)
 
 

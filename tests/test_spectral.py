@@ -5,25 +5,35 @@ import numpy as np
 import pytest
 
 from fracreg.errors import DomainError
-from fracreg.spectral import BasisKind, EigenSystem, hq_norm
+from fracreg.spectral import EigenSystem, hq_norm
 
 
 def test_eigensystem_dirichlet_is_squares():
     eig = EigenSystem.dirichlet_laplace_1d(10)
-    assert eig.basis_kind is BasisKind.DIRICHLET_LAPLACE_1D
     assert np.array_equal(eig.eigenvalues, np.arange(1.0, 11.0) ** 2)
     assert eig.lam(3) == 9.0
-    assert eig.lam(100) == 10000.0  # closed form past the stored range
+    assert eig.lam(10) == 100.0
 
 
 def test_eigensystem_ordering_enforced():
     with pytest.raises(DomainError):
-        EigenSystem.from_eigenvalues([1.0, 0.5, 2.0])
+        EigenSystem([1.0, 0.5, 2.0])
     with pytest.raises(DomainError):
-        EigenSystem.from_eigenvalues([-1.0, 2.0])
-    eig = EigenSystem.from_eigenvalues([1.0, 1.0, 2.0])
-    with pytest.raises(DomainError):
-        eig.lam(4)  # no extrapolation for user-supplied spectra
+        EigenSystem([-1.0, 2.0])
+    eig = EigenSystem([1.0, 1.0, 2.0])
+    assert eig.count == 3 and eig.lam(3) == 2.0
+
+
+@pytest.mark.parametrize(
+    "eig", [EigenSystem.dirichlet_laplace_1d(3), EigenSystem([1.0, 1.0, 2.0])],
+    ids=["dirichlet", "values"],
+)
+def test_lam_past_the_stored_eigenvalues_asks_for_eig_count(eig):
+    # a spectrum is its stored values: nothing is extrapolated past them
+    with pytest.raises(DomainError, match="mode 4 is past the 3 stored eigenvalues; raise eig_count"):
+        eig.lam(4)
+    with pytest.raises(DomainError, match="mode index must be >= 1"):
+        eig.lam(0)
 
 
 def test_hq_norm_cases():
