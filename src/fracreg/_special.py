@@ -1,11 +1,10 @@
-"""Inverse normal CDF and log-Gamma for the package.
+"""Inverse normal CDF for the package.
 
-Ports of the Cephes routines ``ndtri`` and ``lgam`` (S. L. Moshier,
-*Methods and Programs for Mathematical Functions*, 1989), with the same
-coefficient tables and the same order of float64 operations, so ``ndtri``
-and ``gammaln`` return the bits of the Cephes-based ``scipy.special``
-functions.  Their logarithms come from libm (``math.log``): numpy's
-vectorised ``np.log`` rounds a few inputs in a million differently.
+A port of the Cephes routine ``ndtri`` (S. L. Moshier, *Methods and
+Programs for Mathematical Functions*, 1989), with the same coefficient
+tables and the same order of float64 operations, so it returns the bits of
+``scipy.special.ndtri``.  Its logarithms come from libm (``math.log``):
+numpy's vectorised ``np.log`` rounds a few inputs in a million differently.
 """
 
 from __future__ import annotations
@@ -34,16 +33,6 @@ _P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.9388102529247444341
 _Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
        2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
        2.89247864745380683936e-6, 6.79019408009981274425e-9)
-
-# lgam: Stirling series above 13, a rational approximation on [2, 3) below
-_LS2PI = 0.91893853320467274178
-_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
-      -2.77777777730099687205e-3, 8.33333333333331927722e-2)
-_B = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
-      -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5)
-_C = (-3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
-      -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6)
-
 
 def _polevl(x, coef):
     """Horner's rule, leading coefficient first."""
@@ -89,39 +78,3 @@ def ndtri(y) -> np.ndarray:
     x = x0 - x1
     out[tail] = np.where(upper[tail], x, -x)
     return out.reshape(y.shape)
-
-
-def _lgam_small(x: float) -> float:
-    """Cephes ``lgam`` for ``0 < x < 13``: recurrence to [2, 3), then the rational."""
-    z, p, u = 1.0, 0.0, x
-    while u >= 3.0:
-        p -= 1.0
-        u = x + p
-        z *= u
-    while u < 2.0:
-        z /= u
-        p += 1.0
-        u = x + p
-    if u == 2.0:
-        return math.log(z)
-    x += p - 2.0
-    return math.log(z) + x * _polevl(x, _B) / _p1evl(x, _C)
-
-
-def gammaln(x) -> np.ndarray:
-    """``log Gamma(x)`` elementwise for positive finite ``x``."""
-    x = np.asarray(x, dtype=float)
-    flat = x.ravel()
-    out = np.empty_like(flat)
-    small = flat < 13.0
-    out[small] = [_lgam_small(v) for v in flat[small].tolist()]
-    big = flat[~small]
-    q = (big - 0.5) * _log(big) - big + _LS2PI
-    with np.errstate(over="ignore"):  # only beyond 1e8, where the correction is dropped
-        p = 1.0 / (big * big)
-    near = ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
-            + 0.0833333333333333333333)
-    corr = np.where(big < 1000.0, _polevl(p, _A), near) / big
-    out[~small] = np.where(big > 1.0e8, q, q + corr)
-    return out.reshape(x.shape)
-

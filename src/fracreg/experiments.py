@@ -49,7 +49,7 @@ from .regularizer import (
     theory_bound_hq,
     theory_bound_l2,
 )
-from .spectral import EigenSystem, hq_norm, pad
+from .spectral import EigenSystem, hq_norm, pad, power_law
 
 #: Factor by which the fitted bound constants exceed the smallest constants
 #: whose bound covers the exact expected error on every row.
@@ -554,7 +554,7 @@ def mise_check(cfg: ExperimentConfig) -> ErrorReport:
     for idx, (decay, modes, N, eps, gamma) in enumerate(cfg.mise_configs):
         width = max(modes, N)  # the bound reads lam_N, so the spectrum reaches N
         eig = EigenSystem.dirichlet_laplace_1d(width)
-        u0 = np.arange(1, modes + 1, dtype=float) ** -float(decay)
+        u0 = power_law(modes, decay)
         analytic, bound = mise_bound_check(u0, float(gamma), float(eps), N, eig)
 
         def sample(seeds):

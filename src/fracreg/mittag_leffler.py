@@ -23,13 +23,6 @@ grows with ``x``: for the parameters the solver uses (``beta`` in (1, 2],
 ``gamma`` 1, 2, ``beta``, ``beta + 1`` or ``beta + 2``) the relative error
 against a 40-digit sum stays below 1e-12 up to ``x = 650``.
 
-``log Gamma`` of the series terms is a port of the Cephes routine ``lgam``
-(Moshier, *Methods and Programs for Mathematical Functions*, 1989) in
-:mod:`fracreg._special`.  Its logarithms come from libm through
-``math.log``, never numpy's ``np.log``, which rounds a few inputs in a
-million differently; so ``gammaln`` returns the bits of
-``scipy.special.gammaln``.
-
 Only real ``z >= 0`` is supported; the solver never needs anything else.
 A value beyond floating-point range raises :class:`DomainError`, and so
 does an argument beyond the series' reach: its terms overflow, or it needs
@@ -45,7 +38,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._special import gammaln
 from .errors import DomainError
 
 # Hard cap on series terms; exceeding it raises instead of truncating.
@@ -80,13 +72,6 @@ class MLValue:
 
     value: float
     est_abs_err: float
-
-
-def _series_term0(gamma: float) -> float:
-    try:
-        return math.exp(-math.lgamma(gamma))
-    except OverflowError:
-        raise DomainError(f"log Gamma({gamma}) exceeds floating-point range") from None
 
 
 def ml(beta: float, gamma: float, z: float, tol: float | None = None) -> MLValue:
@@ -143,13 +128,16 @@ def _series(
     bound on the value.
 
     The two tests on all lanes read the largest lane alone: a term's
-    exponent ``k*lnz - lg[k]`` overflows somewhere exactly when
-    ``k*max(lnz) - lg[k]`` does, and the ratio ``r = z*c`` is below 1
+    exponent ``k*lnz - lg_k`` overflows somewhere exactly when
+    ``k*max(lnz) - lg_k`` does, and the ratio ``r = z*c`` is below 1
     everywhere exactly when ``max(z)*c`` is, because IEEE multiplication
     by a positive scalar and subtraction of a scalar round monotonically.
     So the per-lane tail bound is formed only once every lane can meet it.
     """
-    total = np.full(z.size, _series_term0(gamma))
+    try:
+        total = np.full(z.size, math.exp(-math.lgamma(gamma)))
+    except OverflowError:
+        raise DomainError(f"log Gamma({gamma}) exceeds floating-point range") from None
     if gamma + beta == gamma:  # every Gamma argument rounds to gamma: the ratios never fall
         raise DomainError(
             f"successive series terms of E({beta},{gamma}) cannot be resolved at gamma={gamma!r}"
@@ -162,17 +150,14 @@ def _series(
     lnz_max = float(lnz.max())
     z_max = float(z.max())
 
-    # log Gamma(beta*k + gamma), extended in doubling chunks as far as the
-    # loop reaches; gammaln is elementwise, so every entry is the same bits
-    # as in a full table.
-    lg = gammaln(beta * np.arange(64) + gamma)
-
-    def term(k: int) -> np.ndarray:
-        if k * lnz_max - lg[k] > 709.0:  # exp overflows: z is beyond the series' reach
+    def term(k: int, lg_k: float) -> np.ndarray:
+        """Term ``k``, given ``lg_k = log Gamma(beta*k + gamma)``."""
+        if k * lnz_max - lg_k > 709.0:  # exp overflows: z is beyond the series' reach
             raise DomainError(f"series term {k} of E({beta},{gamma}) overflows at z={z_max!r}")
-        return np.exp(k * lnz - lg[k])
+        return np.exp(k * lnz - lg_k)
 
-    t_k = term(1)
+    t_k = term(1, math.lgamma(beta + gamma))
+    lg_next = math.lgamma(beta * 2 + gamma)  # log Gamma(beta*(k+1) + gamma) at the loop's k
     # a total that overflows makes inf - inf in the Kahan update; the NaN
     # fails no "tail > bound" test, so the loop stops and ml_values reports
     # the nonfinite value
@@ -184,13 +169,11 @@ def _series(
             comp -= y
             total, t = t, total
 
-            if k + 2 >= lg.size:
-                more = np.arange(lg.size, min(2 * lg.size, SERIES_TERM_CAP + 2))
-                lg = np.concatenate((lg, gammaln(beta * more + gamma)))
             # All terms keep being added until the slowest lane (largest z)
             # meets its bound, so the final tail bound is valid lane-by-lane.
-            c = math.exp(lg[k + 1] - lg[k + 2])
-            t_k = term(k + 1)
+            lg_k1, lg_next = lg_next, math.lgamma(beta * (k + 2) + gamma)
+            c = math.exp(lg_k1 - lg_next)
+            t_k = term(k + 1, lg_k1)
             if z_max * c < 1.0:
                 tail = t_k / (1.0 - z * c)
                 if not (tail > (_REL_TOL * total if tol is None else tol)).any():

@@ -283,15 +283,19 @@ def mise_bound_check(
 
     The bound can never be violated when the smoothness norm is finite;
     :class:`DomainError` is raised if it is, which happens only when the
-    norm or the eigenvalue weight is not representable.
+    norm or the eigenvalue weight is not representable, and when the
+    analytic MISE itself is not.
     """
     if gamma < 0:
         raise DomainError("gamma must be >= 0")
     if not eps > 0 or N < 1:
         raise DomainError("need eps > 0 and N >= 1")
     c = as_coeffs(u0)
-    tail = float(np.sum(c[N:] ** 2)) if c.size > N else 0.0
+    with np.errstate(over="ignore"):  # overflow surfaces as the DomainError below
+        tail = float(np.sum(c[N:] ** 2)) if c.size > N else 0.0
     analytic = eps * eps * N + tail
+    if not math.isfinite(analytic):
+        raise DomainError(f"data MISE eps^2 N + tail at eps={eps!r} exceeds floating-point range")
     lam_n = eig.lam(N)
     smooth = hq_norm(c, 2.0 * gamma, eig)
     bound = eps * eps * N + lam_n ** (-2.0 * gamma) * smooth * smooth

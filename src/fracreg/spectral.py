@@ -73,6 +73,19 @@ def as_coeffs(values, rows: bool = False) -> np.ndarray:
     return c
 
 
+def power_law(count: int, decay: float) -> np.ndarray:
+    """Coefficients ``p**-decay`` of modes ``p = 1..count``: the manufactured
+    truths' profile.  A coefficient beyond floating-point range is a
+    :class:`DomainError` that names ``decay``."""
+    with np.errstate(over="ignore"):
+        c = np.arange(1, count + 1, dtype=float) ** -float(decay)
+    if not np.all(np.isfinite(c)):
+        raise DomainError(
+            f"decay {decay!r} puts p**-decay beyond floating-point range at p <= {count}"
+        )
+    return c
+
+
 def pad(c: np.ndarray, n: int) -> np.ndarray:
     """The first ``n`` coefficients of ``c``, zero-padded: unobserved modes are zero.
 

@@ -103,9 +103,22 @@ def _run_module(tmp_path, *argv):
     ["ml-eval", "--beta", "0.05", "--gamma", "1", "--z", repr(500**0.05)],
     # a repeated evaluation time would report every row twice
     ["converge", "--t-eval", "0.25,0.25", "--replicates", "8", "--out", "x.json"],
+    # the solver's tables overflow: no numpy warning may precede the residual error
+    ["converge", "--lipschitz-k", "1e300", "--replicates", "8", "--out", "x.json"],
+    # a power-law truth p**-decay beyond floating-point range
+    ["converge", "--config", {"truth_decay": -1000}, "--replicates", "8", "--out", "x.json"],
+    ["mise-check", "--config", {"mise_configs": [[-1000, 64, 8, 0.05, 0.5]]}, "--out", "x.json"],
+    # eps^2 N overflows: an infinite analytic MISE is no invariant to check
+    ["mise-check", "--config", {"mise_configs": [[2, 64, 8, 1e300, 0.5]]}, "--out", "x.json"],
 ])
 def test_overflow_is_one_line_error(tmp_path, argv):
-    run = _run_module(tmp_path, *argv)
+    args = []
+    for arg in argv:
+        if isinstance(arg, dict):  # a dict stands for a config file with that content
+            (tmp_path / "c.json").write_text(json.dumps(arg))
+            arg = "c.json"
+        args.append(arg)
+    run = _run_module(tmp_path, *args)
     assert run.returncode == 1
     assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith("error:"), run.stderr
 

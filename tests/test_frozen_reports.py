@@ -2,17 +2,21 @@
 
 The other tests check rates, bounds and run-to-run determinism, so a change
 to a report's numbers could pass all of them.  These digests pin the bytes
-of four short CLI runs, in JSON and CSV.  They were recorded with numpy
-2.4.6 and scipy 1.17.1, when the package still took its special functions
-from scipy, which is now a test oracle only; the package's own ports keep
-these bits.  A deliberate change of the numbers (a new Mittag-Leffler or
+of four short CLI runs, in JSON and CSV.  They were first recorded with
+numpy 2.4.6 and scipy 1.17.1, when the package still took its special
+functions from scipy, which is now a test oracle only; the package's port
+of ``ndtri`` keeps those bits.  A deliberate change of the numbers (a new Mittag-Leffler or
 noise kernel, say) updates them and says so in CHANGES.md.
 
-The converge and illposed digests were re-recorded once when the solver's
-forward substitution became block-wise: its rounding moved at the 1e-16
-level, and the largest relative change of any JSON value was 9.2e-11 (the
-short converge-l2 run), 1.1e-11 (converge-hq) and 3.8e-16 (illposed).  The
-mise-check digests did not move.
+The converge and illposed digests were re-recorded twice; the mise-check
+digests moved neither time.
+- When the solver's forward substitution became block-wise: its rounding
+  moved at the 1e-16 level, and the largest relative change of any JSON
+  value was 9.2e-11 (the short converge-l2 run), 1.1e-11 (converge-hq) and
+  3.8e-16 (illposed).
+- When the Mittag-Leffler series took every log Gamma from ``math.lgamma``
+  in place of a port of Cephes ``lgam``: the largest relative change was
+  8.6e-13 (converge-l2), 2.7e-13 (converge-hq) and 3.9e-15 (illposed).
 """
 
 import hashlib
@@ -27,18 +31,18 @@ CONVERGE_SHORT = ["--replicates", "8", "--m-steps", "32", "--eps-grid", "1e-4,1e
 RUNS = {
     "converge-l2": (
         ["converge", "--norm", "l2", *CONVERGE_SHORT],
-        "31974577c65cbf429e0a019148d4212ee916a6c00074e0a12a448abb98ada880",
-        "2f2b084f144151d84ec220bcb913889820f628922588e28fb019608473247841",
+        "911712ea8b56e8d0b7250067af23256e461a654abe9ab1d7821c2bc2f7b37ac2",
+        "f21180b91baa9b42dcac5f19f669335e3b6a8fdf613558319f2e155818c55589",
     ),
     "converge-hq": (
         ["converge", "--norm", "hq", "--q", "0.5", *CONVERGE_SHORT],
-        "41ddbe91428fe09e5aca78b9b8070aece168263b85c607ba568f48e1f6fc71a4",
-        "e4875677bdfecad1ab7c9beea266051aabe1469992f30f2d6bfcc09756ba8444",
+        "d5e5c86a9836577eadd929f9319002b3b2bf376d5579d48defbe6e09a5305440",
+        "f138fb0aaeebbe6ca43cc5daa38efb4ebe39ec3f93d0025ed06d8b1f3c7a0d93",
     ),
     "illposed": (
         ["illposed", "--replicates", "8", "--m-steps", "16"],
-        "18b325ae8126b0e421dc34d3ff2b2c9da2b2bcc9bcc95b0e4c3df6c6cb610f07",
-        "2d382b2ec63d48d74a69d6757a4938b59d0aa25f108b178adee1cb5bce8530fe",
+        "96edfef5c84c37971ef18a76a1bca7e12a736d2f94a85d84e96b7713c995d608",
+        "5fe0ef8eefe60e788a1b477cf2e6c9b5d764e81264c7e91ed6fbc84ab3630d07",
     ),
     "mise-check": (
         ["mise-check", "--replicates", "200"],

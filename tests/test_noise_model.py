@@ -173,6 +173,10 @@ def test_mise_bound_check_cases():
     with pytest.raises(DomainError), np.errstate(over="ignore"):
         mise_bound_check(c[:64], 200.0, 0.05, 8, eig)
 
+    # nor does a noise level whose eps^2 N is past float range
+    with pytest.raises(DomainError, match="eps=1e\\+300"):
+        mise_bound_check(c[:64], 0.5, 1e300, 8, eig)
+
 
 def test_validation_errors():
     with pytest.raises(DomainError):
