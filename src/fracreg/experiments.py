@@ -24,8 +24,9 @@ from __future__ import annotations
 import io
 import json
 import math
+import sys
 from collections.abc import Mapping, Sequence
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -57,6 +58,12 @@ _BOUND_SAFETY = 1.5
 
 #: Rows per trailing window of the per-row log-log slopes.
 _SLOPE_WINDOW = 3
+
+
+def _finite_number(value) -> bool:
+    """True for an int or float, but not a bool, within float64's finite range."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)  # exact for ints, False for NaN
 
 
 @dataclass(frozen=True)
@@ -108,13 +115,18 @@ class ExperimentConfig:
                 raise DomainError(f"{name} must be an integer, got {value!r}")
         if type(self.shared_noise) is not bool:
             raise DomainError(f"shared_noise must be true or false, got {self.shared_noise!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not _finite_number(value):
+                raise DomainError(f"{f.name} must be a finite number, got {value!r}")
         if not self.mise_configs:
             raise DomainError("mise_configs must hold at least one setting")
         for c in self.mise_configs:
-            if len(c) != 5 or not all(type(v) is int and v >= 1 for v in c[1:3]):
+            if (len(c) != 5 or not all(type(v) is int and v >= 1 for v in c[1:3])
+                    or not all(_finite_number(v) for v in (c[0], c[3], c[4]))):
                 raise DomainError(
                     "a mise_configs setting is (decay, modes, N, eps, gamma) with "
-                    f"integers modes, N >= 1, got {c!r}"
+                    f"finite numbers decay, eps, gamma and integers modes, N >= 1, got {c!r}"
                 )
         for i, t in enumerate(self.t_eval):
             if t in self.t_eval[:i]:
@@ -131,16 +143,10 @@ class ExperimentConfig:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
         if not 1.0 < self.beta < 2.0:
             raise DomainError(f"beta must lie strictly in (1, 2), got {self.beta}")
-        if not 0.0 < self.a < math.inf:
-            raise DomainError(f"horizon a must be finite and positive, got {self.a}")
+        if not self.a > 0.0:
+            raise DomainError(f"horizon a must be positive, got {self.a}")
         if self.norm not in ("l2", "hq"):
             raise DomainError("norm must be 'l2' or 'hq'")
-        for name in ("q", "r", "truth_decay", "truth_u1_scale"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise DomainError(f"{name} must be a number, got {value!r}")
-            if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value!r}")
         if self.norm == "hq" and (self.q < 0 or not self.r > 0):
             raise DomainError("hq norm needs q >= 0 and r > 0")
 

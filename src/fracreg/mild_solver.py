@@ -312,12 +312,12 @@ def _picard_solve(
     bound = DEFAULT_TOL * np.maximum(1.0, _max_row_l2(U))
     failed = np.flatnonzero(~(residual <= bound))
     if failed.size:
-        r = failed[0]
-        raise NoConvergence(
-            f"exact {spec.nonlinearity.kind} solve of field {r} left a residual "
-            f"{residual.flat[r]:.3e} above {bound.flat[r]:.3e}",
-            float(residual.flat[r]),
-        )
+        src, r = spec.nonlinearity, failed[0]
+        why = f"left a residual {residual.flat[r]:.3e} above {bound.flat[r]:.3e}"
+        if not all(np.isfinite(T).all() for T in (F1, F2, A1, A2)):
+            constant = f"K={src.K:g}" if src.kind == "damped" else f"C3={src.C3:g}"
+            why = f"failed: its solver tables are not finite ({src.kind}, {constant})"
+        raise NoConvergence(f"exact {src.kind} solve of field {r} {why}", float(residual.flat[r]))
     return FourierField(np.linspace(0.0, spec.a, M + 1), U, picard_diffs=residual[..., None])
 
 

@@ -2,13 +2,11 @@
 
 Observed coefficients follow ``obs[p] = <u, phi_p> + eps * xi_p`` with
 ``xi_p`` i.i.d. standard normal.  Randomness comes from counter-based
-Philox streams keyed by ``(seed, stream)`` and sampled through the inverse
-normal CDF, so every replicate is an independent substream that can be
-regenerated in any order, bit for bit.  That CDF is a port of Cephes
-``ndtri`` (Moshier, *Methods and Programs for Mathematical Functions*,
-1989) in :mod:`fracreg._special`; it takes its logarithms from libm through
-``math.log``, never numpy's ``np.log``, which rounds a few inputs in a
-million differently, and so returns the bits of ``scipy.special.ndtri``.
+Philox streams keyed by ``(seed, stream)`` and turned into normals by the
+Box-Muller transform (Box & Muller, *Ann. Math. Statist.* 29, 1958), so
+every replicate is an independent substream that can be regenerated in any
+order, bit for bit.  The normals rest on numpy's float64 ``log``, ``sin``
+and ``cos``, as the Mittag-Leffler values rest on ``np.exp``.
 
 Both generators are ported to numpy array arithmetic, bit for bit, and
 evaluated over every lane at once; ``numpy.random`` is never imported:
@@ -44,12 +42,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._special import ndtri
 from .errors import DomainError
 from .spectral import EigenSystem, as_coeffs, hq_norm, pad
 
 _TWO53 = float(1 << 53)
-_BELOW_ONE = np.nextafter(1.0, 0.0)
 _MASK32 = 0xFFFFFFFF
 
 # Philox4x64 multipliers and Weyl key increments, one row per counter word
@@ -156,35 +152,41 @@ def _philox_words(k0: np.ndarray, k1: np.ndarray, blocks: int) -> np.ndarray:
 
 
 def _normals_from_words(k: np.ndarray) -> np.ndarray:
-    """Standard normals of 53-bit words ``k`` via the uniform ``(k + 0.5) / 2^53``.
+    """Standard normals of 53-bit words ``k``, by Box-Muller on word pairs.
 
-    That uniform rounds to exactly 1.0 at ``k = 2^53 - 1``, alone of all
-    words, so it is clamped to the largest double below 1; every other word
-    keeps its bits.
+    Each word gives the uniform ``u = (k + 0.5) / 2^53`` in (0, 1]; word
+    ``2j`` gives the radius ``sqrt(-2 log u)`` and word ``2j+1`` the angle
+    ``2 pi u`` of normals ``2j`` and ``2j+1``, ``r cos`` and ``r sin`` of it.
+    The last axis of ``k`` must have even length.
     """
-    return ndtri(np.minimum((k.astype(np.float64) + 0.5) / _TWO53, _BELOW_ONE))
+    u = (k.astype(np.float64) + 0.5) / _TWO53
+    radius = np.sqrt(-2.0 * np.log(u[..., 0::2]))
+    angle = 2.0 * np.pi * u[..., 1::2]
+    return np.stack((radius * np.cos(angle), radius * np.sin(angle)), axis=-1).reshape(k.shape)
 
 
 def standard_normals(seed, stream, n: int) -> np.ndarray:
-    """n standard normals from each substream ``(seed, stream)`` via inverse CDF.
+    """n standard normals from each substream ``(seed, stream)``.
 
     ``seed`` and ``stream`` are each one non-negative integer or an array
     (or sequence) of them, taken mod 2^64 as the two Philox key words.  The
     result has shape ``shape(stream) + shape(seed) + (n,)``: one seed and
     one stream give an (n,) array, and R seeds an (R, n) block whose row r
     is the draw of ``seed[r]`` alone.  Every (stream, seed) pair is drawn in
-    one Philox evaluation.  Each normal is the top 53 bits of one raw Philox
-    word (raw words, unlike ``Generator`` methods, keep their stream across
-    numpy releases) through :func:`_normals_from_words`, whose uniforms lie
-    strictly inside (0, 1), so ndtri stays finite; the draw count per sample
-    is fixed (unlike rejection samplers), which is what keeps substreams
-    aligned.
+    one Philox evaluation.  The top 53 bits of each raw Philox word (raw
+    words, unlike ``Generator`` methods, keep their stream across numpy
+    releases) go through :func:`_normals_from_words`, two words to a pair of
+    normals.  ``n + n % 2`` words are drawn and the first n normals kept, so
+    a draw of n normals is a prefix of any longer draw; the draw count per
+    sample is fixed (unlike rejection samplers), which is what keeps
+    substreams aligned.
     """
     if n < 0:
         raise DomainError("n must be >= 0")
     k0, k1 = _key_words(seed, "seed"), _key_words(stream, "stream")
-    words = _philox_words(k0.ravel(), k1.ravel(), -(-n // 4))[..., :n]
-    return _normals_from_words(words >> 11).reshape(k1.shape + k0.shape + (n,))
+    m = n + n % 2
+    words = _philox_words(k0.ravel(), k1.ravel(), -(-m // 4))[..., :m]
+    return _normals_from_words(words >> 11)[..., :n].reshape(k1.shape + k0.shape + (n,))
 
 
 def replicate_seed(seed: int, r: int) -> int:
@@ -251,7 +253,9 @@ def monte_carlo(
     r; identical seeds give identical estimates.
     Each quantity is reduced as its own contiguous array: numpy sums that
     pairwise, but sums an ``(R, k)`` block along axis 0 row by row, with
-    different rounding.
+    different rounding.  A mean or standard error that is not finite (a
+    replicate value past about 1e154 overflows the variance) is a
+    DomainError.
     """
     if replicates < 2:
         raise DomainError("replicates must be >= 2")
@@ -262,11 +266,16 @@ def monte_carlo(
     values = sample(lo.astype(np.uint64) | hi.astype(np.uint64) << 32)
     root = math.sqrt(replicates)
     estimates = []
-    for v in values:
+    for i, v in enumerate(values):
         v = np.ascontiguousarray(v, dtype=float)
         if v.shape != (replicates,):
             raise DomainError(f"sample must return {replicates} values per quantity, got {v.shape}")
-        estimates.append((float(np.mean(v)), float(np.std(v, ddof=1) / root)))
+        with np.errstate(over="ignore", invalid="ignore"):  # surfaces as the DomainError below
+            mean, se = float(np.mean(v)), float(np.std(v, ddof=1) / root)
+        if not (math.isfinite(mean) and math.isfinite(se)):
+            raise DomainError(f"Monte-Carlo estimate of quantity {i} is not finite: "
+                              f"mean {mean!r}, standard error {se!r}")
+        estimates.append((mean, se))
     return estimates
 
 

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import shutil
 import subprocess
 import sys
@@ -103,13 +104,16 @@ def _run_module(tmp_path, *argv):
     ["ml-eval", "--beta", "0.05", "--gamma", "1", "--z", repr(500**0.05)],
     # a repeated evaluation time would report every row twice
     ["converge", "--t-eval", "0.25,0.25", "--replicates", "8", "--out", "x.json"],
-    # the solver's tables overflow: no numpy warning may precede the residual error
+    # the solver's tables overflow: no numpy warning may precede the error,
+    # which names the source's constant (checked below)
     ["converge", "--lipschitz-k", "1e300", "--replicates", "8", "--out", "x.json"],
     # a power-law truth p**-decay beyond floating-point range
     ["converge", "--config", {"truth_decay": -1000}, "--replicates", "8", "--out", "x.json"],
     ["mise-check", "--config", {"mise_configs": [[-1000, 64, 8, 0.05, 0.5]]}, "--out", "x.json"],
     # eps^2 N overflows: an infinite analytic MISE is no invariant to check
     ["mise-check", "--config", {"mise_configs": [[2, 64, 8, 1e300, 0.5]]}, "--out", "x.json"],
+    # the replicates' variance overflows: an infinite standard error is no agreement
+    ["mise-check", "--config", {"mise_configs": [[2, 64, 8, 1e100, 0.5]]}, "--out", "x.json"],
 ])
 def test_overflow_is_one_line_error(tmp_path, argv):
     args = []
@@ -121,6 +125,8 @@ def test_overflow_is_one_line_error(tmp_path, argv):
     run = _run_module(tmp_path, *args)
     assert run.returncode == 1
     assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith("error:"), run.stderr
+    if argv[1:3] == ["--lipschitz-k", "1e300"]:
+        assert "not finite" in run.stderr and "K=1e+300" in run.stderr, run.stderr
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["mise-check", "--help"]])
@@ -146,6 +152,11 @@ def test_help_exits_0(tmp_path, argv):
     ("converge", {"truth_u1_scale": math.inf}),
     ("converge", {"pilot_safety": 1.5}),  # an unknown key
     ("converge", {"rate": 5}),
+    ("converge", {"lipschitz_K": "x"}),
+    ("converge", {"lipschitz_K": None}),
+    ("mise-check", {"mise_configs": [[2, 64, 8, 0.05, None]]}),
+    ("converge", {"beta": "1.5"}),
+    ("converge", {"a": None}),
 ])
 def test_config_type_fault_is_one_line_error(tmp_path, kind, content, flags=()):
     (tmp_path / "c.json").write_text(json.dumps(content))
@@ -153,7 +164,7 @@ def test_config_type_fault_is_one_line_error(tmp_path, kind, content, flags=()):
                       *flags)
     assert run.returncode == 1
     assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith("error:"), run.stderr
-    assert next(iter(content)) in run.stderr  # the message names the field
+    assert re.search(rf"\b{next(iter(content))}\b", run.stderr)  # the message names the field
     assert not (tmp_path / "x.json").exists()
 
 

@@ -185,7 +185,9 @@ def test_config_validation():
         with pytest.raises(DomainError, match=name):
             small_converge_cfg(**{name: value})
     for settings in ((), ((2.0, 64, 8.5, 0.05, 0.5),), ((2.0, 64.0, 8, 0.05, 0.5),),
-                     ((2.0, 64, 0, 0.05, 0.5),), ((2.0, 64, 8, 0.05),)):
+                     ((2.0, 64, 0, 0.05, 0.5),), ((2.0, 64, 8, 0.05),), (("2", 64, 8, 0.05, 0.5),),
+                     ((2.0, 64, 8, None, 0.5),), ((2.0, 64, 8, 0.05, True),),
+                     ((math.nan, 64, 8, 0.05, 0.5),), ((2.0, 64, 8, 10**400, 0.5),)):
         with pytest.raises(DomainError, match="mise_configs"):
             small_converge_cfg(mise_configs=settings)
     with pytest.raises(DomainError):
@@ -193,11 +195,27 @@ def test_config_validation():
                          seed=1, beta=1.5, a=1.0)
 
 
-@pytest.mark.parametrize("name", ["q", "r", "truth_decay", "truth_u1_scale"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "0.5", None])
+@pytest.mark.parametrize("name", ["q", "r", "truth_decay", "truth_u1_scale", "beta", "a",
+                                  "lipschitz_K"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "0.5", None, True,
+                                   pytest.param(10**400, id="10**400")])
 def test_config_rejects_non_finite_floats_by_name(name, value):
-    with pytest.raises(DomainError, match=name):
+    with pytest.raises(DomainError, match=f"^{name} must be a finite number"):
         small_converge_cfg(norm="hq", **{name: value})
+
+
+def test_noise_free_values_do_not_depend_on_the_seed():
+    # the exact MISE, the bound, its fitted constants and the admissibility
+    # scan come from the problem alone: a new seed keeps their bits
+    first, second = (convergence_table(small_converge_cfg(seed=seed)) for seed in (4242, 7))
+    for key in ("constants", "admissibility"):
+        assert json.dumps(first.meta[key]) == json.dumps(second.meta[key])
+    exact = [[(d["exact_mise"], d["bound"]) for d in rep.meta["rows_detail"]]
+             for rep in (first, second)]
+    assert json.dumps(exact[0]) == json.dumps(exact[1])
+    bounds = [[row.theory_bound for row in rep.rows] for rep in (first, second)]
+    assert json.dumps(bounds[0]) == json.dumps(bounds[1])
+    assert [row.mise for row in first.rows] != [row.mise for row in second.rows]
 
 
 def test_config_json_round_trip():

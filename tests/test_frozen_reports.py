@@ -4,12 +4,12 @@ The other tests check rates, bounds and run-to-run determinism, so a change
 to a report's numbers could pass all of them.  These digests pin the bytes
 of four short CLI runs, in JSON and CSV.  They were first recorded with
 numpy 2.4.6 and scipy 1.17.1, when the package still took its special
-functions from scipy, which is now a test oracle only; the package's port
-of ``ndtri`` keeps those bits.  A deliberate change of the numbers (a new Mittag-Leffler or
-noise kernel, say) updates them and says so in CHANGES.md.
+functions from scipy, which is now a test oracle only.  A deliberate change
+of the numbers (a new Mittag-Leffler or noise kernel, say) updates them and
+says so in CHANGES.md.
 
-The converge and illposed digests were re-recorded twice; the mise-check
-digests moved neither time.
+The converge and illposed digests were re-recorded three times; the
+mise-check digests moved only the third time.
 - When the solver's forward substitution became block-wise: its rounding
   moved at the 1e-16 level, and the largest relative change of any JSON
   value was 9.2e-11 (the short converge-l2 run), 1.1e-11 (converge-hq) and
@@ -17,6 +17,13 @@ digests moved neither time.
 - When the Mittag-Leffler series took every log Gamma from ``math.lgamma``
   in place of a port of Cephes ``lgam``: the largest relative change was
   8.6e-13 (converge-l2), 2.7e-13 (converge-hq) and 3.9e-15 (illposed).
+- When the normals became Box-Muller pairs of Philox words in place of the
+  inverse normal CDF of each word: every run drew new noise, so every
+  digest moved.  A key-by-key walk of the JSON found only Monte-Carlo
+  values moved (``mise``, ``std_err``/``se``, ``loglog_slope``,
+  ``observed_slope``, ``input_mc``/``_se``, ``output_mc``/``_se``,
+  ``output_loglog_slope`` and ``mc``); every exact MISE, bound, constant
+  and admissibility value kept its bits.
 """
 
 import hashlib
@@ -31,23 +38,23 @@ CONVERGE_SHORT = ["--replicates", "8", "--m-steps", "32", "--eps-grid", "1e-4,1e
 RUNS = {
     "converge-l2": (
         ["converge", "--norm", "l2", *CONVERGE_SHORT],
-        "911712ea8b56e8d0b7250067af23256e461a654abe9ab1d7821c2bc2f7b37ac2",
-        "f21180b91baa9b42dcac5f19f669335e3b6a8fdf613558319f2e155818c55589",
+        "23001abf0ea17597687b21c79bc4815fe560b25830aac5fe5919c0f0ebe149b4",
+        "9db05c026946e2399c5d3dd4b554133c3bbe75b1aa0a41e985d01a9c72ea6b7c",
     ),
     "converge-hq": (
         ["converge", "--norm", "hq", "--q", "0.5", *CONVERGE_SHORT],
-        "d5e5c86a9836577eadd929f9319002b3b2bf376d5579d48defbe6e09a5305440",
-        "f138fb0aaeebbe6ca43cc5daa38efb4ebe39ec3f93d0025ed06d8b1f3c7a0d93",
+        "9066b7d7061ca8ae1a18dececb8f50546b3311d2ae36f8093fdcd89aba8fb09e",
+        "64c77a186d1b2a55f937aba9c0526eb700365bbe74cf2c27602809919709ff14",
     ),
     "illposed": (
         ["illposed", "--replicates", "8", "--m-steps", "16"],
-        "96edfef5c84c37971ef18a76a1bca7e12a736d2f94a85d84e96b7713c995d608",
-        "5fe0ef8eefe60e788a1b477cf2e6c9b5d764e81264c7e91ed6fbc84ab3630d07",
+        "5bddf3c73dcfbfa39d1f4790faa3c93a2f271df9eed5e3df6d60a9b79ccd0181",
+        "bf8d3d49e5a27f05c41b7e3ab125c22efe1a503e02df06ed1b56e759a484f01a",
     ),
     "mise-check": (
         ["mise-check", "--replicates", "200"],
-        "bdb2a959854936078b764939fbf663acc6dcda126a3f23f0ac7df0a0ea5f77d8",
-        "3c0b47795ccf92fe0d0a0598807ddb1b2707ec810ef8b782163071cf3ead27b7",
+        "a00bf1e9e65aeb3bfd2cc980c566738fce4a6e25ff6aedfc96216247cf81daa0",
+        "b4f7867e628550a76749fd61b24d43320c7e0a8dda568eaddf4f681e375ed6f0",
     ),
 }
 
@@ -56,8 +63,8 @@ RUNS = {
 # run path whose bound reads an eigenvalue, lam_8, past the truth's modes.
 PAST_MODES = (
     {"mise_configs": [[2.0, 4, 8, 0.05, 0.5]]},
-    "663308dfcceb00d56be5f54242fda06f8f71b2cdbeae61acd4c5501a3b872b09",
-    "e897a6fb6cc3f45d8edd9f07dc794c5ca0f52b7a793cf39cd5d45488af99dcf0",
+    "ef10f45f119cd40a7f0c2d224ff119a0a1a444ba968e1dc8405115d42d0919c0",
+    "ed9cfe177deba14bcd97b74bb5df462b3117a8144fe97dc84111a20a1ab9c8c1",
 )
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtri
+from scipy import stats
 
 from fracreg.errors import DomainError
 from fracreg.noise_model import (
@@ -199,9 +199,10 @@ UINT64 = st.integers(min_value=0, max_value=2**64 - 1)
 @example(seeds=[2**63, 2**64 - 1, 0], streams=[2**64 - 1, 2**63 + 1], n=37)
 def test_philox_port_draws_what_numpy_philox_draws(seeds, streams, n):
     # every (stream, seed) pair of one evaluation must draw the raw words of a
-    # fresh numpy Philox(key=(seed, stream)), and its normals must equal
-    # numpy's bounded integers read the same way.  The oracle keys are uint64
-    # arrays: a Python list sends keys of 2^63 and more through float64.
+    # fresh numpy Philox(key=(seed, stream)), and its normals must be the
+    # Box-Muller pairs of numpy's bounded integers read the same way.  The
+    # oracle keys are uint64 arrays: a Python list sends keys of 2^63 and
+    # more through float64.
     words = _philox_words(np.array(seeds, np.uint64), np.array(streams, np.uint64), -(-n // 4))
     block = standard_normals(seeds, streams, n)
     assert block.shape == (len(streams), len(seeds), n)
@@ -210,9 +211,13 @@ def test_philox_port_draws_what_numpy_philox_draws(seeds, streams, n):
             key = np.array([seed, stream], np.uint64)
             assert np.array_equal(words[s, r, :n], np.random.Philox(key=key).random_raw(n))
             fresh = np.random.Generator(np.random.Philox(key=key))
-            want = ndtri((fresh.integers(0, 1 << 53, size=n).astype(np.float64) + 0.5) / 2.0**53)
-            assert np.array_equal(block[s, r], want)
-            assert np.array_equal(standard_normals(seed, stream, n), want)
+            k = fresh.integers(0, 1 << 53, size=n + n % 2)
+            u = (k.astype(np.float64) + 0.5) / 2.0**53
+            radius, angle = np.sqrt(-2.0 * np.log(u[0::2])), 2.0 * np.pi * u[1::2]
+            want = np.empty(u.size)
+            want[0::2], want[1::2] = radius * np.cos(angle), radius * np.sin(angle)
+            assert np.array_equal(block[s, r], want[:n])
+            assert np.array_equal(standard_normals(seed, stream, n), want[:n])
 
 
 @settings(max_examples=200, deadline=None)
@@ -263,16 +268,36 @@ def test_seeds_past_64_bits_keep_their_key_mod_2_64():
 
 
 def test_extreme_words_give_finite_normals():
-    # (k + 0.5) / 2^53 rounds to 1.0 at the top word alone, where ndtri is
-    # inf; that word is clamped below 1.0, and its neighbours keep their bits
+    # (k + 0.5) / 2^53 rounds to 1.0 at the top word alone: as a radius word
+    # it gives radius 0, a 0.0 pair.  Word 0 gives the largest radius,
+    # sqrt(-2 log 2^-54), which is finite.
     top = (1 << 53) - 1
-    k = np.array([0, 1, 1 << 52, top - 1, top], dtype=np.int64)
+    k = np.array([top, 0, top, 1 << 52, top, top, 0, 0, 0, top, 1, top - 1, top - 1, 1], np.uint64)
     z = _normals_from_words(k)
     assert np.all(np.isfinite(z))
-    assert z[-1] == ndtri(np.nextafter(1.0, 0.0)) and z[-1] > z[-2] > 0.0
-    assert z[0] == ndtri(2.0**-54) < 0.0
-    for word, got in zip(k[:-1], z[:-1]):
-        assert got == ndtri((float(word) + 0.5) / 2.0**53)
+    assert np.all(z[:6] == 0.0)
+    biggest = math.sqrt(-2.0 * math.log(2.0**-54))
+    assert z[6] == z[8] == biggest  # angles next to 0 and at 2 pi: cos rounds to 1
+    assert np.all(np.abs(z) <= biggest)
+    assert 0.0 < np.hypot(z[12], z[13]) < np.hypot(z[10], z[11]) < biggest
+
+
+def test_a_draw_is_a_prefix_of_any_longer_draw():
+    seeds, streams = [3, 2**64 - 1], [0, 1]
+    longest = standard_normals(seeds, streams, 38)
+    for n in range(38):
+        assert np.array_equal(standard_normals(seeds, streams, n), longest[..., :n])
+
+
+def test_normals_pass_ks_and_moments():
+    z = standard_normals(20260809, 0, 2_000_000)
+    assert stats.kstest(z, "norm").pvalue > 1e-3
+    assert abs(np.mean(z)) < 5 * math.sqrt(1 / z.size)
+    assert abs(np.var(z) - 1.0) < 5 * math.sqrt(2 / z.size)
+    assert abs(stats.skew(z)) < 5 * math.sqrt(6 / z.size)
+    assert abs(stats.kurtosis(z)) < 5 * math.sqrt(24 / z.size)
+    pairs = z.reshape(-1, 2)  # the two normals of a pair are uncorrelated
+    assert abs(np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1]) < 5 * math.sqrt(1 / pairs.shape[0])
 
 
 @pytest.mark.parametrize("shared_noise", [False, True])

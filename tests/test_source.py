@@ -47,7 +47,7 @@ def _loaded_by_cli_import(package: str) -> list[str]:
 
 def test_cli_import_loads_no_heavy_scipy_modules():
     # importing scipy.special alone costs about 0.3 s and 27 MB per run; the
-    # package has its own port of the one special function it needs, ndtri
+    # package needs no special function beyond math.lgamma and numpy's ufuncs
     assert _loaded_by_cli_import("scipy") == []
 
 
