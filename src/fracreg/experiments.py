@@ -40,7 +40,7 @@ from .mild_solver import (
     solve_mild,
 )
 from .mittag_leffler import calibrate_growth_constants
-from .noise_model import NoisyObservation, mise_bound_check, monte_carlo, observe, replicate_seed
+from .noise_model import NoisyObservation, mise_bound_check, monte_carlo, observe
 from .regularizer import (
     RateParams,
     RegConfig,
@@ -99,14 +99,23 @@ class ExperimentConfig:
     )
 
     def __post_init__(self):
-        rate = RateParams(**self.rate) if isinstance(self.rate, Mapping) else self.rate
+        rate = self.rate
+        if isinstance(rate, Mapping):
+            for f in fields(RateParams):
+                value = rate.get(f.name, 0.0)  # a missing name is RateParams' TypeError
+                if f.type == "float" and not _finite_number(value):
+                    raise DomainError(f"rate.{f.name} must be a finite number, got {value!r}")
+            rate = RateParams(**rate)
         if not isinstance(rate, (RateParams, type(None))):
             raise DomainError(f"rate must be a mapping of the rate parameters, got {rate!r}")
-        for name, value in (("eps_grid", tuple(float(e) for e in self.eps_grid)),
-                            ("t_eval", tuple(float(t) for t in self.t_eval)),
-                            ("rate", rate),
-                            ("mise_configs", tuple(tuple(c) for c in self.mise_configs))):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "rate", rate)
+        for name, item, what in (("eps_grid", float, "numbers"), ("t_eval", float, "numbers"),
+                                 ("mise_configs", tuple, "settings")):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, tuple(item(v) for v in value))
+            except (TypeError, ValueError):
+                raise DomainError(f"{name} must be a list of {what}, got {value!r}") from None
         if self.kind not in ("illposed", "converge", "mise-check"):
             raise DomainError(f"unknown experiment kind {self.kind!r}")
         for name in ("replicates", "seed", "M", "p_cap", "eig_count", "truth_modes"):
@@ -139,8 +148,8 @@ class ExperimentConfig:
                 raise DomainError("eps values must lie in (0, 1)")
         if self.replicates < 8:
             raise DomainError("Monte-Carlo experiments need replicates >= 8")
-        if not self.seed >= 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed < 1 << 64:  # the first Philox key word
+            raise DomainError(f"seed must lie in [0, 2^64), got {self.seed}")
         if not 1.0 < self.beta < 2.0:
             raise DomainError(f"beta must lie strictly in (1, 2), got {self.beta}")
         if not self.a > 0.0:
@@ -298,23 +307,24 @@ def illposed_demo(cfg: ExperimentConfig) -> ErrorReport:
     for idx, eps in enumerate(cfg.eps_grid):
         N = counts[idx]
 
-        def sample(seeds):
+        def sample(replicates):
             """Input energy and max-row output energy of noise-only replicates."""
             # only obs0 is read, and it is stream 0 under either noise model,
             # so stream 0 alone is drawn
-            obs = observe(np.zeros(1), np.zeros(1), eps, N, seeds, shared_noise=True)
+            obs = observe(np.zeros(1), np.zeros(1), eps, N, cfg.seed, shared_noise=True,
+                          level=idx, replicate=replicates)
             fld = solve_mild(spec, InitialData(obs.obs0, np.zeros_like(obs.obs0)), P=N, M=cfg.M)
             return np.sum(obs.obs0**2, axis=-1), np.max(np.sum(fld.coeffs**2, axis=-1), axis=-1)
 
-        (input_mc, input_se), (output_mc, output_se) = monte_carlo(
-            sample, cfg.replicates, replicate_seed(cfg.seed, idx)
-        )
+        (input_mc, input_se), (output_mc, output_se) = monte_carlo(sample, cfg.replicates)
         stats = {
             "eps": eps,
             "N": N,
             "input_analytic": eps * eps * N,
             "input_mc": input_mc,
             "input_se": input_se,
+            # exact SE of a mean of R eps^2 chi^2_N energies, whose skew biases the sample SE
+            "input_exact_se": eps * eps * math.sqrt(2.0 * N / cfg.replicates),
             "output_mc": output_mc,
             "output_se": output_se,
         }
@@ -338,7 +348,8 @@ def illposed_demo(cfg: ExperimentConfig) -> ErrorReport:
     checks = {
         "input_strictly_decreasing": all(b < a for a, b in zip(analytic, analytic[1:])),
         "input_matches_analytic_4se": all(
-            abs(s["input_mc"] - s["input_analytic"]) <= 4.0 * s["input_se"] for s in per_eps
+            abs(s["input_mc"] - s["input_analytic"]) <= 4.0 * s["input_exact_se"]
+            for s in per_eps
         ),
         "output_strictly_increasing": all(
             b["output_mc"] > a["output_mc"] for a, b in zip(per_eps, per_eps[1:])
@@ -456,13 +467,14 @@ def convergence_table(cfg: ExperimentConfig) -> ErrorReport:
             width = max(rc.N, rows.shape[-1], ref.size)
             return hq_norm(pad(rows, width) - pad(ref, width), q_eff, eig) ** 2
 
-        def sample(seeds):
+        def sample(replicates):
             """Squared error norms of the regularized solves at every t."""
-            obs = observe(data.u0, data.u1, eps, rc.N, seeds, shared_noise=cfg.shared_noise)
+            obs = observe(data.u0, data.u1, eps, rc.N, cfg.seed, shared_noise=cfg.shared_noise,
+                          level=idx, replicate=replicates)
             fld = regularized_solve(spec, obs, rc, cfg.M)
             return [sq_err(fld.coeffs[..., t_idx[t], :], t) for t in t_eval]
 
-        est = monte_carlo(sample, cfg.replicates, replicate_seed(cfg.seed, idx))
+        est = monte_carlo(sample, cfg.replicates)
         # The solve is linear and mode-diagonal, so the expected error is exact:
         # the error from noise-free data plus eps^2 times the norms of the solves
         # from unit value and velocity noise (of their sum, under shared noise).
@@ -563,15 +575,16 @@ def mise_check(cfg: ExperimentConfig) -> ErrorReport:
         u0 = power_law(modes, decay)
         analytic, bound = mise_bound_check(u0, float(gamma), float(eps), N, eig)
 
-        def sample(seeds):
+        def sample(replicates):
             """Squared distance of each replicate's data from the truth."""
             # only obs0 is read, and it is stream 0 under either noise model,
             # so stream 0 alone is drawn
-            obs = observe(u0, np.zeros(1), float(eps), N, seeds, shared_noise=True)
+            obs = observe(u0, np.zeros(1), float(eps), N, cfg.seed, shared_noise=True,
+                          level=idx, replicate=replicates)
             d = pad(obs.obs0, width) - pad(u0, width)
             return (np.sum(d * d, axis=-1),)
 
-        [(mc, se)] = monte_carlo(sample, cfg.replicates, replicate_seed(cfg.seed, idx))
+        [(mc, se)] = monte_carlo(sample, cfg.replicates)
         agree = abs(mc - analytic) <= 4.0 * se
         details.append(
             {

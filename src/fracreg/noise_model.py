@@ -2,31 +2,28 @@
 
 Observed coefficients follow ``obs[p] = <u, phi_p> + eps * xi_p`` with
 ``xi_p`` i.i.d. standard normal.  Randomness comes from counter-based
-Philox streams keyed by ``(seed, stream)`` and turned into normals by the
-Box-Muller transform (Box & Muller, *Ann. Math. Statist.* 29, 1958), so
-every replicate is an independent substream that can be regenerated in any
-order, bit for bit.  The normals rest on numpy's float64 ``log``, ``sin``
-and ``cos``, as the Mittag-Leffler values rest on ``np.exp``.
+Philox4x64-10 (Salmon, Moraes, Dror & Shaw, "Parallel random numbers: as
+easy as 1, 2, 3", SC'11), keyed by ``(seed, stream)`` with the experiment
+seed, and turned into normals by the Box-Muller transform (Box & Muller,
+*Ann. Math. Statist.* 29, 1958).  The replicate and the noise level are
+counter words: block b of replicate r at level l runs the counter
+``(b + 1, r, l, 0)``, so its words are those
+``numpy.random.Philox(key=(seed, stream), counter=(0, r, l, 0))
+.random_raw()`` draws.  Every replicate is an independent substream that
+can be regenerated in any order, bit for bit, and no seed is hashed.  The
+port is numpy array arithmetic evaluated over every lane at once;
+``numpy.random`` is never imported.  The normals rest on numpy's float64
+``log``, ``sin`` and ``cos``, as the Mittag-Leffler values rest on
+``np.exp``.
 
-Both generators are ported to numpy array arithmetic, bit for bit, and
-evaluated over every lane at once; ``numpy.random`` is never imported:
-
-* the words are those of Philox4x64-10 (Salmon, Moraes, Dror & Shaw,
-  "Parallel random numbers: as easy as 1, 2, 3", SC'11), as
-  ``numpy.random.Philox(key=(seed, stream)).random_raw()`` draws them;
-* replicate seeds are ``numpy.random.SeedSequence((seed, r))
-  .generate_state(1, np.uint64)``, whose hash is O'Neill's ``seed_seq_fe``
-  mixer with a pool of four 32-bit words (O'Neill, "Developing a seed_seq
-  alternative", pcg-random.org, 2015).
-
-:func:`monte_carlo` is the one replicate loop.  It derives the seeds of all
-R replicates in one hash evaluation and hands them to the sampler as a
-``uint64`` array; the sampler returns one length-R array per quantity,
-which it reduces to a mean and a standard error.  Given a sequence
-of seeds, :func:`observe` draws each replicate's own streams in one Philox
-evaluation and stacks them into ``(R, N)`` blocks, whose row r equals the
-observation drawn from seed r alone, so the solver and the error reduction
-run once per noise level for all replicates.
+:func:`monte_carlo` is the one replicate loop.  It hands the sampler the
+replicate indices ``0 .. R-1`` as one ``uint64`` array; the sampler returns
+one length-R array per quantity, which it reduces to a mean and a standard
+error.  Given an array of replicate indices, :func:`observe` draws every
+replicate's streams in one Philox evaluation and stacks them into ``(R, N)``
+blocks, whose row r equals the observation of replicate ``r`` drawn alone,
+so the solver and the error reduction run once per noise level for all
+replicates.
 
 The default observation model draws independent noise for the initial value
 and the initial velocity; ``shared_noise=True`` reproduces the reading in
@@ -49,17 +46,11 @@ _TWO53 = float(1 << 53)
 _MASK32 = 0xFFFFFFFF
 
 # Philox4x64 multipliers and Weyl key increments, one row per counter word
-# pair (0, 2), shaped to broadcast over (2, streams, seeds, blocks) lanes.
+# pair (0, 2), shaped to broadcast over (2, streams, replicates, blocks) lanes.
 _PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], np.uint64).reshape(2, 1, 1, 1)
 _PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _MASK32, _PHILOX_M >> 32
 _PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], np.uint64).reshape(2, 1, 1, 1)
 _PHILOX_ROUNDS = 10
-
-# SeedSequence hash constants (numpy/random/bit_generator.pyx).
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
 
 
 def _nonneg_int(value, name: str) -> int:
@@ -74,7 +65,7 @@ def _nonneg_int(value, name: str) -> int:
     return n
 
 
-def _key_words(values, name: str) -> np.ndarray:
+def _words64(values, name: str) -> np.ndarray:
     """Each non-negative integer in ``values`` mod 2^64, as a uint64 array of its shape.
 
     An unsigned or non-negative signed integer array is used as it is; any
@@ -83,64 +74,26 @@ def _key_words(values, name: str) -> np.ndarray:
     a = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
     if a.dtype.kind in "ub" or (a.dtype.kind == "i" and not (a < 0).any()):
         return a.astype(np.uint64)
-    key = np.frompyfunc(lambda v: _nonneg_int(v, name) % (1 << 64), 1, 1)
-    return np.array(key(a), dtype=np.uint64).reshape(a.shape)
+    word = np.frompyfunc(lambda v: _nonneg_int(v, name) % (1 << 64), 1, 1)
+    return np.array(word(a), dtype=np.uint64).reshape(a.shape)
 
 
-def _int_words(n: int) -> list[int]:
-    """The little-endian 32-bit words of ``n >= 0``, as SeedSequence splits an integer."""
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
+def _philox_words(seed: int, stream: np.ndarray, replicate: np.ndarray, level: int,
+                 blocks: int) -> np.ndarray:
+    """Raw Philox4x64-10 words, ``(S, R, 4 blocks)``, of every key
+    ``(seed, stream[s])`` at the counter ``(b + 1, replicate[r], level, 0)``.
 
-
-def _seed_hash(entropy: list) -> tuple:
-    """Low and high 32-bit words of ``SeedSequence(entropy).generate_state(1, np.uint64)``.
-
-    ``entropy`` is the list of 32-bit entropy words.  Each is a Python int or
-    a uint32 array of lanes, one hash per lane.  The masks keep Python ints
-    to 32 bits, where uint32 arrays wrap by themselves, so that an int never
-    overflows the uint32 lanes it meets.  The loops are numpy's
-    ``mix_entropy`` and ``generate_state``, around one running hash constant.
+    numpy increments the counter before its first block, so lane ``(s, r, b)``
+    runs block ``b + 1``.  Counter words 0 and 2 are stacked in ``X``, so each
+    round's two 64x64 -> 128-bit multiplies, done in 32-bit halves, are one
+    array expression; ``Y`` holds words 1 and 3.
     """
-    const = _INIT_A
-
-    def hashmix(value, mult=_MULT_A):
-        nonlocal const
-        value = value ^ const  # not ^=, which would rewrite a caller's lane array
-        const = const * mult & _MASK32
-        value = value * const & _MASK32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        value = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
-        return value ^ value >> 16
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:  # a seed of 2^96 or more
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    const = _INIT_B
-    return tuple(hashmix(value, _MULT_B) for value in pool[:2])  # two words: one uint64
-
-
-def _philox_words(k0: np.ndarray, k1: np.ndarray, blocks: int) -> np.ndarray:
-    """Raw Philox4x64-10 words, ``(S, R, 4 blocks)``, of every key ``(k0[r], k1[s])``.
-
-    Lane ``(s, r, b)`` runs counter block ``b + 1``: numpy increments the
-    counter before its first block.  Counter words 0 and 2 are stacked in
-    ``X``, so each round's two 64x64 -> 128-bit multiplies, done in 32-bit
-    halves, are one array expression; ``Y`` holds words 1 and 3.
-    """
-    K = np.stack(np.broadcast_arrays(k0[None, :, None], k1[:, None, None]))
-    X = np.zeros((2, k1.size, k0.size, blocks), np.uint64)
+    K = np.stack(np.broadcast_arrays(np.uint64(seed), stream[:, None, None]))
+    X = np.zeros((2, stream.size, replicate.size, blocks), np.uint64)
     X[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    X[1] = np.uint64(level)
     Y = np.zeros_like(X)
+    Y[0] = replicate[:, None]
     for _ in range(_PHILOX_ROUNDS):
         x_lo, x_hi = X & _MASK32, X >> 32
         lo_hi, hi_lo = x_lo * _PHILOX_M_HI, x_hi * _PHILOX_M_LO
@@ -148,7 +101,8 @@ def _philox_words(k0: np.ndarray, k1: np.ndarray, blocks: int) -> np.ndarray:
         hi = x_hi * _PHILOX_M_HI + (lo_hi >> 32) + (hi_lo >> 32) + (mid >> 32)
         X, Y = hi[::-1] ^ Y ^ K, X[::-1] * _PHILOX_M[::-1]
         K = K + _PHILOX_W
-    return np.stack((X[0], Y[0], X[1], Y[1]), axis=-1).reshape(k1.size, k0.size, 4 * blocks)
+    words = np.stack((X[0], Y[0], X[1], Y[1]), axis=-1)
+    return words.reshape(stream.size, replicate.size, 4 * blocks)
 
 
 def _normals_from_words(k: np.ndarray) -> np.ndarray:
@@ -165,38 +119,31 @@ def _normals_from_words(k: np.ndarray) -> np.ndarray:
     return np.stack((radius * np.cos(angle), radius * np.sin(angle)), axis=-1).reshape(k.shape)
 
 
-def standard_normals(seed, stream, n: int) -> np.ndarray:
-    """n standard normals from each substream ``(seed, stream)``.
+def standard_normals(seed, stream, n: int, level=0, replicate=0) -> np.ndarray:
+    """n standard normals from each substream of key ``(seed, stream)`` at
+    counter words ``(replicate, level)``.
 
-    ``seed`` and ``stream`` are each one non-negative integer or an array
-    (or sequence) of them, taken mod 2^64 as the two Philox key words.  The
-    result has shape ``shape(stream) + shape(seed) + (n,)``: one seed and
-    one stream give an (n,) array, and R seeds an (R, n) block whose row r
-    is the draw of ``seed[r]`` alone.  Every (stream, seed) pair is drawn in
-    one Philox evaluation.  The top 53 bits of each raw Philox word (raw
-    words, unlike ``Generator`` methods, keep their stream across numpy
-    releases) go through :func:`_normals_from_words`, two words to a pair of
-    normals.  ``n + n % 2`` words are drawn and the first n normals kept, so
-    a draw of n normals is a prefix of any longer draw; the draw count per
-    sample is fixed (unlike rejection samplers), which is what keeps
-    substreams aligned.
+    ``seed`` and ``level`` are each one non-negative integer, and ``stream``
+    and ``replicate`` each one or an array (or sequence) of them; all are
+    taken mod 2^64.  The result has shape ``shape(stream) + shape(replicate)
+    + (n,)``: one of each gives an (n,) array, and R replicates an (R, n)
+    block whose row r is the draw of ``replicate[r]`` alone.  Every
+    (stream, replicate) pair is drawn in one Philox evaluation.  The top 53
+    bits of each raw Philox word (raw words, unlike ``Generator`` methods,
+    keep their stream across numpy releases) go through
+    :func:`_normals_from_words`, two words to a pair of normals.
+    ``n + n % 2`` words are drawn and the first n normals kept, so a draw of
+    n normals is a prefix of any longer draw; the draw count per sample is
+    fixed (unlike rejection samplers), which is what keeps substreams
+    aligned.
     """
     if n < 0:
         raise DomainError("n must be >= 0")
-    k0, k1 = _key_words(seed, "seed"), _key_words(stream, "stream")
+    seed, level = _nonneg_int(seed, "seed") % (1 << 64), _nonneg_int(level, "level") % (1 << 64)
+    s, r = _words64(stream, "stream"), _words64(replicate, "replicate")
     m = n + n % 2
-    words = _philox_words(k0.ravel(), k1.ravel(), -(-m // 4))[..., :m]
-    return _normals_from_words(words >> 11)[..., :n].reshape(k1.shape + k0.shape + (n,))
-
-
-def replicate_seed(seed: int, r: int) -> int:
-    """Derived seed of replicate ``r``: ``SeedSequence((seed, r))``'s first 64-bit word.
-
-    Order-insensitive and collision-safe.
-    """
-    entropy = _int_words(_nonneg_int(seed, "seed")) + _int_words(_nonneg_int(r, "replicate index"))
-    lo, hi = _seed_hash(entropy)
-    return lo | hi << 32
+    words = _philox_words(seed, s.ravel(), r.ravel(), level, -(-m // 4))[..., :m]
+    return _normals_from_words(words >> 11)[..., :n].reshape(s.shape + r.shape + (n,))
 
 
 @dataclass(frozen=True)
@@ -224,13 +171,15 @@ class NoisyObservation:
 
 
 def observe(
-    u0, u1, eps: float, N: int, seed: int | Sequence[int], shared_noise: bool = False
+    u0, u1, eps: float, N: int, seed: int, shared_noise: bool = False, level: int = 0, replicate=0
 ) -> NoisyObservation:
     """Draw the N noisy coefficients of (u0, u1) from the seeded stream.
 
     Streams 0 and 1 of ``seed`` carry the value and velocity noise; with
-    ``shared_noise=True`` stream 0 drives both fields.  A sequence of R
-    seeds gives (R, N) blocks, row r drawn from ``seed[r]`` alone.
+    ``shared_noise=True`` stream 0 drives both fields.  ``level`` and
+    ``replicate`` are the counter words of :func:`standard_normals`; an array
+    of R replicate indices gives (R, N) blocks, row r drawn for
+    ``replicate[r]`` alone.
     """
     if not eps > 0:
         raise DomainError("eps must be positive")
@@ -238,19 +187,19 @@ def observe(
         raise DomainError("N must be >= 1")
     c0 = pad(as_coeffs(u0), N)
     c1 = pad(as_coeffs(u1), N)
-    xi = standard_normals(seed, (0,) if shared_noise else (0, 1), N)
+    xi = standard_normals(seed, (0,) if shared_noise else (0, 1), N, level, replicate)
     return NoisyObservation(N, c0 + eps * xi[0], c1 + eps * xi[-1], shared_noise)
 
 
 def monte_carlo(
-    sample: Callable[[np.ndarray], Sequence[np.ndarray]], replicates: int, seed: int
+    sample: Callable[[np.ndarray], Sequence[np.ndarray]], replicates: int
 ) -> list[tuple[float, float]]:
     """Monte-Carlo ``(mean, standard error)`` of each quantity ``sample`` returns.
 
-    ``sample`` gets the seeds ``replicate_seed(seed, r)`` of all replicates
-    r, in order, as one uint64 array from one hash evaluation over r, and
-    returns one length-R array per quantity, entry r belonging to replicate
-    r; identical seeds give identical estimates.
+    ``sample`` gets the replicate indices ``0 .. R-1``, in order, as one
+    uint64 array, and returns one length-R array per quantity, entry r
+    belonging to replicate r; a sampler that draws replicate r from counter
+    word r (see :func:`observe`) gives the same estimates on every run.
     Each quantity is reduced as its own contiguous array: numpy sums that
     pairwise, but sums an ``(R, k)`` block along axis 0 row by row, with
     different rounding.  A mean or standard error that is not finite (a
@@ -259,11 +208,7 @@ def monte_carlo(
     """
     if replicates < 2:
         raise DomainError("replicates must be >= 2")
-    if replicates > 1 << 32:  # every index r is then one 32-bit entropy word
-        raise DomainError("replicates must be <= 2^32")
-    r = np.arange(replicates, dtype=np.uint32)
-    lo, hi = _seed_hash(_int_words(_nonneg_int(seed, "seed")) + [r])
-    values = sample(lo.astype(np.uint64) | hi.astype(np.uint64) << 32)
+    values = sample(np.arange(replicates, dtype=np.uint64))
     root = math.sqrt(replicates)
     estimates = []
     for i, v in enumerate(values):

@@ -20,7 +20,7 @@ from fracreg.experiments import (
     mise_check,
     remark_rate_exponent,
 )
-from fracreg.noise_model import replicate_seed, standard_normals
+from fracreg.noise_model import standard_normals
 from fracreg.regularizer import RateParams
 
 from test_acceptance import CONVERGE_CFG
@@ -333,10 +333,10 @@ def test_report_renders_rows_eps_descending_even_if_built_unordered():
     assert [r["eps"] for r in parsed["rows"]] == [0.2, 0.05, 0.01]
 
 
-def per_replicate_monte_carlo(sample, replicates, seed):
-    """Reference driver: ``sample`` called with one seed per replicate, in
-    order, and each quantity reduced as its own contiguous column."""
-    values = np.array([sample(replicate_seed(seed, r)) for r in range(replicates)], dtype=float)
+def per_replicate_monte_carlo(sample, replicates):
+    """Reference loop: ``sample`` called with one replicate index at a
+    time, in order, and each quantity reduced as its own contiguous column."""
+    values = np.array([sample(r) for r in range(replicates)], dtype=float)
     root = math.sqrt(replicates)
     return [(float(np.mean(v)), float(np.std(v, ddof=1) / root)) for v in values.T.copy()]
 
@@ -387,16 +387,21 @@ def test_mise_check_batch_equals_per_replicate_loop(monkeypatch, shared_noise):
 ])
 def test_each_experiment_draws_only_the_streams_it_reads(monkeypatch, run, cfg, streams):
     # illposed and mise-check read obs0 alone, which is stream 0 under
-    # either noise model; converge reads both fields
-    drawn = set()
+    # either noise model; converge reads both fields.  Every draw is keyed
+    # by the experiment seed, and noise level i draws counter level i for
+    # all replicates at once.
+    drawn = []
 
-    def spy(seed, streams, n):
-        drawn.update(streams)
-        return standard_normals(seed, streams, n)
+    def spy(seed, streams, n, level, replicate):
+        drawn.append((seed, tuple(streams), level, replicate.tolist()))
+        return standard_normals(seed, streams, n, level, replicate)
 
     monkeypatch.setattr(noise_model, "standard_normals", spy)
     run(cfg)
-    assert drawn == streams
+    assert {s for _, stream, _, _ in drawn for s in stream} == streams
+    levels = len(cfg.mise_configs if cfg.kind == "mise-check" else cfg.eps_grid)
+    assert drawn == [(cfg.seed, tuple(sorted(streams)), i, list(range(cfg.replicates)))
+                     for i in range(levels)]
 
 
 @pytest.mark.parametrize("shared_noise", [False, True])
@@ -420,14 +425,14 @@ def test_exact_mise_within_4se_at_the_acceptance_configs(norm, q):
 def test_convergence_table_makes_one_monte_carlo_sweep(monkeypatch):
     calls = []
 
-    def spy(sample, replicates, seed):
-        calls.append(seed)
-        return noise_model.monte_carlo(sample, replicates, seed)
+    def spy(sample, replicates):
+        calls.append(replicates)
+        return noise_model.monte_carlo(sample, replicates)
 
     monkeypatch.setattr(experiments, "monte_carlo", spy)
     cfg = small_converge_cfg()
     convergence_table(cfg)
-    assert calls == [replicate_seed(cfg.seed, idx) for idx in range(len(cfg.eps_grid))]
+    assert calls == [cfg.replicates] * len(cfg.eps_grid)
 
 
 def test_bound_check_fails_below_the_fitted_constants(monkeypatch):

@@ -8,8 +8,8 @@ functions from scipy, which is now a test oracle only.  A deliberate change
 of the numbers (a new Mittag-Leffler or noise kernel, say) updates them and
 says so in CHANGES.md.
 
-The converge and illposed digests were re-recorded three times; the
-mise-check digests moved only the third time.
+The converge and illposed digests were re-recorded four times; the
+mise-check digests moved only the third and fourth times.
 - When the solver's forward substitution became block-wise: its rounding
   moved at the 1e-16 level, and the largest relative change of any JSON
   value was 9.2e-11 (the short converge-l2 run), 1.1e-11 (converge-hq) and
@@ -24,6 +24,10 @@ mise-check digests moved only the third time.
   ``observed_slope``, ``input_mc``/``_se``, ``output_mc``/``_se``,
   ``output_loglog_slope`` and ``mc``); every exact MISE, bound, constant
   and admissibility value kept its bits.
+- When the replicate and the noise level moved from hashed seeds into the
+  Philox counter, and the illposed report gained ``input_exact_se``: every
+  run drew new noise again, and the same walk found the same Monte-Carlo
+  values moved, that one key added, and every other value kept its bits.
 """
 
 import hashlib
@@ -38,23 +42,23 @@ CONVERGE_SHORT = ["--replicates", "8", "--m-steps", "32", "--eps-grid", "1e-4,1e
 RUNS = {
     "converge-l2": (
         ["converge", "--norm", "l2", *CONVERGE_SHORT],
-        "23001abf0ea17597687b21c79bc4815fe560b25830aac5fe5919c0f0ebe149b4",
-        "9db05c026946e2399c5d3dd4b554133c3bbe75b1aa0a41e985d01a9c72ea6b7c",
+        "f9576fc72d59869176cd4b704a3e23c144c16d7ed0a675ae350bd7a3198ef5d9",
+        "14bbbdd22f4331348c9b52a67d9ff3718629e0e89e707e5b4be49265b4948832",
     ),
     "converge-hq": (
         ["converge", "--norm", "hq", "--q", "0.5", *CONVERGE_SHORT],
-        "9066b7d7061ca8ae1a18dececb8f50546b3311d2ae36f8093fdcd89aba8fb09e",
-        "64c77a186d1b2a55f937aba9c0526eb700365bbe74cf2c27602809919709ff14",
+        "523227d07c497af0a6f4674fbe73d22db87085765861c23975e770126847cd5e",
+        "7fbdeda24325cc98eb3ea2d8aabcf1f6955e6157c9528e00402c649c789959c4",
     ),
     "illposed": (
         ["illposed", "--replicates", "8", "--m-steps", "16"],
-        "5bddf3c73dcfbfa39d1f4790faa3c93a2f271df9eed5e3df6d60a9b79ccd0181",
-        "bf8d3d49e5a27f05c41b7e3ab125c22efe1a503e02df06ed1b56e759a484f01a",
+        "5affe1bf6d7a249a345746b1a266a50de5ff80e3ee8f7897d199b073dd2354b5",
+        "d46430b253b7d20c166c6c8135f29dc99e3eb56eb61edc06998fe20f549686f1",
     ),
     "mise-check": (
         ["mise-check", "--replicates", "200"],
-        "a00bf1e9e65aeb3bfd2cc980c566738fce4a6e25ff6aedfc96216247cf81daa0",
-        "b4f7867e628550a76749fd61b24d43320c7e0a8dda568eaddf4f681e375ed6f0",
+        "5ae551c2caf28b87084cc4603c9cf432e68abc29aa4c36089256bdda13ae1234",
+        "1d8f8bc077eeb64e99eae4c8e64c3758ca7ca5907efc9ef51f6431b6eb3312ce",
     ),
 }
 
@@ -63,8 +67,8 @@ RUNS = {
 # run path whose bound reads an eigenvalue, lam_8, past the truth's modes.
 PAST_MODES = (
     {"mise_configs": [[2.0, 4, 8, 0.05, 0.5]]},
-    "ef10f45f119cd40a7f0c2d224ff119a0a1a444ba968e1dc8405115d42d0919c0",
-    "ed9cfe177deba14bcd97b74bb5df462b3117a8144fe97dc84111a20a1ab9c8c1",
+    "4b7d60e4ba6bf9a6f182d66253e18ac2fe3d6f6432fadb6920b6c3e7c10e988d",
+    "0ee8ceffc576d2f062deacbe3873b9fc8b895543ec124e56422a40e466244062",
 )
 
 

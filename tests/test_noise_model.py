@@ -13,7 +13,6 @@ from fracreg.noise_model import (
     mise_bound_check,
     monte_carlo,
     observe,
-    replicate_seed,
     standard_normals,
 )
 from fracreg.spectral import EigenSystem, pad
@@ -55,7 +54,7 @@ def test_shared_noise_switch():
 
 def test_noise_whiteness_covariance():
     R, N = 2000, 8
-    draws = np.stack([standard_normals(replicate_seed(11, r), 0, N) for r in range(R)])
+    draws = standard_normals(11, 0, N, replicate=np.arange(R))
     cov = draws.T @ draws / R
     assert np.max(np.abs(cov - np.eye(N))) < 5.0 / math.sqrt(R)
 
@@ -63,10 +62,10 @@ def test_noise_whiteness_covariance():
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**64 - 1), order=st.permutations(range(12)))
 def test_replicate_streams_do_not_depend_on_order(seed, order):
-    # replicate r's seed and normals are a function of (seed, r) alone, so
+    # replicate r's normals are a function of (seed, level, r) alone, so
     # drawing the replicates in any order gives the same values
-    in_order = [standard_normals(replicate_seed(seed, r), 0, 5) for r in range(12)]
-    shuffled = {r: standard_normals(replicate_seed(seed, r), 0, 5) for r in order}
+    in_order = [standard_normals(seed, 0, 5, level=3, replicate=r) for r in range(12)]
+    shuffled = {r: standard_normals(seed, 0, 5, level=3, replicate=r) for r in order}
     for r in range(12):
         assert np.array_equal(shuffled[r], in_order[r])
 
@@ -84,19 +83,20 @@ def test_observe_unrolls_definition():
 def test_truncated_noise_energy_matches_eps2N():
     # noise-only data: E ||U_N||^2 = eps^2 N
     eps, N, R = 0.3, 12, 4000
-    sample = lambda seeds: (np.sum(observe(np.zeros(1), np.zeros(1), eps, N, seeds).obs0 ** 2,
-                                   axis=-1),)
-    [(mean, se)] = monte_carlo(sample, R, 123)
+    sample = lambda r: (np.sum(observe(np.zeros(1), np.zeros(1), eps, N, 123, replicate=r).obs0 ** 2,
+                               axis=-1),)
+    [(mean, se)] = monte_carlo(sample, R)
     assert abs(mean - eps * eps * N) <= 4 * se
 
 
-def sq_dist_sample(truth, eps, N):
+def sq_dist_sample(truth, eps, N, seed):
     """Replicate sample: squared distance of the N noisy coefficients from
     the truth, zero-padded (unobserved modes are zero)."""
     width = max(truth.size, N)
 
-    def sample(seeds):
-        d = pad(observe(truth, np.zeros(1), eps, N, seeds).obs0, width) - pad(truth, width)
+    def sample(r):
+        obs = observe(truth, np.zeros(1), eps, N, seed, replicate=r)
+        d = pad(obs.obs0, width) - pad(truth, width)
         return (np.sum(d * d, axis=-1),)
 
     return sample
@@ -106,19 +106,19 @@ def test_monte_carlo_reduces_each_quantity_as_its_own_column():
     # each quantity is reduced as a contiguous 1-D array (pairwise summation);
     # an axis=0 reduction of the (R, 2) block rounds differently
     R = 64
-    draw = lambda seeds: standard_normals(seeds, 0, 2) * [1.0, 1e3] + [0.5, 7.0]
-    sample = lambda seeds: draw(seeds).T  # one strided length-R column per quantity
     for seed in range(8):
-        values = np.array([draw(replicate_seed(seed, r)) for r in range(R)])
+        draw = lambda r: standard_normals(seed, 0, 2, replicate=r) * [1.0, 1e3] + [0.5, 7.0]
+        sample = lambda r: draw(r).T  # one strided length-R column per quantity
+        values = np.array([draw(r) for r in range(R)])
         want = [(float(np.mean(col)), float(np.std(col, ddof=1) / math.sqrt(R)))
                 for col in (values[:, 0].copy(), values[:, 1].copy())]
-        assert monte_carlo(sample, R, seed) == want
+        assert monte_carlo(sample, R) == want
 
 
 def test_mise_mc_exact_estimator_is_zero():
     truth = np.array([1.0, 2.0, 3.0])
-    sample = lambda seeds: (np.sum((truth - truth) ** 2) * np.ones(len(seeds)),)
-    [(mean, se)] = monte_carlo(sample, 16, 4)
+    sample = lambda r: (np.sum((truth - truth) ** 2) * np.ones(len(r)),)
+    [(mean, se)] = monte_carlo(sample, 16)
     assert mean == 0.0
     assert se == 0.0
 
@@ -127,25 +127,25 @@ def test_mise_mc_matches_analytic_expectation():
     # estimator = truncated noisy data of u0 with c_p = p^-2, N = 8, eps = 0.05
     P, N, eps = 64, 8, 0.05
     u0 = np.arange(1, P + 1, dtype=float) ** -2.0
-    [(mean, se)] = monte_carlo(sq_dist_sample(u0, eps, N), replicates=10_000, seed=2024)
+    [(mean, se)] = monte_carlo(sq_dist_sample(u0, eps, N, seed=2024), replicates=10_000)
     analytic = eps * eps * N + float(np.sum(u0[N:] ** 2))
     assert abs(mean - analytic) <= 4 * se
 
 
 def test_mise_mc_std_err_scaling():
     u0 = np.arange(1, 17, dtype=float) ** -2.0
-    sample = sq_dist_sample(u0, 0.1, 8)
-    [(_, se1)] = monte_carlo(sample, replicates=400, seed=6)
-    [(_, se4)] = monte_carlo(sample, replicates=1600, seed=6)
+    sample = sq_dist_sample(u0, 0.1, 8, seed=6)
+    [(_, se1)] = monte_carlo(sample, replicates=400)
+    [(_, se4)] = monte_carlo(sample, replicates=1600)
     # quadrupling replicates halves the standard error (1/sqrt(R) scaling)
     assert se4 == pytest.approx(se1 / 2.0, rel=0.2)
 
 
 def test_mise_mc_deterministic():
     # N = 4 observations of a two-mode truth: the padding runs the other way
-    sample = sq_dist_sample(np.array([1.0, 0.3]), 0.2, 4)
-    a = monte_carlo(sample, replicates=64, seed=99)
-    b = monte_carlo(sample, replicates=64, seed=99)
+    sample = sq_dist_sample(np.array([1.0, 0.3]), 0.2, 4, seed=99)
+    a = monte_carlo(sample, replicates=64)
+    b = monte_carlo(sample, replicates=64)
     assert a == b
 
 
@@ -184,7 +184,7 @@ def test_validation_errors():
     with pytest.raises(DomainError):
         observe(np.zeros(2), np.zeros(2), 0.1, 0, seed=1)
     with pytest.raises(DomainError):
-        monte_carlo(lambda s: (0.0,), replicates=1, seed=1)
+        monte_carlo(lambda r: (0.0,), replicates=1)
 
 
 UINT64 = st.integers(min_value=0, max_value=2**64 - 1)
@@ -192,79 +192,64 @@ UINT64 = st.integers(min_value=0, max_value=2**64 - 1)
 
 @settings(max_examples=50, deadline=None)
 @given(
-    seeds=st.lists(UINT64, min_size=1, max_size=6),
+    seed=UINT64,
     streams=st.lists(UINT64, min_size=1, max_size=3),
+    replicates=st.lists(UINT64, min_size=1, max_size=5),
+    level=UINT64,
     n=st.integers(min_value=0, max_value=37),
 )
-@example(seeds=[2**63, 2**64 - 1, 0], streams=[2**64 - 1, 2**63 + 1], n=37)
-def test_philox_port_draws_what_numpy_philox_draws(seeds, streams, n):
-    # every (stream, seed) pair of one evaluation must draw the raw words of a
-    # fresh numpy Philox(key=(seed, stream)), and its normals must be the
-    # Box-Muller pairs of numpy's bounded integers read the same way.  The
-    # oracle keys are uint64 arrays: a Python list sends keys of 2^63 and
-    # more through float64.
-    words = _philox_words(np.array(seeds, np.uint64), np.array(streams, np.uint64), -(-n // 4))
-    block = standard_normals(seeds, streams, n)
-    assert block.shape == (len(streams), len(seeds), n)
+@example(seed=2**64 - 1, streams=[2**64 - 1, 2**63 + 1], replicates=[2**63, 2**64 - 1, 0],
+         level=2**64 - 1, n=37)
+def test_philox_port_draws_what_numpy_philox_draws(seed, streams, replicates, level, n):
+    # every (stream, replicate) pair of one evaluation must draw the raw words
+    # of a fresh numpy Philox(key=(seed, stream), counter=(0, replicate, level, 0)),
+    # and its normals must be the Box-Muller pairs of numpy's bounded integers
+    # read the same way.  The oracle keys and counters are uint64 arrays: a
+    # Python list sends values of 2^63 and more through float64.
+    words = _philox_words(seed, np.array(streams, np.uint64), np.array(replicates, np.uint64),
+                          level, -(-n // 4))
+    block = standard_normals(seed, streams, n, level, replicates)
+    assert block.shape == (len(streams), len(replicates), n)
     for s, stream in enumerate(streams):
-        for r, seed in enumerate(seeds):
+        for r, replicate in enumerate(replicates):
             key = np.array([seed, stream], np.uint64)
-            assert np.array_equal(words[s, r, :n], np.random.Philox(key=key).random_raw(n))
-            fresh = np.random.Generator(np.random.Philox(key=key))
+            counter = np.array([0, replicate, level, 0], np.uint64)
+            assert np.array_equal(words[s, r, :n],
+                                  np.random.Philox(key=key, counter=counter).random_raw(n))
+            fresh = np.random.Generator(np.random.Philox(key=key, counter=counter))
             k = fresh.integers(0, 1 << 53, size=n + n % 2)
             u = (k.astype(np.float64) + 0.5) / 2.0**53
             radius, angle = np.sqrt(-2.0 * np.log(u[0::2])), 2.0 * np.pi * u[1::2]
             want = np.empty(u.size)
             want[0::2], want[1::2] = radius * np.cos(angle), radius * np.sin(angle)
             assert np.array_equal(block[s, r], want[:n])
-            assert np.array_equal(standard_normals(seed, stream, n), want[:n])
-
-
-@settings(max_examples=200, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**130), r=st.integers(min_value=0, max_value=2**40))
-@example(seed=2**96 - 1, r=2**40)  # four words of entropy, then five: the tail-mixing loop
-@example(seed=2**96, r=0)
-def test_replicate_seed_is_numpy_seed_sequence(seed, r):
-    want = int(np.random.SeedSequence((seed, r)).generate_state(1, np.uint64)[0])
-    assert replicate_seed(seed, r) == want
-
-
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**130), replicates=st.integers(min_value=2, max_value=40))
-def test_monte_carlo_hands_the_sampler_numpy_seed_sequence_seeds(seed, replicates):
-    handed = []
-
-    def sample(seeds):
-        handed.append(seeds)
-        return (np.zeros(len(seeds)),)
-
-    monte_carlo(sample, replicates, seed)
-    want = [np.random.SeedSequence((seed, r)).generate_state(1, np.uint64)[0]
-            for r in range(replicates)]
-    assert handed[0].dtype == np.uint64
-    assert np.array_equal(handed[0], want)
+            assert np.array_equal(standard_normals(seed, stream, n, level, replicate), want[:n])
 
 
 @pytest.mark.parametrize("call, bad", [
-    (lambda: replicate_seed(-1, 0), "-1"),
-    (lambda: replicate_seed(1.5, 0), "1.5"),
-    (lambda: replicate_seed(3, -2), "-2"),
-    (lambda: monte_carlo(lambda seeds: (np.zeros(len(seeds)),), 8, seed=-3), "-3"),
+    (lambda: monte_carlo(lambda r: (observe(np.zeros(1), np.zeros(1), 0.1, 2, -3,
+                                            replicate=r).obs0[:, 0],), 8), "-3"),
     (lambda: standard_normals(-1, 0, 3), "-1"),
-    (lambda: standard_normals([1.7], 0, 2), "1.7"),
-    (lambda: standard_normals(np.array([4, -5]), 0, 2), "-5"),
+    (lambda: standard_normals(1, [1.7], 2), "1.7"),
+    (lambda: standard_normals(1, np.array([4, -5]), 2), "-5"),
     (lambda: standard_normals(4, -1, 2), "-1"),
-], ids=["replicate_seed-negative", "replicate_seed-float", "replicate_seed-negative-index",
-        "monte_carlo-negative", "standard_normals-negative", "standard_normals-float-in-list",
-        "standard_normals-negative-in-array", "standard_normals-negative-stream"])
+    (lambda: standard_normals(4, 0, 2, level=-2), "-2"),
+    (lambda: standard_normals(4, 0, 2, level=0.5), "0.5"),
+    (lambda: standard_normals(4, 0, 2, replicate=np.array([0, -7])), "-7"),
+    (lambda: standard_normals(4, 0, 2, replicate=[2.5]), "2.5"),
+], ids=["monte_carlo-negative", "standard_normals-negative", "standard_normals-float-in-list",
+        "standard_normals-negative-in-array", "standard_normals-negative-stream",
+        "standard_normals-negative-level", "standard_normals-float-level",
+        "standard_normals-negative-replicate-in-array", "standard_normals-float-replicate"])
 def test_bad_seed_is_domain_error_naming_it(call, bad):
     with pytest.raises(DomainError, match=f"non-negative integer, got {bad}"):
         call()
 
 
 def test_seeds_past_64_bits_keep_their_key_mod_2_64():
-    big = standard_normals([2**64 + 5, 2**70], [2**64 + 1], 9)
-    assert np.array_equal(big, standard_normals(np.array([5, 0], np.uint64), [1], 9))
+    big = standard_normals(2**64 + 5, [2**64 + 1], 9, level=2**65 + 3, replicate=[2**70, 2**64 + 2])
+    want = standard_normals(5, [1], 9, level=3, replicate=np.array([0, 2], np.uint64))
+    assert np.array_equal(big, want)
 
 
 def test_extreme_words_give_finite_normals():
@@ -283,10 +268,11 @@ def test_extreme_words_give_finite_normals():
 
 
 def test_a_draw_is_a_prefix_of_any_longer_draw():
-    seeds, streams = [3, 2**64 - 1], [0, 1]
-    longest = standard_normals(seeds, streams, 38)
+    replicates, streams = [3, 2**64 - 1], [0, 1]
+    longest = standard_normals(7, streams, 38, level=1, replicate=replicates)
     for n in range(38):
-        assert np.array_equal(standard_normals(seeds, streams, n), longest[..., :n])
+        assert np.array_equal(standard_normals(7, streams, n, level=1, replicate=replicates),
+                              longest[..., :n])
 
 
 def test_normals_pass_ks_and_moments():
@@ -302,16 +288,43 @@ def test_normals_pass_ks_and_moments():
 
 @pytest.mark.parametrize("shared_noise", [False, True])
 def test_observe_batch_rows_equal_single_seed_draws(shared_noise):
-    seeds = [replicate_seed(31, r) for r in range(5)]
+    replicates = np.array([0, 5, 2**64 - 1, 3, 1], np.uint64)
     u0, u1 = np.array([1.0, -0.5, 0.25]), np.array([0.2, 0.1])
-    batch = observe(u0, u1, 0.05, 6, seeds, shared_noise=shared_noise)
+    batch = observe(u0, u1, 0.05, 6, 31, shared_noise, level=2, replicate=replicates)
     assert batch.obs0.shape == batch.obs1.shape == (5, 6)
-    for r, seed in enumerate(seeds):
-        one = observe(u0, u1, 0.05, 6, seed, shared_noise=shared_noise)
+    for r, replicate in enumerate(replicates):
+        one = observe(u0, u1, 0.05, 6, 31, shared_noise, level=2, replicate=replicate)
         assert np.array_equal(batch.obs0[r], one.obs0)
         assert np.array_equal(batch.obs1[r], one.obs1)
 
 
+def test_monte_carlo_hands_the_sampler_the_replicate_indices():
+    handed = []
+
+    def sample(r):
+        handed.append(r)
+        return (np.zeros(len(r)),)
+
+    monte_carlo(sample, 5)
+    assert handed[0].dtype == np.uint64
+    assert handed[0].tolist() == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("counter", ["level", "replicate"])
+def test_substreams_along_a_counter_word_look_independent(counter):
+    # the energy of 11 normals from each of 14 consecutive substreams is
+    # chi-square with 154 degrees of freedom only if the substreams are
+    # standard normal and independent of their neighbours
+    k, n, count = 14, 11, 2000
+    if counter == "replicate":  # replicates 14c .. 14c+13 at one level
+        z = standard_normals(5, 0, n, level=1, replicate=np.arange(k * count)).reshape(count, k, n)
+    else:  # replicate c at levels 0 .. 13
+        z = np.stack([standard_normals(5, 0, n, level=l, replicate=np.arange(count))
+                      for l in range(k)], axis=1)
+    energies = np.sum(z**2, axis=(1, 2))
+    assert stats.kstest(energies, stats.chi2(k * n).cdf).pvalue > 1e-3
+
+
 def test_monte_carlo_needs_one_value_per_replicate():
     with pytest.raises(DomainError, match="8 values per quantity"):
-        monte_carlo(lambda seeds: (np.zeros(len(seeds) - 1),), replicates=8, seed=1)
+        monte_carlo(lambda r: (np.zeros(len(r) - 1),), replicates=8)

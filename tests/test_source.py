@@ -52,7 +52,7 @@ def test_cli_import_loads_no_heavy_scipy_modules():
 
 
 def test_cli_import_loads_no_numpy_random():
-    # Philox and the SeedSequence hash are ported to numpy arithmetic, so the
+    # Philox is ported to numpy arithmetic and no seed is hashed, so the
     # package never pays for importing numpy.random
     assert _loaded_by_cli_import("numpy.random") == []
 
