@@ -3,8 +3,8 @@
 Evaluates ``E(beta, gamma; z) = sum_k z^k / Gamma(beta*k + gamma)`` for
 ``z >= 0`` together with the exact antiderivatives of the Volterra kernel
 ``s^(beta-1) * E(beta, beta; lam * s^beta)`` that the mild solver needs, and
-the empirical calibration of the kernel growth constant ``C3`` that scales
-the instability-demo nonlinearity.
+the kernel growth constant ``C3``, one Mittag-Leffler value at the kernel
+growth ratio's supremum, that scales the instability-demo nonlinearity.
 
 Evaluation strategy
 -------------------
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -46,9 +45,8 @@ SERIES_TERM_CAP = 10_000
 # Relative truncation target when no absolute tol is given.
 _REL_TOL = 1e-13
 
-# Reference grid and headroom of calibrate_growth_constants.
-_GROWTH_LAM_MAX = 400
-_GROWTH_TIMES = 201
+# Absolute truncation tol and headroom of calibrate_growth_constants.
+_GROWTH_TOL = 1e-20
 _GROWTH_HEADROOM = 1.005
 
 
@@ -227,35 +225,37 @@ def kernel_double_primitive(beta: float, lam, s):
 
 @dataclass(frozen=True)
 class GrowthConstants:
-    """Empirical envelope constant of the kernel growth bound.
+    """Envelope constant of the kernel growth bound.
 
-    ``C3`` is the supremum over a reference (lam, t) grid of
-    ``t^(beta-1) E(beta,beta; lam t^beta) / exp(lam^(1/beta) t)``; it
-    scales the contraction nonlinearity used by the instability demo.
+    ``C3`` bounds ``t^(beta-1) E(beta,beta; lam t^beta) / exp(lam^(1/beta) t)``
+    over ``lam >= 1`` and ``0 <= t <= a``, with 0.5% headroom; it scales the
+    contraction nonlinearity used by the instability demo.
     """
 
     C3: float
 
 
-@lru_cache(maxsize=32)
 def calibrate_growth_constants(beta: float, a: float) -> GrowthConstants:
-    """Empirical supremum of the kernel growth ratio over a reference grid.
+    """The kernel growth ratio at its supremum ``lam = 1, t = a``, times 1.005.
 
-    The reference grid is all integer eigenvalues up to 400 crossed with
-    201 uniform times in [0, a].  The constant is never quoted in closed
-    form anywhere; it exists, and this pins a usable value.  A headroom
-    factor of 1.005 covers the residual grid-refinement error so the
-    constant keeps dominating the ratio between reference points (the
-    ratio plateaus in t for large lam, so 0.5% is generous).  Requires
-    ``beta`` in (1, 2): for ``beta <= 1`` the ratio is unbounded as
-    ``t -> 0``.  The result depends only on ``(beta, a)`` and is cached.
+    The ratio ``g(lam, t) = t^(beta-1) E(beta,beta; lam t^beta)
+    exp(-lam^(1/beta) t)`` scales as ``lam^((1-beta)/beta) h(lam^(1/beta) t)``
+    with ``h(s) = s^(beta-1) E(beta,beta; s^beta) e^(-s)``, which rises toward
+    its limit ``1/beta`` (Podlubny, *Fractional Differential Equations*, 1999,
+    Thm 1.4).  So ``g`` rises along ``t``; it falls along ``lam``, as
+    ``E(beta,beta; s^beta) e^(-s)`` falls in ``s``.  Over ``lam >= 1`` and
+    ``0 <= t <= a`` its supremum is ``h(a)``, summed here to an absolute
+    ``tol`` below 1e-4 of its ulp (``E(beta,beta; z) >= 1/Gamma(beta) > 1``).
+    That equals bit for bit the maximum over integer ``lam <= 400`` crossed
+    with 201 uniform times in [0, a], the grid whose calibration set the
+    headroom.  Requires ``beta`` in (1, 2): for ``beta <= 1`` the ratio is
+    unbounded as ``t -> 0``.
     """
     if not (1.0 < beta < 2.0):
         raise DomainError(f"growth ratios require beta in (1, 2), got {beta}")
-    if a <= 0:
-        raise DomainError(f"horizon a must be positive, got {a}")
-    lams = np.arange(1, _GROWTH_LAM_MAX + 1, dtype=float)[:, None]
-    ts = np.linspace(0.0, a, _GROWTH_TIMES)[None, :]
-    e, _ = ml_values(beta, beta, lams * ts**beta)
-    ratio = ts ** (beta - 1.0) * e * np.exp(-(lams ** (1.0 / beta)) * ts)
-    return GrowthConstants(float(ratio.max()) * _GROWTH_HEADROOM)
+    if not 0.0 < a < math.inf:
+        raise DomainError(f"horizon a must be finite and positive, got {a}")
+    t = np.full(1, a, dtype=float)  # numpy pow and exp, which the grid maximum used
+    e, _ = ml_values(beta, beta, t**beta, tol=_GROWTH_TOL)
+    ratio = t ** (beta - 1.0) * e * np.exp(-t)
+    return GrowthConstants(float(ratio[0]) * _GROWTH_HEADROOM)

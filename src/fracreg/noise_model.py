@@ -53,20 +53,22 @@ _PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], np.uint64).reshap
 _PHILOX_ROUNDS = 10
 
 
-def _nonneg_int(value, name: str) -> int:
-    """``value`` as a Python int, or a DomainError naming it unless it is a
-    non-negative integer."""
+def _word64(value, name: str) -> int:
+    """``value`` as a Python int, or a DomainError naming it unless it is an
+    integer in [0, 2^64), one Philox word."""
     try:
         n = operator.index(value)
     except TypeError:
         n = -1
     if n < 0:
         raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
+    if n >= 1 << 64:
+        raise DomainError(f"{name} must lie in [0, 2^64), got {value!r}")
     return n
 
 
 def _words64(values, name: str) -> np.ndarray:
-    """Each non-negative integer in ``values`` mod 2^64, as a uint64 array of its shape.
+    """Each integer of ``values``, in [0, 2^64), as a uint64 array of its shape.
 
     An unsigned or non-negative signed integer array is used as it is; any
     other input is checked value by value.
@@ -74,7 +76,7 @@ def _words64(values, name: str) -> np.ndarray:
     a = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
     if a.dtype.kind in "ub" or (a.dtype.kind == "i" and not (a < 0).any()):
         return a.astype(np.uint64)
-    word = np.frompyfunc(lambda v: _nonneg_int(v, name) % (1 << 64), 1, 1)
+    word = np.frompyfunc(lambda v: _word64(v, name), 1, 1)
     return np.array(word(a), dtype=np.uint64).reshape(a.shape)
 
 
@@ -124,14 +126,15 @@ def standard_normals(seed, stream, n: int, level=0, replicate=0) -> np.ndarray:
     counter words ``(replicate, level)``.
 
     ``seed`` and ``level`` are each one non-negative integer, and ``stream``
-    and ``replicate`` each one or an array (or sequence) of them; all are
-    taken mod 2^64.  The result has shape ``shape(stream) + shape(replicate)
-    + (n,)``: one of each gives an (n,) array, and R replicates an (R, n)
-    block whose row r is the draw of ``replicate[r]`` alone.  Every
-    (stream, replicate) pair is drawn in one Philox evaluation.  The top 53
-    bits of each raw Philox word (raw words, unlike ``Generator`` methods,
-    keep their stream across numpy releases) go through
-    :func:`_normals_from_words`, two words to a pair of normals.
+    and ``replicate`` each one or an array (or sequence) of them; each must
+    lie in [0, 2^64), one Philox word, so no two values share a substream.
+    The result has shape ``shape(stream) + shape(replicate) + (n,)``: one of
+    each gives an (n,) array, and R replicates an (R, n) block whose row r
+    is the draw of ``replicate[r]`` alone.  Every (stream, replicate) pair
+    is drawn in one Philox evaluation.  The top 53 bits of each raw Philox
+    word (raw words, unlike ``Generator`` methods, keep their stream across
+    numpy releases) go through :func:`_normals_from_words`, two words to a
+    pair of normals.
     ``n + n % 2`` words are drawn and the first n normals kept, so a draw of
     n normals is a prefix of any longer draw; the draw count per sample is
     fixed (unlike rejection samplers), which is what keeps substreams
@@ -139,7 +142,7 @@ def standard_normals(seed, stream, n: int, level=0, replicate=0) -> np.ndarray:
     """
     if n < 0:
         raise DomainError("n must be >= 0")
-    seed, level = _nonneg_int(seed, "seed") % (1 << 64), _nonneg_int(level, "level") % (1 << 64)
+    seed, level = _word64(seed, "seed"), _word64(level, "level")
     s, r = _words64(stream, "stream"), _words64(replicate, "replicate")
     m = n + n % 2
     words = _philox_words(seed, s.ravel(), r.ravel(), level, -(-m // 4))[..., :m]

@@ -212,6 +212,16 @@ def test_illposed_cli_rerun_bit_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("beta, a", [("1.05", "3"), ("1.1", "4")])
+def test_illposed_cli_calibrates_c3_at_long_horizons(tmp_path, capsys, beta, a):
+    # C3 is one Mittag-Leffler value at (lam = 1, t = a); a sweep up to
+    # lam = 400 overflowed the series at these horizons and exited 1
+    out = tmp_path / "long.json"
+    code, _, _ = run_cli(capsys, "illposed", "--beta", beta, "--a", a, "--out", str(out))
+    assert code in (0, 2)
+    assert math.isfinite(json.loads(out.read_text())["meta"]["growth_constant_C3"])
+
+
 def test_converge_cli_with_config_file(tmp_path, capsys):
     cfg = {
         "eps_grid": [1e-4, 3e-5, 1e-5, 3e-6],

@@ -3,6 +3,7 @@ import math
 import warnings
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -304,12 +305,20 @@ def growth_ratio_grids(beta, lams, ts):
     return r1, r2, r3
 
 
+# The reference grid on which C3 was once calibrated: every integer
+# eigenvalue up to 400 crossed with 201 uniform times in [0, a].
+REF_LAM_MAX = 400
+REF_TIMES = 201
+
+
+def reference_grid(a):
+    return np.arange(1, REF_LAM_MAX + 1, dtype=float), np.linspace(0.0, a, REF_TIMES)
+
+
 def calibrate_c1_c2(beta, a):
-    """The envelope constants ``C1``, ``C2`` of the first two growth ratios,
-    calibrated like ``C3``: reference-grid supremum times the headroom."""
-    lams = np.arange(1, mlmod._GROWTH_LAM_MAX + 1, dtype=float)
-    ts = np.linspace(0.0, a, mlmod._GROWTH_TIMES)
-    r1, r2, _ = growth_ratio_grids(beta, lams, ts)
+    """The envelope constants ``C1``, ``C2`` of the first two growth ratios:
+    reference-grid supremum times the headroom of ``C3``."""
+    r1, r2, _ = growth_ratio_grids(beta, *reference_grid(a))
     return float(r1.max()) * mlmod._GROWTH_HEADROOM, float(r2.max()) * mlmod._GROWTH_HEADROOM
 
 
@@ -353,24 +362,53 @@ def test_growth_constant_bits_are_pinned(beta, a):
     assert calibrate_growth_constants(beta, a).C3 == C3_BITS[(beta, a)]
 
 
-@pytest.mark.parametrize("beta, a", [(0.9, 1.0), (2.0, 1.0), (1.5, 0.0)])
+@pytest.mark.parametrize("beta, a", [(0.9, 1.0), (2.0, 1.0), (1.5, 0.0), (1.5, math.nan),
+                                     (1.5, math.inf)])
 def test_growth_constant_rejects_bad_input_on_every_call(beta, a):
     for _ in range(2):
-        with pytest.raises(DomainError):
-            calibrate_growth_constants(beta, a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"beta in \(1, 2\)|horizon a must be finite"):
+                calibrate_growth_constants(beta, a)
 
 
-def test_growth_calibration_is_one_cached_sweep(monkeypatch):
-    sweeps = []
+def test_growth_calibration_is_one_ml_value(monkeypatch):
+    calls = []
 
     def counting(*args, **kwargs):
-        sweeps.append(args)
+        calls.append(args)
         return ml_values(*args, **kwargs)
 
     monkeypatch.setattr(mlmod, "ml_values", counting)
-    calibrate_growth_constants.cache_clear()
-    first = calibrate_growth_constants(1.7, 0.75)
-    assert [s[:2] for s in sweeps] == [(1.7, 1.7)]
-    assert np.shape(sweeps[0][2]) == (400, 201)
-    assert calibrate_growth_constants(1.7, 0.75) is first
-    assert len(sweeps) == 1
+    calibrate_growth_constants(1.7, 0.75)
+    assert [c[:2] for c in calls] == [(1.7, 1.7)]
+    assert np.size(calls[0][2]) == 1
+
+
+# (beta, a) pairs where the reference grid runs: its lam = 400 lane overflows
+# the series from a = 2 on at beta = 1.01, and from a = 2.5 on at beta = 1.05.
+# Small beta costs the grid seconds, so it is sampled more thinly.
+GRID_SWEEP = [(1.01, 0.01), (1.01, 0.1), (1.01, 1.0), (1.05, 0.01), (1.05, 1.0), (1.1, 0.1),
+              (1.1, 1.5), (1.2, 0.5), (1.2, 2.5)] + [
+    (beta, a) for beta in (1.3, 1.5, 1.7, 1.8, 1.9, 1.99) for a in (0.01, 0.5, 1.0, 2.5)]
+
+
+@pytest.mark.parametrize("beta, a", GRID_SWEEP)
+def test_growth_constant_is_the_reference_grid_maximum_bit_for_bit(beta, a):
+    ratio = growth_ratio_grids(beta, *reference_grid(a))[2]
+    assert calibrate_growth_constants(beta, a).C3 == float(ratio.max()) * mlmod._GROWTH_HEADROOM
+    # the ratio falls along lam at every t and rises along t at lam = 1, so
+    # its maximum sits at (lam = 1, t = a)
+    assert np.all(np.diff(ratio, axis=0) <= 0.0)
+    assert np.all(np.diff(ratio[0]) >= 0.0)
+
+
+@pytest.mark.parametrize("beta, a", [(1.01, 0.01), (1.05, 3.0), (1.1, 4.0), (1.5, 1.0),
+                                     (1.8, 0.5), (1.99, 2.5)])
+def test_growth_constant_before_headroom_against_oracle(beta, a, monkeypatch):
+    monkeypatch.setattr(mlmod, "_GROWTH_HEADROOM", 1.0)
+    with mp.workdps(40):
+        b, t = mp.mpf(beta), mp.mpf(a)
+        e = ml_reference(beta, beta, float(t**b), dps=40)
+        ref = float(t ** (b - 1) * e * mp.exp(-t))
+    assert calibrate_growth_constants(beta, a).C3 == pytest.approx(ref, rel=1e-13)

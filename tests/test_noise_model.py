@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -246,10 +247,17 @@ def test_bad_seed_is_domain_error_naming_it(call, bad):
         call()
 
 
-def test_seeds_past_64_bits_keep_their_key_mod_2_64():
-    big = standard_normals(2**64 + 5, [2**64 + 1], 9, level=2**65 + 3, replicate=[2**70, 2**64 + 2])
-    want = standard_normals(5, [1], 9, level=3, replicate=np.array([0, 2], np.uint64))
-    assert np.array_equal(big, want)
+@pytest.mark.parametrize("call, name, bad", [
+    (lambda: standard_normals(2**64 + 5, 1, 9), "seed", 2**64 + 5),
+    (lambda: standard_normals(2**64, 1, 9), "seed", 2**64),
+    (lambda: standard_normals(5, [0, 2**64 + 1], 9), "stream", 2**64 + 1),
+    (lambda: standard_normals(5, 1, 9, level=2**65 + 3), "level", 2**65 + 3),
+    (lambda: standard_normals(5, 1, 9, replicate=[3, 2**70]), "replicate", 2**70),
+], ids=["seed", "seed-2^64", "stream-in-list", "level", "replicate-in-list"])
+def test_values_past_64_bits_are_refused(call, name, bad):
+    # each value is one Philox word: taken mod 2^64, seed 2^64 + 5 would draw seed 5's noise
+    with pytest.raises(DomainError, match=re.escape(f"{name} must lie in [0, 2^64), got {bad}")):
+        call()
 
 
 def test_extreme_words_give_finite_normals():
