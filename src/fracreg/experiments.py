@@ -455,38 +455,49 @@ def convergence_table(cfg: ExperimentConfig) -> ErrorReport:
             raise DomainError(f"eps={eps} gives N=1 under the rule: B_N = 0 retains no mode")
         reg_cfgs.append(rc)
 
+    # Every solve returns the rows the report reads, in t_eval order.
+    rows = [t_idx[t] for t in t_eval]
+
+    def sq_err(rc, at_t, t):
+        """Squared error norm at t of a retained-mode estimate, one per row of a block."""
+        ref = truth.coeffs[2 * t_idx[t]]
+        # one fixed width, max(N, P_retained, truth modes): the
+        # summation order of the norm, and so its bits, depend on it
+        width = max(rc.N, at_t.shape[-1], ref.size)
+        return hq_norm(pad(at_t, width) - pad(ref, width), q_eff, eig) ** 2
+
+    def sample(replicates):
+        """Squared error norms of the regularized solves, level by level, at every t.
+
+        The whole sweep is one draw: each level keeps the first N of its
+        block, which are its own draw of N.
+        """
+        sweep = observe(data.u0, data.u1, cfg.eps_grid, max(rc.N for rc in reg_cfgs), cfg.seed,
+                        shared_noise=cfg.shared_noise, level=np.arange(len(reg_cfgs)),
+                        replicate=replicates)
+        errors = []
+        for rc, obs0, obs1 in zip(reg_cfgs, sweep.obs0, sweep.obs1):
+            obs = NoisyObservation(rc.N, obs0[..., : rc.N], obs1[..., : rc.N], cfg.shared_noise)
+            fld = regularized_solve(spec, obs, rc, cfg.M, rows)
+            errors += [sq_err(rc, fld.coeffs[..., j, :], t) for j, t in enumerate(t_eval)]
+        return errors
+
+    est = iter(monte_carlo(sample, cfg.replicates))
     stats = []
-    for idx, eps in enumerate(cfg.eps_grid):
-        rc = reg_cfgs[idx]
-
-        def sq_err(rows, t):
-            """Squared error norm at t of a retained-mode estimate, one per row of a block."""
-            ref = truth.coeffs[2 * t_idx[t]]
-            # one fixed width, max(N, P_retained, truth modes): the
-            # summation order of the norm, and so its bits, depend on it
-            width = max(rc.N, rows.shape[-1], ref.size)
-            return hq_norm(pad(rows, width) - pad(ref, width), q_eff, eig) ** 2
-
-        def sample(replicates):
-            """Squared error norms of the regularized solves at every t."""
-            obs = observe(data.u0, data.u1, eps, rc.N, cfg.seed, shared_noise=cfg.shared_noise,
-                          level=idx, replicate=replicates)
-            fld = regularized_solve(spec, obs, rc, cfg.M)
-            return [sq_err(fld.coeffs[..., t_idx[t], :], t) for t in t_eval]
-
-        est = monte_carlo(sample, cfg.replicates)
+    for eps, rc in zip(cfg.eps_grid, reg_cfgs):
         # The solve is linear and mode-diagonal, so the expected error is exact:
         # the error from noise-free data plus eps^2 times the norms of the solves
         # from unit value and velocity noise (of their sum, under shared noise).
         one, zero = np.ones(rc.N), np.zeros(rc.N)
         obs0 = np.stack([pad(data.u0, rc.N), one, zero])
         obs1 = np.stack([pad(data.u1, rc.N), zero, one])
-        resp = regularized_solve(spec, NoisyObservation(rc.N, obs0, obs1), rc, cfg.M).coeffs
-        for t, (mise, se) in zip(t_eval, est):
-            at_t = resp[:, t_idx[t], :]
+        resp = regularized_solve(spec, NoisyObservation(rc.N, obs0, obs1), rc, cfg.M, rows)
+        for j, t in enumerate(t_eval):
+            mise, se = next(est)
+            at_t = resp.coeffs[:, j]
             noise = at_t[1:2] + at_t[2:] if cfg.shared_noise else at_t[1:]
             var = float(np.sum(hq_norm(noise, q_eff, eig) ** 2))
-            exact = sq_err(at_t[0], t) + eps * eps * var
+            exact = sq_err(rc, at_t[0], t) + eps * eps * var
             stats.append(dict(eps=eps, t=t, N=rc.N, B_N=rc.B_N, P_retained=rc.P_retained,
                               mise=mise, se=se, exact_mise=exact))
 

@@ -20,11 +20,13 @@ system ``(I - L_p diag(m_p)) U_p = H_p``.  It is solved exactly once per
 problem shape for unit ``u0`` and ``u1`` by block-wise forward
 substitution: each block of rows takes its history by direct convolution
 and solves its own small triangular system for all modes at once.  Every
-solve combines the two cached responses linearly.  The equation's
-right-hand side for unit data is cached too, evaluated by Toeplitz
-convolution, so each solve checks the residual of every field it returns
-in one array expression and raises :class:`NoConvergence` when one
-exceeds the tolerance.
+solve combines the two cached responses linearly, at every grid row or
+only at the rows its caller names.  The equation's right-hand side for
+unit data is cached too, evaluated by Toeplitz convolution, so each solve
+checks the residual of every field at every grid row, returned or not, and
+raises :class:`NoConvergence` when one exceeds the tolerance.  The
+residual and the field are linear in the data, so each row norm is a
+quadratic form in it, and the check forms no field.
 
 Everything here is pure and deterministic; per-mode work is independent (the
 reduction orders are fixed), so results do not depend on any parallel
@@ -47,6 +49,10 @@ DEFAULT_TOL = 1e-10
 
 # Rows per step of the block-wise forward substitution in _problem_tables.
 _BLOCK = 32
+
+# Modes times grid rows per block of the residual check in _picard_solve: its
+# work arrays stay this size, whatever M.
+_CHECK_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -130,25 +136,42 @@ class InitialData:
         object.__setattr__(self, "u1", u1)
 
 
+def _grid_rows(rows, M: int) -> np.ndarray:
+    """``rows`` as an index array into the M-step grid; a DomainError unless
+    it is a non-empty 1-D sequence of integers in 0..M."""
+    idx = np.asarray(rows)
+    if idx.ndim != 1 or idx.size == 0 or idx.dtype.kind not in "iu" or not (
+        np.all(idx >= 0) and np.all(idx <= M)
+    ):
+        raise DomainError(f"rows must be a non-empty list of grid rows in 0..{M}, got {rows!r}")
+    return idx.astype(np.intp)
+
+
 @dataclass(frozen=True)
 class FourierField:
     """Solution values on a uniform time grid: row i holds u(t_i) coefficients.
 
     ``coeffs`` is (M+1, P), or (R, M+1, P) for a batch of R fields solved
-    from (R, P) data.  ``picard_diffs`` holds the residual of the discrete
-    equation at the field, shape (1,), or (R, 1) with one row per field of
-    a batch.
+    from (R, P) data.  A field solved at some ``rows`` of the grid only
+    holds those, in the order given: its row k is ``u(t_grid[rows[k]])``,
+    and ``coeffs`` is (len(rows), P) or (R, len(rows), P).  ``picard_diffs``
+    holds the residual of the discrete equation at the field, over every
+    grid row, shape (1,), or (R, 1) with one row per field of a batch.
     """
 
     t_grid: np.ndarray
     coeffs: np.ndarray
     picard_diffs: np.ndarray | None = None
+    rows: np.ndarray | None = None
 
     def __post_init__(self):
         t = np.asarray(self.t_grid, dtype=float)
         c = np.asarray(self.coeffs, dtype=float)
-        if t.ndim != 1 or c.ndim not in (2, 3) or c.shape[-2] != t.size:
-            raise DomainError("coeffs must be (len(t_grid), P) or (R, len(t_grid), P)")
+        if self.rows is not None:
+            object.__setattr__(self, "rows", _grid_rows(self.rows, t.size - 1))
+        held = t.size if self.rows is None else self.rows.size
+        if t.ndim != 1 or c.ndim not in (2, 3) or c.shape[-2] != held:
+            raise DomainError("coeffs must be (n, P) or (R, n, P): n = len(rows), or len(t_grid)")
         if not np.all(np.isfinite(c)):
             raise DomainError("field coefficients must be finite")
         steps = np.diff(t)
@@ -230,6 +253,30 @@ def _max_row_l2(X: np.ndarray) -> np.ndarray:
     return np.sqrt(np.max(np.einsum("...ij,...ij->...i", X, X), axis=-1))
 
 
+def _max_row_norm(T0: np.ndarray, T1: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Max over rows of the row L2 norm of the fields ``T0 * c0 + T1 * c1``,
+    shape (..., 1), from quadratic forms in the data: no field is formed.
+
+    ``T0`` and ``T1`` are (n, P) tables and ``w`` the (..., 1, 3P) products
+    ``(c0^2, 2 c0 c1, c1^2)``; the squared norm of row i is ``(T0^2 c0^2 +
+    2 T0 T1 c0 c1 + T1^2 c1^2)[i]``, one sum of 3P terms.  The tables are
+    scaled by a power of two, exactly, so their squares stay in range.  Each
+    field's sums run in the same order whatever the batch, so its norm has
+    the bits of its solve alone.  Rounding can leave a row that cancels to
+    zero a little below it; that square is taken as 0 (NaN stays NaN).
+    """
+    P = T0.shape[1]
+    e = np.frexp(np.maximum(np.max(np.abs(T0)), np.max(np.abs(T1))))[1]
+    Y = np.empty((3 * P, T0.shape[0]))
+    np.ldexp(T0.T, -e, out=Y[:P])
+    np.ldexp(T1.T, -e, out=Y[2 * P :])
+    np.multiply(Y[:P], Y[2 * P :], out=Y[P : 2 * P])
+    np.square(Y[:P], out=Y[:P])
+    np.square(Y[2 * P :], out=Y[2 * P :])
+    q = np.max(np.einsum("pi,...p->...i", Y, w), axis=-1)
+    return np.ldexp(np.sqrt(np.maximum(q, 0.0)), e)
+
+
 @lru_cache(maxsize=32)
 @np.errstate(over="ignore", invalid="ignore")  # overflow surfaces as the residual check failing
 def _problem_tables(beta: float, a: float, lams: tuple, M: int, source: NonlinearitySpec):
@@ -289,36 +336,54 @@ def _problem_tables(beta: float, a: float, lams: tuple, M: int, source: Nonlinea
 
 
 def _picard_solve(
-    spec: ProblemSpec, lam: np.ndarray, u0: np.ndarray, u1: np.ndarray, M: int
+    spec: ProblemSpec, lam: np.ndarray, u0: np.ndarray, u1: np.ndarray, M: int, rows=None
 ) -> FourierField:
     """Exact solution of the discrete mild equation: the one entry of every solve.
 
     Combines the cached exact responses, for (P,) data or for every row of
-    (R, P) data at once, into ``U = F1 u0 + F2 u1``.  The source is linear,
-    so the right-hand side ``H + L(m U)`` of the equation at ``U`` is
-    ``A1 u0 + A2 u1``; each field's residual against it is recorded as the
-    field's single ``picard_diffs`` entry.
+    (R, P) data at once, into ``U = F1 u0 + F2 u1``, at every grid row or,
+    given an index array ``rows``, at those rows only.  The source is
+    linear, so the right-hand side ``H + L(m U)`` of the equation at ``U``
+    is ``A1 u0 + A2 u1``; each field's residual ``(A1 - F1) u0 + (A2 - F2)
+    u1`` over every grid row, returned or not, is recorded as the field's
+    single ``picard_diffs`` entry.  It and the field norm that scales its
+    tolerance are read from the cached tables as quadratic forms in the
+    data, so no (R, M+1, P) array is formed.
     """
     F1, F2, A1, A2 = _problem_tables(spec.beta, spec.a, tuple(lam.tolist()), M, spec.nonlinearity)
     c0, c1 = u0[..., None, :], u1[..., None, :]
-    U = F1 * c0
-    U += F2 * c1
-    residual = A1 * c0
-    residual += A2 * c1
-    residual -= U
-    residual = _max_row_l2(residual)
+    # Each field's data, scaled exactly by a power of two to at most 1, and
+    # the tables in blocks of grid rows, so the work arrays stay small at any M.
+    e = np.frexp(np.maximum(np.max(np.abs(c0), axis=-1), np.max(np.abs(c1), axis=-1)))[1]
+    s0, s1 = np.ldexp(c0, -e[..., None]), np.ldexp(c1, -e[..., None])
+    w = np.concatenate((s0 * s0, 2.0 * s0 * s1, s1 * s1), axis=-1)
+    residual = norm = 0.0
+    step = max(1, _CHECK_BLOCK // lam.size)
+    with np.errstate(over="ignore", invalid="ignore"):  # surfaces as the check failing
+        for s in range(0, M + 1, step):
+            b = slice(s, s + step)
+            residual = np.maximum(residual, _max_row_norm(A1[b] - F1[b], A2[b] - F2[b], w))
+            norm = np.maximum(norm, _max_row_norm(F1[b], F2[b], w))
+        residual, norm = np.ldexp(residual, e), np.ldexp(norm, e)
     # The residual of an exact solve is rounding, which grows with the field:
-    # DEFAULT_TOL is absolute up to a field norm of 1 and relative beyond.
-    bound = DEFAULT_TOL * np.maximum(1.0, _max_row_l2(U))
-    failed = np.flatnonzero(~(residual <= bound))
+    # DEFAULT_TOL is absolute up to a field norm of 1 and relative beyond.  A
+    # norm past floating-point range leaves no finite tolerance: that field fails.
+    bound = DEFAULT_TOL * np.maximum(1.0, norm)
+    failed = np.flatnonzero(~(residual <= bound) | ~np.isfinite(bound))
     if failed.size:
         src, r = spec.nonlinearity, failed[0]
         why = f"left a residual {residual.flat[r]:.3e} above {bound.flat[r]:.3e}"
+        if not np.isfinite(bound.flat[r]):
+            why = "overflowed: its norm exceeds floating-point range"
         if not all(np.isfinite(T).all() for T in (F1, F2, A1, A2)):
             constant = f"K={src.K:g}" if src.kind == "damped" else f"C3={src.C3:g}"
             why = f"failed: its solver tables are not finite ({src.kind}, {constant})"
         raise NoConvergence(f"exact {src.kind} solve of field {r} {why}", float(residual.flat[r]))
-    return FourierField(np.linspace(0.0, spec.a, M + 1), U, picard_diffs=residual[..., None])
+    if rows is not None:
+        F1, F2 = F1[rows], F2[rows]
+    U = F1 * c0
+    U += F2 * c1
+    return FourierField(np.linspace(0.0, spec.a, M + 1), U, picard_diffs=residual, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +396,7 @@ def solve_mild(
     data: InitialData,
     P: int,
     M: int,
+    rows=None,
 ) -> FourierField:
     """Fixed point of the coefficient-space mild-solution map.
 
@@ -341,7 +407,9 @@ def solve_mild(
     (times the field norm, where that exceeds 1).
 
     Data holding (R, P) blocks gives an (R, M+1, P) field, row r solved from
-    data row r.
+    data row r.  ``rows``, a list of grid rows in 0..M in any order, returns
+    the field at those rows only, with the bits of the same rows of the
+    whole field; the residual check still covers every grid row.
 
     The un-truncated problem is ill-posed; this is the desk-scale forward
     map on finitely many modes, not a well-posedness claim.
@@ -351,7 +419,8 @@ def solve_mild(
     if M < 1:
         raise DomainError("M must be >= 1")
     lam = spec.eig.eigenvalues[:P]
-    return _picard_solve(spec, lam, pad(data.u0, P), pad(data.u1, P), M)
+    rows = None if rows is None else _grid_rows(rows, M)
+    return _picard_solve(spec, lam, pad(data.u0, P), pad(data.u1, P), M, rows)
 
 
 def manufacture(

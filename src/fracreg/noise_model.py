@@ -23,7 +23,8 @@ error.  Given an array of replicate indices, :func:`observe` draws every
 replicate's streams in one Philox evaluation and stacks them into ``(R, N)``
 blocks, whose row r equals the observation of replicate ``r`` drawn alone,
 so the solver and the error reduction run once per noise level for all
-replicates.
+replicates.  Given an array of noise levels too, with one ``eps`` each, it
+draws a whole sweep in that one evaluation, one ``(R, N)`` block per level.
 
 The default observation model draws independent noise for the initial value
 and the initial velocity; ``shared_noise=True`` reproduces the reading in
@@ -46,10 +47,12 @@ _TWO53 = float(1 << 53)
 _MASK32 = 0xFFFFFFFF
 
 # Philox4x64 multipliers and Weyl key increments, one row per counter word
-# pair (0, 2), shaped to broadcast over (2, streams, replicates, blocks) lanes.
-_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], np.uint64).reshape(2, 1, 1, 1)
+# pair (0, 2), shaped to broadcast over (2, streams, levels, replicates, blocks)
+# lanes.
+_LANES = (2, 1, 1, 1, 1)
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], np.uint64).reshape(_LANES)
 _PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _MASK32, _PHILOX_M >> 32
-_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], np.uint64).reshape(2, 1, 1, 1)
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], np.uint64).reshape(_LANES)
 _PHILOX_ROUNDS = 10
 
 
@@ -80,20 +83,22 @@ def _words64(values, name: str) -> np.ndarray:
     return np.array(word(a), dtype=np.uint64).reshape(a.shape)
 
 
-def _philox_words(seed: int, stream: np.ndarray, replicate: np.ndarray, level: int,
+def _philox_words(seed: int, stream: np.ndarray, replicate: np.ndarray, level,
                  blocks: int) -> np.ndarray:
-    """Raw Philox4x64-10 words, ``(S, R, 4 blocks)``, of every key
-    ``(seed, stream[s])`` at the counter ``(b + 1, replicate[r], level, 0)``.
+    """Raw Philox4x64-10 words, ``(S,) + shape(level) + (R, 4 blocks)``, of
+    every key ``(seed, stream[s])`` at the counter ``(b + 1, replicate[r],
+    level[l], 0)``; ``level`` is one word or an array of them.
 
-    numpy increments the counter before its first block, so lane ``(s, r, b)``
-    runs block ``b + 1``.  Counter words 0 and 2 are stacked in ``X``, so each
-    round's two 64x64 -> 128-bit multiplies, done in 32-bit halves, are one
-    array expression; ``Y`` holds words 1 and 3.
+    numpy increments the counter before its first block, so lane
+    ``(s, l, r, b)`` runs block ``b + 1``.  Counter words 0 and 2 are stacked
+    in ``X``, so each round's two 64x64 -> 128-bit multiplies, done in 32-bit
+    halves, are one array expression; ``Y`` holds words 1 and 3.
     """
-    K = np.stack(np.broadcast_arrays(np.uint64(seed), stream[:, None, None]))
-    X = np.zeros((2, stream.size, replicate.size, blocks), np.uint64)
+    level = np.asarray(level, np.uint64)
+    K = np.stack(np.broadcast_arrays(np.uint64(seed), stream[:, None, None, None]))
+    X = np.zeros((2, stream.size, level.size, replicate.size, blocks), np.uint64)
     X[0] = np.arange(1, blocks + 1, dtype=np.uint64)
-    X[1] = np.uint64(level)
+    X[1] = level.reshape(-1, 1, 1)
     Y = np.zeros_like(X)
     Y[0] = replicate[:, None]
     for _ in range(_PHILOX_ROUNDS):
@@ -104,7 +109,7 @@ def _philox_words(seed: int, stream: np.ndarray, replicate: np.ndarray, level: i
         X, Y = hi[::-1] ^ Y ^ K, X[::-1] * _PHILOX_M[::-1]
         K = K + _PHILOX_W
     words = np.stack((X[0], Y[0], X[1], Y[1]), axis=-1)
-    return words.reshape(stream.size, replicate.size, 4 * blocks)
+    return words.reshape((stream.size,) + level.shape + (replicate.size, 4 * blocks))
 
 
 def _normals_from_words(k: np.ndarray) -> np.ndarray:
@@ -125,16 +130,17 @@ def standard_normals(seed, stream, n: int, level=0, replicate=0) -> np.ndarray:
     """n standard normals from each substream of key ``(seed, stream)`` at
     counter words ``(replicate, level)``.
 
-    ``seed`` and ``level`` are each one non-negative integer, and ``stream``
-    and ``replicate`` each one or an array (or sequence) of them; each must
+    ``seed`` is one non-negative integer, and ``stream``, ``level`` and
+    ``replicate`` each one or an array (or sequence) of them; each must
     lie in [0, 2^64), one Philox word, so no two values share a substream.
-    The result has shape ``shape(stream) + shape(replicate) + (n,)``: one of
-    each gives an (n,) array, and R replicates an (R, n) block whose row r
-    is the draw of ``replicate[r]`` alone.  Every (stream, replicate) pair
-    is drawn in one Philox evaluation.  The top 53 bits of each raw Philox
-    word (raw words, unlike ``Generator`` methods, keep their stream across
-    numpy releases) go through :func:`_normals_from_words`, two words to a
-    pair of normals.
+    The result has shape ``shape(stream) + shape(level) + shape(replicate)
+    + (n,)``: one of each gives an (n,) array, R replicates an (R, n) block
+    whose row r is the draw of ``replicate[r]`` alone, and L levels L such
+    blocks, block l drawn at ``level[l]`` alone.  Every (stream, level,
+    replicate) triple is drawn in one Philox evaluation.  The top 53 bits
+    of each raw Philox word (raw words, unlike ``Generator`` methods, keep
+    their stream across numpy releases) go through
+    :func:`_normals_from_words`, two words to a pair of normals.
     ``n + n % 2`` words are drawn and the first n normals kept, so a draw of
     n normals is a prefix of any longer draw; the draw count per sample is
     fixed (unlike rejection samplers), which is what keeps substreams
@@ -142,19 +148,20 @@ def standard_normals(seed, stream, n: int, level=0, replicate=0) -> np.ndarray:
     """
     if n < 0:
         raise DomainError("n must be >= 0")
-    seed, level = _word64(seed, "seed"), _word64(level, "level")
-    s, r = _words64(stream, "stream"), _words64(replicate, "replicate")
+    seed = _word64(seed, "seed")
+    s, l, r = (_words64(v, name) for v, name in
+               ((stream, "stream"), (level, "level"), (replicate, "replicate")))
     m = n + n % 2
-    words = _philox_words(seed, s.ravel(), r.ravel(), level, -(-m // 4))[..., :m]
-    return _normals_from_words(words >> 11)[..., :n].reshape(s.shape + r.shape + (n,))
+    words = _philox_words(seed, s.ravel(), r.ravel(), l, -(-m // 4))[..., :m]
+    return _normals_from_words(words >> 11)[..., :n].reshape(s.shape + l.shape + r.shape + (n,))
 
 
 @dataclass(frozen=True)
 class NoisyObservation:
     """The 2N observed noisy coefficients.
 
-    ``obs0`` and ``obs1`` are (N,) vectors, or (R, N) blocks holding one
-    replicate per row.
+    ``obs0`` and ``obs1`` are (N,) vectors, (R, N) blocks holding one
+    replicate per row, or (L, R, N) sweeps holding one block per noise level.
     """
 
     N: int
@@ -165,16 +172,18 @@ class NoisyObservation:
     def __post_init__(self):
         if self.N < 1:
             raise DomainError("N must be >= 1")
-        o0 = as_coeffs(self.obs0, rows=True)
-        o1 = as_coeffs(self.obs1, rows=True)
-        if o0.shape != o1.shape or o0.shape[-1] != self.N:
+        o0 = np.asarray(self.obs0, dtype=float)
+        o1 = np.asarray(self.obs1, dtype=float)
+        if o0.shape != o1.shape or o0.shape[-1:] != (self.N,):
             raise DomainError("need exactly N observed coefficients per field")
+        if not (np.all(np.isfinite(o0)) and np.all(np.isfinite(o1))):
+            raise DomainError("coefficients must be finite")
         object.__setattr__(self, "obs0", o0)
         object.__setattr__(self, "obs1", o1)
 
 
 def observe(
-    u0, u1, eps: float, N: int, seed: int, shared_noise: bool = False, level: int = 0, replicate=0
+    u0, u1, eps, N: int, seed: int, shared_noise: bool = False, level=0, replicate=0
 ) -> NoisyObservation:
     """Draw the N noisy coefficients of (u0, u1) from the seeded stream.
 
@@ -182,16 +191,23 @@ def observe(
     ``shared_noise=True`` stream 0 drives both fields.  ``level`` and
     ``replicate`` are the counter words of :func:`standard_normals`; an array
     of R replicate indices gives (R, N) blocks, row r drawn for
-    ``replicate[r]`` alone.
+    ``replicate[r]`` alone.  An array of L levels, with an array of L noise
+    levels ``eps``, gives (L, R, N) sweeps, block l drawn at ``level[l]``
+    with ``eps[l]`` alone; a level that needs fewer observations keeps the
+    first of its block, which are its own draw of that many.
     """
-    if not eps > 0:
+    e = np.asarray(eps, dtype=float)
+    if e.shape != np.shape(level):
+        raise DomainError(f"need one eps per noise level, got eps {eps!r} for level {level!r}")
+    if not np.all(e > 0):
         raise DomainError("eps must be positive")
     if N < 1:
         raise DomainError("N must be >= 1")
     c0 = pad(as_coeffs(u0), N)
     c1 = pad(as_coeffs(u1), N)
     xi = standard_normals(seed, (0,) if shared_noise else (0, 1), N, level, replicate)
-    return NoisyObservation(N, c0 + eps * xi[0], c1 + eps * xi[-1], shared_noise)
+    e = e.reshape(e.shape + (1,) * (xi.ndim - 1 - e.ndim))
+    return NoisyObservation(N, c0 + e * xi[0], c1 + e * xi[-1], shared_noise)
 
 
 def monte_carlo(

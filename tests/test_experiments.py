@@ -388,20 +388,23 @@ def test_mise_check_batch_equals_per_replicate_loop(monkeypatch, shared_noise):
 def test_each_experiment_draws_only_the_streams_it_reads(monkeypatch, run, cfg, streams):
     # illposed and mise-check read obs0 alone, which is stream 0 under
     # either noise model; converge reads both fields.  Every draw is keyed
-    # by the experiment seed, and noise level i draws counter level i for
-    # all replicates at once.
+    # by the experiment seed and covers replicates 0..R-1 at once, and
+    # every noise level 0..L-1 is drawn exactly once: illposed and
+    # mise-check draw level i for setting i, converge draws its whole
+    # sweep, every level, in one draw.
     drawn = []
 
     def spy(seed, streams, n, level, replicate):
-        drawn.append((seed, tuple(streams), level, replicate.tolist()))
+        drawn.append((seed, tuple(streams), np.asarray(level).tolist(), replicate.tolist()))
         return standard_normals(seed, streams, n, level, replicate)
 
     monkeypatch.setattr(noise_model, "standard_normals", spy)
     run(cfg)
     assert {s for _, stream, _, _ in drawn for s in stream} == streams
-    levels = len(cfg.mise_configs if cfg.kind == "mise-check" else cfg.eps_grid)
-    assert drawn == [(cfg.seed, tuple(sorted(streams)), i, list(range(cfg.replicates)))
-                     for i in range(levels)]
+    levels = list(range(len(cfg.mise_configs if cfg.kind == "mise-check" else cfg.eps_grid)))
+    per_draw = [levels] if run is convergence_table else levels
+    assert drawn == [(cfg.seed, tuple(sorted(streams)), level, list(range(cfg.replicates)))
+                     for level in per_draw]
 
 
 @pytest.mark.parametrize("shared_noise", [False, True])
@@ -432,7 +435,7 @@ def test_convergence_table_makes_one_monte_carlo_sweep(monkeypatch):
     monkeypatch.setattr(experiments, "monte_carlo", spy)
     cfg = small_converge_cfg()
     convergence_table(cfg)
-    assert calls == [cfg.replicates] * len(cfg.eps_grid)
+    assert calls == [cfg.replicates]  # one pass draws and solves every noise level
 
 
 def test_bound_check_fails_below_the_fitted_constants(monkeypatch):

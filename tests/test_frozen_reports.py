@@ -2,7 +2,9 @@
 
 The other tests check rates, bounds and run-to-run determinism, so a change
 to a report's numbers could pass all of them.  These digests pin the bytes
-of four short CLI runs, in JSON and CSV.  They were first recorded with
+of four short CLI runs, in JSON and CSV, and of two converge runs at the
+command's defaults whose declared invariants fail (exit 2), with several
+evaluation times out of grid order.  They were first recorded with
 numpy 2.4.6 and scipy 1.17.1, when the package still took its special
 functions from scipy, which is now a test oracle only.  A deliberate change
 of the numbers (a new Mittag-Leffler or noise kernel, say) updates them and
@@ -72,10 +74,28 @@ PAST_MODES = (
 )
 
 
-def assert_frozen(tmp_path, name, argv, json_digest, csv_digest):
+# Converge at the command's defaults with late evaluation times: t = 0.75 is
+# not monotone in eps, and t = 0.875 misses its predicted slope too.  Each
+# run reads several grid rows, in an order that is not the grid's.  Recorded
+# when every solve still returned the whole field.
+FAILED_INVARIANTS = {
+    "converge-t-0.75,0.25": (
+        ["converge", "--t-eval", "0.75,0.25"],
+        "f8002b6a796efbe95cf8b3b1d12cce5592f75d1a926d29c3e6b808cb08fd3fe0",
+        "11db73402cd8ed07bf29508ab6b6502d3d7643562c3af37d3d80ce797911f7bd",
+    ),
+    "converge-t-0.25,0.375,0.875": (
+        ["converge", "--t-eval", "0.25,0.375,0.875"],
+        "8efe6eda64ef45262ddbf2c1213fe76de38941c5f2991faefecb2dc36c257f2c",
+        "cfd06ace1a1bbd773416a5de7860ccfd2c2b7de63f5ebc4e907826095715872d",
+    ),
+}
+
+
+def assert_frozen(tmp_path, name, argv, json_digest, csv_digest, status=0):
     for fmt, want in (("json", json_digest), ("csv", csv_digest)):
         out = tmp_path / f"{name}.{fmt}"
-        assert main([*argv, "--out", str(out)]) == 0
+        assert main([*argv, "--out", str(out)]) == status
         got = hashlib.sha256(out.read_bytes()).hexdigest()
         assert got == want, f"{name} {fmt} report changed: sha256 {got}"
 
@@ -91,3 +111,8 @@ def test_mise_check_past_its_modes_is_frozen(tmp_path):
     path.write_text(json.dumps(config))
     argv = ["mise-check", "--replicates", "200", "--config", str(path)]
     assert_frozen(tmp_path, "mise-past-modes", argv, json_digest, csv_digest)
+
+
+@pytest.mark.parametrize("name", sorted(FAILED_INVARIANTS))
+def test_reports_of_failed_invariants_are_frozen(tmp_path, name):
+    assert_frozen(tmp_path, name, *FAILED_INVARIANTS[name], status=2)

@@ -615,17 +615,109 @@ def test_perturbed_table_fails_the_next_solve(table):
 
 def test_warm_batched_solve_memory_is_a_few_fields():
     # the converge shape: 64 fields, M = 128, P = 7.  The check's batch
-    # temporaries must stay a few fields' worth, whatever the batch size
+    # temporaries must stay a few fields' worth, whatever the batch size;
+    # a solve that returns one row checks every row in well under one field
     eig = EigenSystem.dirichlet_laplace_1d(64)
     spec = ProblemSpec(1.5, 1.0, eig, NonlinearitySpec.damped(0.02))
     rng = np.random.default_rng(64)
     data = InitialData(rng.normal(size=(64, 7)), np.zeros((64, 7)))
     solve_mild(spec, data, P=7, M=128)
-    tracemalloc.start()
+    peaks, shapes = [], []
+    for rows in (None, [32]):
+        tracemalloc.start()
+        try:
+            field = solve_mild(spec, data, P=7, M=128, rows=rows)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        shapes.append(field.coeffs.shape)
+    assert shapes == [(64, 129, 7), (64, 1, 7)]
+    one_field = 64 * 129 * 7 * 8
+    assert peaks[0] <= 3.5 * one_field
+    assert peaks[1] <= 0.4 * one_field
+
+
+# Grid rows of an M = 64 solve: unsorted, unevenly spaced, both ends included.
+SOME_ROWS = [40, 0, 17, 64, 3]
+
+
+@pytest.mark.parametrize("batch", [(), (5,)], ids=["single", "batched"])
+@pytest.mark.parametrize("nl", [NonlinearitySpec.damped(0.5), NonlinearitySpec.gbar(GBAR_C3)],
+                         ids=["damped", "gbar"])
+def test_row_subset_solve_is_the_full_solve_at_those_rows(nl, batch):
+    # the rows a caller names, in its order, with the bits of the whole
+    # field's rows and the whole field's residual
+    spec = ProblemSpec(1.5, 1.0, EigenSystem.dirichlet_laplace_1d(6), nl)
+    rng = np.random.default_rng(len(batch) + 11)
+    data = InitialData(rng.normal(size=batch + (6,)), rng.normal(size=batch + (6,)))
+    full = solve_mild(spec, data, P=6, M=64)
+    some = solve_mild(spec, data, P=6, M=64, rows=SOME_ROWS)
+    assert some.coeffs.shape == batch + (len(SOME_ROWS), 6)
+    assert np.array_equal(some.coeffs, full.coeffs[..., SOME_ROWS, :])
+    assert np.array_equal(some.picard_diffs, full.picard_diffs)
+    assert some.rows.tolist() == SOME_ROWS and full.rows is None
+    assert np.array_equal(some.t_grid, full.t_grid)
+
+
+def test_batched_row_subset_residuals_equal_single_solves():
+    # the converge shape: each field's residual has the bits of its own solve
+    spec = ProblemSpec(1.5, 1.0, EigenSystem.dirichlet_laplace_1d(64), NonlinearitySpec.damped(0.02))
+    rng = np.random.default_rng(7)
+    u0, u1 = rng.normal(size=(64, 7)), rng.normal(size=(64, 7))
+    batch = solve_mild(spec, InitialData(u0, u1), P=7, M=128, rows=[32])
+    for r in range(64):
+        one = solve_mild(spec, InitialData(u0[r], u1[r]), P=7, M=128)
+        assert np.array_equal(batch.coeffs[r], one.coeffs[[32]])
+        assert np.array_equal(batch.picard_diffs[r], one.picard_diffs)
+
+
+@pytest.mark.parametrize("rows", [[], [65], [-1], [[3]], [1.0], [True], 4],
+                         ids=["empty", "past-M", "negative", "2-D", "float", "bool", "scalar"])
+def test_rows_must_be_grid_rows(rows):
+    spec = linear_spec(count=4)
+    with pytest.raises(DomainError, match=r"rows must be a non-empty list of grid rows in 0\.\.64"):
+        solve_mild(spec, unit_data(4, 1), P=4, M=64, rows=rows)
+
+
+@pytest.mark.parametrize("table", [0, 2], ids=["F1", "A1"])
+def test_perturbed_table_fails_a_solve_that_skips_its_row(table):
+    # as test_perturbed_table_fails_the_next_solve, with the perturbed row
+    # 32, the last of the grid, among the rows the solve does not return:
+    # the check still reads it
+    spec = ProblemSpec(1.5, 1.0, EigenSystem.dirichlet_laplace_1d(6), NonlinearitySpec.damped(0.5))
+    u0 = np.random.default_rng(5).normal(size=(3, 6))
+    u0[0, 5] = 0.0
+    data = InitialData(u0, np.zeros((3, 6)))
+    rows = [31, 0, 16, 8, 24]
+    assert 32 not in rows
+    _problem_tables.cache_clear()
     try:
-        field = solve_mild(spec, data, P=7, M=128)
-        peak = tracemalloc.get_traced_memory()[1]
+        solve_mild(spec, data, P=6, M=32, rows=rows)
+        lams = tuple(spec.eig.eigenvalues.tolist())
+        _problem_tables(1.5, 1.0, lams, 32, spec.nonlinearity)[table][32, 5] *= 1.0 + 1e-6
+        with pytest.raises(NoConvergence, match="field 1") as info:
+            solve_mild(spec, data, P=6, M=32, rows=rows)
+        assert info.value.residual > 1e-10
     finally:
-        tracemalloc.stop()
-    assert field.coeffs.shape == (64, 129, 7)
-    assert peak <= 3.5 * field.coeffs.nbytes
+        _problem_tables.cache_clear()
+
+
+def test_field_that_overflows_past_its_returned_rows_fails():
+    # u1 alone on a mode with lam = 1e4, whose velocity response t E(1.5,2;
+    # lam t^1.5) grows to about 1e198 at t = 1: row 0 is exactly zero
+    # (it is 0 at t = 0), and the late rows pass 1.8e308.  The full solve
+    # fails, and so must a solve that returns row 0 alone.
+    spec = ProblemSpec(1.5, 1.0, EigenSystem(np.array([1.0, 1e4])), NonlinearitySpec.damped(0.0))
+    data = InitialData(np.zeros(2), np.array([0.0, 1e120]))
+    with pytest.raises(NoConvergence), np.errstate(over="ignore", invalid="ignore"):
+        solve_mild(spec, data, P=2, M=32)
+    with pytest.raises(NoConvergence, match="field 0 overflowed"):
+        solve_mild(spec, data, P=2, M=32, rows=[0])
+    # fields in range whose squares are not: a field of 1e-200 on the grown
+    # mode, whose table squares overflow, returns its zero row 0, and a
+    # field of 1e200 is checked against a finite tolerance
+    small = solve_mild(spec, InitialData(np.zeros(2), np.array([0.0, 1e-200])), P=2, M=32,
+                       rows=[0])
+    assert small.coeffs.tolist() == [[0.0, 0.0]]
+    big = solve_mild(spec, InitialData(np.array([1e200]), np.zeros(1)), P=1, M=32)
+    assert big.picard_diffs[0] <= 1e-10 * np.max(np.abs(big.coeffs))

@@ -191,6 +191,18 @@ def test_validation_errors():
 UINT64 = st.integers(min_value=0, max_value=2**64 - 1)
 
 
+def numpy_box_muller(key: np.ndarray, counter: np.ndarray, n: int) -> np.ndarray:
+    """n Box-Muller normals of numpy's bounded 53-bit integers from a fresh
+    Philox(key=key, counter=counter), paired as ``_normals_from_words`` pairs."""
+    k = np.random.Generator(np.random.Philox(key=key, counter=counter)).integers(
+        0, 1 << 53, size=n + n % 2)
+    u = (k.astype(np.float64) + 0.5) / 2.0**53
+    radius, angle = np.sqrt(-2.0 * np.log(u[0::2])), 2.0 * np.pi * u[1::2]
+    want = np.empty(u.size)
+    want[0::2], want[1::2] = radius * np.cos(angle), radius * np.sin(angle)
+    return want[:n]
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     seed=UINT64,
@@ -217,14 +229,9 @@ def test_philox_port_draws_what_numpy_philox_draws(seed, streams, replicates, le
             counter = np.array([0, replicate, level, 0], np.uint64)
             assert np.array_equal(words[s, r, :n],
                                   np.random.Philox(key=key, counter=counter).random_raw(n))
-            fresh = np.random.Generator(np.random.Philox(key=key, counter=counter))
-            k = fresh.integers(0, 1 << 53, size=n + n % 2)
-            u = (k.astype(np.float64) + 0.5) / 2.0**53
-            radius, angle = np.sqrt(-2.0 * np.log(u[0::2])), 2.0 * np.pi * u[1::2]
-            want = np.empty(u.size)
-            want[0::2], want[1::2] = radius * np.cos(angle), radius * np.sin(angle)
-            assert np.array_equal(block[s, r], want[:n])
-            assert np.array_equal(standard_normals(seed, stream, n, level, replicate), want[:n])
+            want = numpy_box_muller(key, counter, n)
+            assert np.array_equal(block[s, r], want)
+            assert np.array_equal(standard_normals(seed, stream, n, level, replicate), want)
 
 
 @pytest.mark.parametrize("call, bad", [
@@ -336,3 +343,55 @@ def test_substreams_along_a_counter_word_look_independent(counter):
 def test_monte_carlo_needs_one_value_per_replicate():
     with pytest.raises(DomainError, match="8 values per quantity"):
         monte_carlo(lambda r: (np.zeros(len(r) - 1),), replicates=8)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 12])
+def test_a_level_array_draws_each_level_as_alone(n):
+    # one evaluation over levels, unsorted and up to 2^64 - 1: block (s, l)
+    # has the bits of the draw of level[l] alone, which are numpy's Philox
+    # words at the counter (0, replicate, level, 0) and their Box-Muller pairs
+    seed, streams = 2**64 - 3, [0, 1]
+    levels = np.array([3, 0, 2**64 - 1, 7], np.uint64)
+    replicates = np.array([0, 5, 2**64 - 1], np.uint64)
+    sweep = standard_normals(seed, streams, n, level=levels, replicate=replicates)
+    assert sweep.shape == (2, 4, 3, n)
+    words = _philox_words(seed, np.array(streams, np.uint64), replicates, levels, -(-n // 4))
+    assert words.shape == (2, 4, 3, 4 * -(-n // 4))
+    for l, level in enumerate(levels):
+        alone = standard_normals(seed, streams, n, level=level, replicate=replicates)
+        assert np.array_equal(sweep[:, l], alone)
+        for s, stream in enumerate(streams):
+            for r, replicate in enumerate(replicates):
+                key = np.array([seed, stream], np.uint64)
+                counter = np.array([0, replicate, level, 0], np.uint64)
+                assert np.array_equal(words[s, l, r, :n],
+                                      np.random.Philox(key=key, counter=counter).random_raw(n))
+                assert np.array_equal(sweep[s, l, r], numpy_box_muller(key, counter, n))
+
+
+@pytest.mark.parametrize("shared_noise", [False, True])
+def test_observe_sweep_blocks_equal_single_level_draws(shared_noise):
+    # an array of levels with one eps each: block l is the observation at
+    # level[l] and eps[l] alone, and its first n columns the draw of n
+    levels, eps = [0, 2, 1], [0.1, 0.01, 0.001]
+    replicates = np.arange(4, dtype=np.uint64)
+    u0, u1 = np.array([1.0, -0.5, 0.25]), np.array([0.2, 0.1])
+    sweep = observe(u0, u1, eps, 7, 31, shared_noise, level=levels, replicate=replicates)
+    assert sweep.N == 7 and sweep.obs0.shape == sweep.obs1.shape == (3, 4, 7)
+    for l, (level, e) in enumerate(zip(levels, eps)):
+        for n in (7, 4, 1):
+            one = observe(u0, u1, e, n, 31, shared_noise, level=level, replicate=replicates)
+            assert np.array_equal(sweep.obs0[l, :, :n], one.obs0)
+            assert np.array_equal(sweep.obs1[l, :, :n], one.obs1)
+
+
+@pytest.mark.parametrize("eps, level, match", [
+    ([0.1, 0.2], [0, 1, 2], "one eps per noise level"),
+    (0.1, [0, 1], "one eps per noise level"),
+    ([0.1, 0.2], 0, "one eps per noise level"),
+    ([0.1, 0.0], [0, 1], "eps must be positive"),
+    ([0.1, math.nan], [0, 1], "eps must be positive"),
+], ids=["short", "scalar-eps", "scalar-level", "zero", "nan"])
+def test_observe_needs_one_positive_eps_per_level(eps, level, match):
+    with pytest.raises(DomainError, match=match):
+        observe(np.zeros(2), np.zeros(2), eps, 4, seed=1, level=level)

@@ -126,6 +126,23 @@ def test_regularized_solve_zeroes_dropped_modes():
     assert np.array_equal(none.t_grid, field.t_grid)
 
 
+@pytest.mark.parametrize("B_N", [5.0, 0.5], ids=["two-retained", "none-retained"])
+def test_regularized_solve_returns_the_rows_it_is_asked_for(B_N):
+    # at some rows of the grid, retained modes or none, one replicate or a
+    # block: the whole field's rows, in the order asked
+    spec = dirichlet_spec(count=8)
+    cfg = manual_cfg(spec.eig, B_N=B_N, N=8)
+    rows = [12, 0, 16, 5]
+    for replicate in (0, np.arange(3, dtype=np.uint64)):
+        obs = observe(np.ones(8), np.zeros(8), 0.1, 8, seed=21, replicate=replicate)
+        full = regularized_solve(spec, obs, cfg, 16)
+        some = regularized_solve(spec, obs, cfg, 16, rows)
+        assert some.coeffs.shape == obs.obs0.shape[:-1] + (len(rows), cfg.P_retained)
+        assert np.array_equal(some.coeffs, full.coeffs[..., rows, :])
+        assert np.array_equal(some.picard_diffs, full.picard_diffs)
+        assert some.rows.tolist() == rows
+
+
 def test_regularized_solve_no_coupling_linear_case():
     # G = 0: retained mode p is exactly the homogeneous evolution of its
     # observed coefficients
