@@ -466,35 +466,44 @@ def convergence_table(cfg: ExperimentConfig) -> ErrorReport:
         width = max(rc.N, at_t.shape[-1], ref.size)
         return hq_norm(pad(at_t, width) - pad(ref, width), q_eff, eig) ** 2
 
+    responses = [None] * len(reg_cfgs)
+
     def sample(replicates):
         """Squared error norms of the regularized solves, level by level, at every t.
 
         The whole sweep is one draw: each level keeps the first N of its
-        block, which are its own draw of N.
+        block, which are its own draw of N.  Each level is one solve: its
+        replicates and, at the end, the three rows of its exact error.
         """
         sweep = observe(data.u0, data.u1, cfg.eps_grid, max(rc.N for rc in reg_cfgs), cfg.seed,
                         shared_noise=cfg.shared_noise, level=np.arange(len(reg_cfgs)),
                         replicate=replicates)
         errors = []
-        for rc, obs0, obs1 in zip(reg_cfgs, sweep.obs0, sweep.obs1):
-            obs = NoisyObservation(rc.N, obs0[..., : rc.N], obs1[..., : rc.N], cfg.shared_noise)
+        for i, (rc, obs0, obs1) in enumerate(zip(reg_cfgs, sweep.obs0, sweep.obs1)):
+            # The solve is linear and mode-diagonal, so the expected error is
+            # exact: the error from noise-free data plus eps^2 times the norms
+            # of the solves from unit value and velocity noise (of their sum,
+            # under shared noise).  Every field of a batch has the bits of its
+            # own solve, so these rows ride with the replicates.
+            one, zero = np.ones(rc.N), np.zeros(rc.N)
+            noisy0, noisy1 = obs0[..., : rc.N].reshape(-1, rc.N), obs1[..., : rc.N].reshape(-1, rc.N)
+            obs = NoisyObservation(rc.N,
+                                   np.concatenate((noisy0, [pad(data.u0, rc.N), one, zero])),
+                                   np.concatenate((noisy1, [pad(data.u1, rc.N), zero, one])),
+                                   cfg.shared_noise)
             fld = regularized_solve(spec, obs, rc, cfg.M, rows)
-            errors += [sq_err(rc, fld.coeffs[..., j, :], t) for j, t in enumerate(t_eval)]
+            responses[i] = fld.coeffs[-3:]
+            # (R, rows, P) for R replicates, (rows, P) for one
+            at = fld.coeffs[:-3].reshape(obs0.shape[:-1] + fld.coeffs.shape[1:])
+            errors += [sq_err(rc, at[..., j, :], t) for j, t in enumerate(t_eval)]
         return errors
 
     est = iter(monte_carlo(sample, cfg.replicates))
     stats = []
-    for eps, rc in zip(cfg.eps_grid, reg_cfgs):
-        # The solve is linear and mode-diagonal, so the expected error is exact:
-        # the error from noise-free data plus eps^2 times the norms of the solves
-        # from unit value and velocity noise (of their sum, under shared noise).
-        one, zero = np.ones(rc.N), np.zeros(rc.N)
-        obs0 = np.stack([pad(data.u0, rc.N), one, zero])
-        obs1 = np.stack([pad(data.u1, rc.N), zero, one])
-        resp = regularized_solve(spec, NoisyObservation(rc.N, obs0, obs1), rc, cfg.M, rows)
+    for eps, rc, resp in zip(cfg.eps_grid, reg_cfgs, responses):
         for j, t in enumerate(t_eval):
             mise, se = next(est)
-            at_t = resp.coeffs[:, j]
+            at_t = resp[:, j]
             noise = at_t[1:2] + at_t[2:] if cfg.shared_noise else at_t[1:]
             var = float(np.sum(hq_norm(noise, q_eff, eig) ** 2))
             exact = sq_err(rc, at_t[0], t) + eps * eps * var

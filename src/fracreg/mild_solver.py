@@ -54,6 +54,11 @@ _BLOCK = 32
 # work arrays stay this size, whatever M.
 _CHECK_BLOCK = 2048
 
+# Desk-scale limit on the time steps M of a solve.  A cold table costs
+# O(P M^2) time, on the order of 30 s at this M, and a grid far beyond it
+# would exhaust memory before its first table was built.
+_M_MAX = 1 << 16
+
 
 @dataclass(frozen=True)
 class NonlinearitySpec:
@@ -253,26 +258,26 @@ def _max_row_l2(X: np.ndarray) -> np.ndarray:
     return np.sqrt(np.max(np.einsum("...ij,...ij->...i", X, X), axis=-1))
 
 
-def _max_row_norm(T0: np.ndarray, T1: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _max_row_norm(Y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Max over rows of the row L2 norm of the fields ``T0 * c0 + T1 * c1``,
     shape (..., 1), from quadratic forms in the data: no field is formed.
 
-    ``T0`` and ``T1`` are (n, P) tables and ``w`` the (..., 1, 3P) products
-    ``(c0^2, 2 c0 c1, c1^2)``; the squared norm of row i is ``(T0^2 c0^2 +
-    2 T0 T1 c0 c1 + T1^2 c1^2)[i]``, one sum of 3P terms.  The tables are
-    scaled by a power of two, exactly, so their squares stay in range.  Each
-    field's sums run in the same order whatever the batch, so its norm has
-    the bits of its solve alone.  Rounding can leave a row that cancels to
-    zero a little below it; that square is taken as 0 (NaN stays NaN).
+    ``Y`` is a (3P, n) work block holding the transposed (n, P) tables
+    ``T0.T`` in its first P rows and ``T1.T`` in its last P rows; it is
+    overwritten.  ``w`` holds the (..., 1, 3P) products ``(c0^2, 2 c0 c1,
+    c1^2)``; the squared norm of row i is ``(T0^2 c0^2 + 2 T0 T1 c0 c1 +
+    T1^2 c1^2)[i]``, one sum of 3P terms.  The tables are scaled by a power
+    of two, exactly, so their squares stay in range.  Each field's sums run
+    in the same order whatever the batch, so its norm has the bits of its
+    solve alone.  Rounding can leave a row that cancels to zero a little
+    below it; that square is taken as 0 (NaN stays NaN).
     """
-    P = T0.shape[1]
-    e = np.frexp(np.maximum(np.max(np.abs(T0)), np.max(np.abs(T1))))[1]
-    Y = np.empty((3 * P, T0.shape[0]))
-    np.ldexp(T0.T, -e, out=Y[:P])
-    np.ldexp(T1.T, -e, out=Y[2 * P :])
-    np.multiply(Y[:P], Y[2 * P :], out=Y[P : 2 * P])
-    np.square(Y[:P], out=Y[:P])
-    np.square(Y[2 * P :], out=Y[2 * P :])
+    V = Y.reshape(3, Y.shape[0] // 3, Y.shape[1])  # (T0.T, product, T1.T), views of Y
+    T = V[::2]
+    e = np.frexp(np.max(np.abs(T)))[1]
+    np.ldexp(T, -e, out=T)
+    np.multiply(V[0], V[2], out=V[1])
+    np.square(T, out=T)
     q = np.max(np.einsum("pi,...p->...i", Y, w), axis=-1)
     return np.ldexp(np.sqrt(np.maximum(q, 0.0)), e)
 
@@ -358,12 +363,17 @@ def _picard_solve(
     s0, s1 = np.ldexp(c0, -e[..., None]), np.ldexp(c1, -e[..., None])
     w = np.concatenate((s0 * s0, 2.0 * s0 * s1, s1 * s1), axis=-1)
     residual = norm = 0.0
-    step = max(1, _CHECK_BLOCK // lam.size)
+    P = lam.size
+    step = max(1, _CHECK_BLOCK // P)
     with np.errstate(over="ignore", invalid="ignore"):  # surfaces as the check failing
         for s in range(0, M + 1, step):
             b = slice(s, s + step)
-            residual = np.maximum(residual, _max_row_norm(A1[b] - F1[b], A2[b] - F2[b], w))
-            norm = np.maximum(norm, _max_row_norm(F1[b], F2[b], w))
+            Y = np.empty((3 * P, F1[b].shape[0]))
+            np.subtract(A1[b].T, F1[b].T, out=Y[:P])
+            np.subtract(A2[b].T, F2[b].T, out=Y[2 * P :])
+            residual = np.maximum(residual, _max_row_norm(Y, w))
+            Y[:P], Y[2 * P :] = F1[b].T, F2[b].T
+            norm = np.maximum(norm, _max_row_norm(Y, w))
         residual, norm = np.ldexp(residual, e), np.ldexp(norm, e)
     # The residual of an exact solve is rounding, which grows with the field:
     # DEFAULT_TOL is absolute up to a field norm of 1 and relative beyond.  A
@@ -409,15 +419,16 @@ def solve_mild(
     Data holding (R, P) blocks gives an (R, M+1, P) field, row r solved from
     data row r.  ``rows``, a list of grid rows in 0..M in any order, returns
     the field at those rows only, with the bits of the same rows of the
-    whole field; the residual check still covers every grid row.
+    whole field; the residual check still covers every grid row.  ``M``
+    is at most ``2**16``: a cold table costs O(P M^2) time.
 
     The un-truncated problem is ill-posed; this is the desk-scale forward
     map on finitely many modes, not a well-posedness claim.
     """
     if P < 1 or P > spec.eig.count:
         raise DomainError(f"P must be in 1..{spec.eig.count}, got {P}")
-    if M < 1:
-        raise DomainError("M must be >= 1")
+    if not 1 <= M <= _M_MAX:  # before any table is allocated
+        raise DomainError(f"M must be in 1..{_M_MAX}, the desk-scale limit, got {M}")
     lam = spec.eig.eigenvalues[:P]
     rows = None if rows is None else _grid_rows(rows, M)
     return _picard_solve(spec, lam, pad(data.u0, P), pad(data.u1, P), M, rows)

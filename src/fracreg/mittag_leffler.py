@@ -125,12 +125,15 @@ def _series(
     ``tol`` is None: all terms are positive, so the running total is a lower
     bound on the value.
 
-    The two tests on all lanes read the largest lane alone: a term's
+    The tests on all lanes read the largest lane first: a term's
     exponent ``k*lnz - lg_k`` overflows somewhere exactly when
     ``k*max(lnz) - lg_k`` does, and the ratio ``r = z*c`` is below 1
     everywhere exactly when ``max(z)*c`` is, because IEEE multiplication
     by a positive scalar and subtraction of a scalar round monotonically.
-    So the per-lane tail bound is formed only once every lane can meet it.
+    Once it is, the largest lane's own tail bound, a scalar with the bits
+    of its lane of the full test, is tested next: while it fails, the full
+    test would fail too.  So the per-lane tail bound is formed only once the
+    largest lane meets it, and the stop term is that of the full test.
     """
     try:
         total = np.full(z.size, math.exp(-math.lgamma(gamma)))
@@ -146,7 +149,8 @@ def _series(
     with np.errstate(divide="ignore"):  # z = 0 gives -inf, so its every term is 0.0
         lnz = np.log(z)
     lnz_max = float(lnz.max())
-    z_max = float(z.max())
+    i_max = int(z.argmax())
+    z_max = float(z[i_max])
 
     def term(k: int, lg_k: float) -> np.ndarray:
         """Term ``k``, given ``lg_k = log Gamma(beta*k + gamma)``."""
@@ -172,7 +176,10 @@ def _series(
             lg_k1, lg_next = lg_next, math.lgamma(beta * (k + 2) + gamma)
             c = math.exp(lg_k1 - lg_next)
             t_k = term(k + 1, lg_k1)
-            if z_max * c < 1.0:
+            r_max = z_max * c
+            if r_max < 1.0 and not (
+                t_k[i_max] / (1.0 - r_max) > (_REL_TOL * total[i_max] if tol is None else tol)
+            ):
                 tail = t_k / (1.0 - z * c)
                 if not (tail > (_REL_TOL * total if tol is None else tol)).any():
                     return total, tail

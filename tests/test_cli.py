@@ -3,6 +3,7 @@ import math
 import os
 import pkgutil
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -57,10 +58,16 @@ def _child_env():
     return env
 
 
-def _run_module(tmp_path, *argv):
+def _run_module(tmp_path, *argv, preexec_fn=None):
     # a separate interpreter, so numpy warnings and tracebacks reach stderr
     return subprocess.run([sys.executable, "-m", "fracreg", *argv], capture_output=True,
-                          text=True, cwd=tmp_path, env=_child_env())
+                          text=True, cwd=tmp_path, env=_child_env(), preexec_fn=preexec_fn)
+
+
+def _limit_address_space():
+    # 1 GiB: a child that allocates what the host cannot give fails as a
+    # MemoryError instead of exhausting the host's memory
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 @pytest.mark.parametrize("argv", [
@@ -114,6 +121,10 @@ def _run_module(tmp_path, *argv):
     ["mise-check", "--config", {"mise_configs": [[2, 64, 8, 1e300, 0.5]]}, "--out", "x.json"],
     # the replicates' variance overflows: an infinite standard error is no agreement
     ["mise-check", "--config", {"mise_configs": [[2, 64, 8, 1e100, 0.5]]}, "--out", "x.json"],
+    # a grid beyond the desk-scale limit is refused before any allocation;
+    # its 2*10^8-step truth would need gigabytes per array (run under a
+    # 1 GiB address-space limit, so a grid that is not refused fails here)
+    ["converge", "--m-steps", "100000000", "--replicates", "8", "--out", "x.json"],
 ])
 def test_overflow_is_one_line_error(tmp_path, argv):
     args = []
@@ -122,7 +133,8 @@ def test_overflow_is_one_line_error(tmp_path, argv):
             (tmp_path / "c.json").write_text(json.dumps(arg))
             arg = "c.json"
         args.append(arg)
-    run = _run_module(tmp_path, *args)
+    limit = _limit_address_space if "--m-steps" in argv else None
+    run = _run_module(tmp_path, *args, preexec_fn=limit)
     assert run.returncode == 1
     assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith("error:"), run.stderr
     if argv[1:3] == ["--lipschitz-k", "1e300"]:

@@ -5,7 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from fracreg import experiments, noise_model
+from fracreg import experiments, mild_solver, noise_model
 from fracreg.cli import main
 from fracreg.errors import DomainError
 from fracreg.experiments import (
@@ -436,6 +436,26 @@ def test_convergence_table_makes_one_monte_carlo_sweep(monkeypatch):
     cfg = small_converge_cfg()
     convergence_table(cfg)
     assert calls == [cfg.replicates]  # one pass draws and solves every noise level
+
+
+@pytest.mark.parametrize("shared_noise", [False, True])
+def test_convergence_table_makes_one_solve_per_noise_level(monkeypatch, shared_noise):
+    # each level solves its R replicates and its three exact-error rows
+    # (noise-free data, unit u0, unit u1) at once; the truth is one more solve
+    solved = []
+    real = mild_solver._picard_solve
+
+    def spy(spec, lam, u0, u1, M, rows=None):
+        solved.append((u0.shape, M))
+        return real(spec, lam, u0, u1, M, rows)
+
+    monkeypatch.setattr(mild_solver, "_picard_solve", spy)
+    mild_solver._problem_tables.cache_clear()
+    cfg = small_converge_cfg(shared_noise=shared_noise)
+    rows = convergence_table(cfg).meta["rows_detail"]
+    truth = ((cfg.truth_modes,), 2 * cfg.M)
+    levels = [((cfg.replicates + 3, r["P_retained"]), cfg.M) for r in rows]
+    assert solved == [truth] + levels and len(levels) == len(cfg.eps_grid)
 
 
 def test_bound_check_fails_below_the_fitted_constants(monkeypatch):

@@ -500,6 +500,24 @@ def test_problem_spec_validation():
             NonlinearitySpec(kind=kind)
 
 
+@pytest.mark.parametrize("M", [0, (1 << 16) + 1, 10**8])
+def test_grid_beyond_the_desk_scale_limit_is_refused_before_any_table(monkeypatch, M):
+    # a cold table costs O(P M^2) time and a 10^8-step grid gigabytes per
+    # array, so the step count is refused before anything is allocated
+    def no_tables(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(mild_solver, "_problem_tables", no_tables)
+    spec = ProblemSpec(1.5, 1.0, EigenSystem.dirichlet_laplace_1d(2), NonlinearitySpec.damped(0.0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=rf"M must be in 1\.\.65536, .* got {M}$"):
+            solve_mild(spec, InitialData(np.ones(2), np.zeros(2)), P=2, M=M)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
 def test_gbar_multiplier_is_contractive_coefficient_map():
     # the construction nonlinearity is mode-wise linear with multiplier
     # exp(lam^(1/beta)(t-a)) / (2 a C3) <= 1/(2 a C3), so its Lipschitz

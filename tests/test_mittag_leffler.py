@@ -21,7 +21,7 @@ from fracreg.mittag_leffler import (
     ml_values,
 )
 
-from oracles import ml_reference
+from oracles import ml_reference, ml_series_full_width
 
 # Frozen oracle values (mpmath series, 60 digits; see oracles.ml_reference).
 E_15_1_AT_1 = 1.9394872614337489665
@@ -234,6 +234,51 @@ def test_series_is_bit_identical_to_a_full_log_gamma_table(beta, gamma, monkeypa
     for (v, e), (wv, we) in zip(got, want):
         assert v.tobytes() == wv.tobytes()
         assert e.tobytes() == we.tobytes()
+
+
+def _series_cases():
+    rng = np.random.default_rng(20261019)
+    cases = []
+    for beta, gamma in [(1.5, 1.0), (1.1, 0.3), (0.7, 2.0)]:
+        z = rng.uniform(0.0, 60.0, 97) ** beta
+        z[::7] = 0.0  # zero lanes
+        tied = np.full(9, 25.0**beta)  # the maximum tied across lanes
+        tied[:4] = rng.uniform(0.0, 25.0, 4) ** beta
+        for arg in (z, np.zeros(5), z[1:2], tied, rng.permutation(tied)):
+            cases += [(beta, gamma, arg, None), (beta, gamma, arg, 1e-9)]
+        # a tol looser than the relative target: the series stops sooner
+        cases.append((beta, gamma, rng.uniform(0.0, 4.0, 31) ** beta, 1e-6))
+    # the solver's grids lam_p t^beta, on a linear and a Dirichlet spectrum
+    t = np.linspace(0.0, 1.0, 129)
+    for beta in (1.2, 1.5, 1.8):
+        for lam in (np.arange(1.0, 12.0), (np.pi * np.arange(1.0, 9.0)) ** 2):
+            z = lam[:, None] * t[None, :] ** beta
+            for gamma in (1.0, 2.0, beta, beta + 1.0, beta + 2.0):
+                cases.append((beta, gamma, z, None))
+            cases.append((beta, beta, z[:, -1:], 1e-20))  # the growth constant's tol
+    return cases
+
+
+def test_series_is_bit_identical_to_the_full_width_tail_test():
+    # the series tests its largest lane first and forms the full-width tail
+    # bound only once that lane passes; the reference forms it every term
+    for beta, gamma, z, tol in _series_cases():
+        value, err = ml_values(beta, gamma, z, tol)
+        want_value, want_err = ml_series_full_width(beta, gamma, z.ravel(), tol)
+        assert value.ravel().tobytes() == want_value.tobytes(), (beta, gamma, tol)
+        assert err.ravel().tobytes() == want_err.tobytes(), (beta, gamma, tol)
+
+
+@pytest.mark.parametrize("beta, gamma, z, tol", [
+    (0.5, 1.0, np.array([0.0, 63.3**2, 3.0]), 1e-8),  # the terms overflow
+    (0.05, 1.0, np.array([500**0.05, 1.0]), None),  # more terms than the cap
+])
+def test_series_beyond_its_reach_raises_the_full_width_reference_text(beta, gamma, z, tol):
+    with pytest.raises(ValueError) as want:
+        ml_series_full_width(beta, gamma, z, tol)
+    with pytest.raises(DomainError) as got:
+        ml_values(beta, gamma, z, tol)
+    assert str(got.value) == str(want.value)
 
 
 def test_kernel_primitive_closed_forms():
