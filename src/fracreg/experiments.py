@@ -427,6 +427,8 @@ def convergence_table(cfg: ExperimentConfig) -> ErrorReport:
         raise DomainError("config kind must be 'converge'")
     if cfg.rate is None:
         raise DomainError("convergence experiment needs rate parameters")
+    if cfg.truth_modes < 1:
+        raise DomainError(f"truth_modes must be >= 1, got {cfg.truth_modes}")
     rp = cfg.rate
     eig = _convergence_eig(cfg)
     lam_full = eig.eigenvalues
@@ -466,6 +468,14 @@ def convergence_table(cfg: ExperimentConfig) -> ErrorReport:
         width = max(rc.N, at_t.shape[-1], ref.size)
         return hq_norm(pad(at_t, width) - pad(ref, width), q_eff, eig) ** 2
 
+    # The solve is linear and mode-diagonal, so the expected error is exact:
+    # the error from noise-free data plus eps^2 times the norms of the solves
+    # from unit value and velocity noise (of their sum, under shared noise).
+    # Every field of a batch has the bits of its own solve, so these three
+    # rows ride at the end of each level's replicates, cut to its N.
+    N_max = max(rc.N for rc in reg_cfgs)
+    exact0 = np.stack((pad(data.u0, N_max), np.ones(N_max), np.zeros(N_max)))
+    exact1 = np.stack((pad(data.u1, N_max), np.zeros(N_max), np.ones(N_max)))
     responses = [None] * len(reg_cfgs)
 
     def sample(replicates):
@@ -475,27 +485,16 @@ def convergence_table(cfg: ExperimentConfig) -> ErrorReport:
         block, which are its own draw of N.  Each level is one solve: its
         replicates and, at the end, the three rows of its exact error.
         """
-        sweep = observe(data.u0, data.u1, cfg.eps_grid, max(rc.N for rc in reg_cfgs), cfg.seed,
+        sweep = observe(data.u0, data.u1, cfg.eps_grid, N_max, cfg.seed,
                         shared_noise=cfg.shared_noise, level=np.arange(len(reg_cfgs)),
                         replicate=replicates)
         errors = []
         for i, (rc, obs0, obs1) in enumerate(zip(reg_cfgs, sweep.obs0, sweep.obs1)):
-            # The solve is linear and mode-diagonal, so the expected error is
-            # exact: the error from noise-free data plus eps^2 times the norms
-            # of the solves from unit value and velocity noise (of their sum,
-            # under shared noise).  Every field of a batch has the bits of its
-            # own solve, so these rows ride with the replicates.
-            one, zero = np.ones(rc.N), np.zeros(rc.N)
-            noisy0, noisy1 = obs0[..., : rc.N].reshape(-1, rc.N), obs1[..., : rc.N].reshape(-1, rc.N)
-            obs = NoisyObservation(rc.N,
-                                   np.concatenate((noisy0, [pad(data.u0, rc.N), one, zero])),
-                                   np.concatenate((noisy1, [pad(data.u1, rc.N), zero, one])),
-                                   cfg.shared_noise)
+            obs = NoisyObservation(rc.N, np.concatenate((obs0, exact0))[:, : rc.N],
+                                   np.concatenate((obs1, exact1))[:, : rc.N], cfg.shared_noise)
             fld = regularized_solve(spec, obs, rc, cfg.M, rows)
             responses[i] = fld.coeffs[-3:]
-            # (R, rows, P) for R replicates, (rows, P) for one
-            at = fld.coeffs[:-3].reshape(obs0.shape[:-1] + fld.coeffs.shape[1:])
-            errors += [sq_err(rc, at[..., j, :], t) for j, t in enumerate(t_eval)]
+            errors += [sq_err(rc, fld.coeffs[:-3, j], t) for j, t in enumerate(t_eval)]
         return errors
 
     est = iter(monte_carlo(sample, cfg.replicates))

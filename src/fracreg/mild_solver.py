@@ -59,6 +59,9 @@ _CHECK_BLOCK = 2048
 # would exhaust memory before its first table was built.
 _M_MAX = 1 << 16
 
+# Desk-scale limit on the doubles of a returned field, 1 GiB.
+_FIELD_MAX = 1 << 27
+
 
 @dataclass(frozen=True)
 class NonlinearitySpec:
@@ -252,12 +255,6 @@ def _volterra_product(C: np.ndarray, W0: np.ndarray, G: np.ndarray) -> np.ndarra
     return V
 
 
-def _max_row_l2(X: np.ndarray) -> np.ndarray:
-    """Discrete C([0,a]; L2) norm of each (M+1, P) field in ``X``: the max over
-    grid rows of the row L2 norm."""
-    return np.sqrt(np.max(np.einsum("...ij,...ij->...i", X, X), axis=-1))
-
-
 def _max_row_norm(Y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Max over rows of the row L2 norm of the fields ``T0 * c0 + T1 * c1``,
     shape (..., 1), from quadratic forms in the data: no field is formed.
@@ -274,7 +271,7 @@ def _max_row_norm(Y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """
     V = Y.reshape(3, Y.shape[0] // 3, Y.shape[1])  # (T0.T, product, T1.T), views of Y
     T = V[::2]
-    e = np.frexp(np.max(np.abs(T)))[1]
+    e = np.frexp(np.max(np.abs(T), initial=0.0))[1]
     np.ldexp(T, -e, out=T)
     np.multiply(V[0], V[2], out=V[1])
     np.square(T, out=T)
@@ -359,12 +356,13 @@ def _picard_solve(
     c0, c1 = u0[..., None, :], u1[..., None, :]
     # Each field's data, scaled exactly by a power of two to at most 1, and
     # the tables in blocks of grid rows, so the work arrays stay small at any M.
-    e = np.frexp(np.maximum(np.max(np.abs(c0), axis=-1), np.max(np.abs(c1), axis=-1)))[1]
+    e = np.frexp(np.maximum(np.max(np.abs(c0), axis=-1, initial=0.0),
+                            np.max(np.abs(c1), axis=-1, initial=0.0)))[1]
     s0, s1 = np.ldexp(c0, -e[..., None]), np.ldexp(c1, -e[..., None])
     w = np.concatenate((s0 * s0, 2.0 * s0 * s1, s1 * s1), axis=-1)
     residual = norm = 0.0
     P = lam.size
-    step = max(1, _CHECK_BLOCK // P)
+    step = max(1, _CHECK_BLOCK // max(P, 1))
     with np.errstate(over="ignore", invalid="ignore"):  # surfaces as the check failing
         for s in range(0, M + 1, step):
             b = slice(s, s + step)
@@ -419,18 +417,26 @@ def solve_mild(
     Data holding (R, P) blocks gives an (R, M+1, P) field, row r solved from
     data row r.  ``rows``, a list of grid rows in 0..M in any order, returns
     the field at those rows only, with the bits of the same rows of the
-    whole field; the residual check still covers every grid row.  ``M``
-    is at most ``2**16``: a cold table costs O(P M^2) time.
+    whole field; the residual check still covers every grid row.  ``P = 0``
+    solves no mode: the field is zero-width, (M+1, 0) or (R, M+1, 0), and
+    every residual is 0.  ``M`` is at most ``2**16``: a cold table costs
+    O(P M^2) time.  The returned field holds at most ``2**27`` doubles
+    (1 GiB); a larger batch is refused before any table is built.
 
     The un-truncated problem is ill-posed; this is the desk-scale forward
     map on finitely many modes, not a well-posedness claim.
     """
-    if P < 1 or P > spec.eig.count:
-        raise DomainError(f"P must be in 1..{spec.eig.count}, got {P}")
+    if P < 0 or P > spec.eig.count:
+        raise DomainError(f"P must be in 0..{spec.eig.count}, got {P}")
     if not 1 <= M <= _M_MAX:  # before any table is allocated
         raise DomainError(f"M must be in 1..{_M_MAX}, the desk-scale limit, got {M}")
     lam = spec.eig.eigenvalues[:P]
     rows = None if rows is None else _grid_rows(rows, M)
+    R = math.prod(data.u0.shape[:-1])
+    held = M + 1 if rows is None else rows.size
+    if R * held * P > _FIELD_MAX:
+        raise DomainError(f"a field of {R * held * P} doubles ({R} fields x {held} rows x {P} "
+                          f"modes) exceeds the desk-scale limit of {_FIELD_MAX} (1 GiB)")
     return _picard_solve(spec, lam, pad(data.u0, P), pad(data.u1, P), M, rows)
 
 
@@ -443,8 +449,12 @@ def manufacture(
     p^(-decay)``; finitely many nonzero modes make every spectral source
     condition hold with computable constants.  The reference field is
     solved on a grid twice as fine as the working grid so discretization
-    bias in experiments is dominated by the coarse side.
+    bias in experiments is dominated by the coarse side, so ``M`` is at most
+    ``2**15``.
     """
+    if not 1 <= M <= _M_MAX // 2:  # before any table is allocated
+        raise DomainError(f"M must be in 1..{_M_MAX // 2}, got {M}: the reference is solved "
+                          f"at 2M, and a solve takes at most {_M_MAX} steps")
     w = power_law(P, decay)
     data = InitialData(w, u1_scale * w)
     field = solve_mild(spec, data, P, 2 * M)

@@ -55,6 +55,10 @@ _PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _MASK32, _PHILOX_M >> 32
 _PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], np.uint64).reshape(_LANES)
 _PHILOX_ROUNDS = 10
 
+# Desk-scale limit on the replicates of one Monte-Carlo run: at the CLI
+# defaults a replicate peaks at 1.3-15 KiB, so 2^16 of them at most about 1 GiB.
+_REPLICATES_MAX = 1 << 16
+
 
 def _word64(value, name: str) -> int:
     """``value`` as a Python int, or a DomainError naming it unless it is an
@@ -223,10 +227,14 @@ def monte_carlo(
     pairwise, but sums an ``(R, k)`` block along axis 0 row by row, with
     different rounding.  A mean or standard error that is not finite (a
     replicate value past about 1e154 overflows the variance) is a
-    DomainError.
+    DomainError.  ``replicates`` is at most ``2**16``, so a run's memory
+    stays at desk scale; a larger count is refused before any allocation.
     """
     if replicates < 2:
         raise DomainError("replicates must be >= 2")
+    if replicates > _REPLICATES_MAX:
+        raise DomainError(f"replicates must be at most {_REPLICATES_MAX}, the desk-scale limit, "
+                          f"got {replicates}")
     values = sample(np.arange(replicates, dtype=np.uint64))
     root = math.sqrt(replicates)
     estimates = []

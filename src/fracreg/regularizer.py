@@ -182,22 +182,16 @@ def regularized_solve(
     """Fixed point of the spectrally truncated integral map on the M-step grid.
 
     Retained modes start from the observed noisy coefficients and are
-    solved by :func:`solve_mild`, at every grid row or at the ``rows`` it
-    names.  The field holds
-    the retained modes only, ``P_retained`` columns (none when no mode is
-    retained): every mode with ``lam_p > B_N`` is zero, and a caller that
-    compares against a wider field pads with :func:`spectral.pad`.  An
-    observation of R replicates, (R, N) blocks, gives the R fields at once,
-    as an (R, M+1, P_retained) field, or (R, len(rows), P_retained).
+    solved by one :func:`solve_mild` call, at every grid row or at the
+    ``rows`` it names.  The field holds the retained modes only,
+    ``P_retained`` columns (zero-width when no mode is retained): every mode
+    with ``lam_p > B_N`` is zero, and a caller that compares against a wider
+    field pads with :func:`spectral.pad`.  An observation of R replicates,
+    (R, N) blocks, gives the R fields at once, as an (R, M+1, P_retained)
+    field, or (R, len(rows), P_retained).
     """
     if cfg.N != obs.N:
         raise DomainError(f"config expects N={cfg.N} but observation has N={obs.N}")
-    if cfg.P_retained == 0:
-        t = np.linspace(0.0, spec.a, M + 1)
-        batch = obs.obs0.shape[:-1]
-        held = M + 1 if rows is None else np.size(rows)
-        return FourierField(t, np.zeros(batch + (held, 0)), picard_diffs=np.zeros(batch + (1,)),
-                            rows=rows)
     return solve_mild(spec, InitialData(obs.obs0, obs.obs1), cfg.P_retained, M, rows)
 
 

@@ -2,9 +2,11 @@
 
 Everything here is deliberately dumb and slow: straight series summation in
 mpmath working precision, adaptive quadrature, and a dense grid scan.  None
-of it shares code with the package under test.  The one double-precision
-reference, the Mittag-Leffler series that tests its full width every term,
-is the plain form the package's series must match bit for bit.
+of it shares code with the package under test.  The double-precision
+references are plain forms: the Mittag-Leffler series that tests its full
+width every term, which the package's series must match bit for bit, and
+the discrete C([0,a]; L2) norm of a whole field, which the solver reads
+from quadratic forms without forming the field.
 """
 
 from __future__ import annotations
@@ -131,3 +133,9 @@ def ml_series_full_width(beta: float, gamma: float, z: np.ndarray, tol: float | 
                 if not (tail > (rel_tol * total if tol is None else tol)).any():
                     return total, tail
     raise ValueError(f"series for E({beta},{gamma}) exceeded {term_cap} terms")
+
+
+def max_row_l2(X: np.ndarray) -> np.ndarray:
+    """Discrete C([0,a]; L2) norm of each (M+1, P) field in ``X``: the max over
+    grid rows of the row L2 norm."""
+    return np.sqrt(np.max(np.einsum("...ij,...ij->...i", X, X), axis=-1))

@@ -125,6 +125,11 @@ def _limit_address_space():
     # its 2*10^8-step truth would need gigabytes per array (run under a
     # 1 GiB address-space limit, so a grid that is not refused fails here)
     ["converge", "--m-steps", "100000000", "--replicates", "8", "--out", "x.json"],
+    # converge solves its truth at 2M, but the message names the M given
+    ["converge", "--m-steps", "40000", "--replicates", "8", "--out", "x.json"],
+    ["converge", "--m-steps", "-3", "--replicates", "8", "--out", "x.json"],
+    # a replicate count beyond the desk-scale limit is refused before its draw
+    ["converge", "--replicates", "100000000", "--out", "x.json"],
 ])
 def test_overflow_is_one_line_error(tmp_path, argv):
     args = []
@@ -133,10 +138,13 @@ def test_overflow_is_one_line_error(tmp_path, argv):
             (tmp_path / "c.json").write_text(json.dumps(arg))
             arg = "c.json"
         args.append(arg)
-    limit = _limit_address_space if "--m-steps" in argv else None
+    limit = _limit_address_space if "--m-steps" in argv or "100000000" in argv else None
     run = _run_module(tmp_path, *args, preexec_fn=limit)
     assert run.returncode == 1
     assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith("error:"), run.stderr
+    if limit:  # the message names the value given
+        flag = "--m-steps" if "--m-steps" in argv else "--replicates"
+        assert re.search(rf"got {argv[argv.index(flag) + 1]}\b", run.stderr), run.stderr
     if argv[1:3] == ["--lipschitz-k", "1e300"]:
         assert "not finite" in run.stderr and "K=1e+300" in run.stderr, run.stderr
 
@@ -189,6 +197,11 @@ def test_config_type_fault_is_one_line_error(tmp_path, kind, content, flags=()):
 def test_rate_flag_over_a_bad_config_rate_is_one_line_error(tmp_path):
     # a rate flag is merged into the config's rate only where that is a mapping
     test_config_type_fault_is_one_line_error(tmp_path, "converge", {"rate": 5}, ["--b", "1"])
+
+
+def test_truth_without_modes_is_one_line_error(tmp_path):
+    # a zero-mode solve is legal, a zero truth is not: the message names the field
+    test_config_type_fault_is_one_line_error(tmp_path, "converge", {"truth_modes": 0})
 
 
 @pytest.mark.parametrize("kind, pinned", [("converge", CONVERGE_CFG),

@@ -335,8 +335,10 @@ def test_report_renders_rows_eps_descending_even_if_built_unordered():
 
 def per_replicate_monte_carlo(sample, replicates):
     """Reference loop: ``sample`` called with one replicate index at a
-    time, in order, and each quantity reduced as its own contiguous column."""
-    values = np.array([sample(r) for r in range(replicates)], dtype=float)
+    time, as a one-element uint64 array, in order, and each quantity
+    reduced as its own contiguous column."""
+    values = np.array([sample(np.array([r], np.uint64)) for r in range(replicates)],
+                      dtype=float).reshape(replicates, -1)
     root = math.sqrt(replicates)
     return [(float(np.mean(v)), float(np.std(v, ddof=1) / root)) for v in values.T.copy()]
 

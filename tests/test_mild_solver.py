@@ -18,7 +18,6 @@ from fracreg.mild_solver import (
 )
 from fracreg.mild_solver import (
     _kernel_tables,
-    _max_row_l2,
     _problem_tables,
     _volterra_product,
 )
@@ -30,7 +29,7 @@ from fracreg.mittag_leffler import (
 )
 from fracreg.spectral import EigenSystem
 
-from oracles import volterra_reference
+from oracles import max_row_l2, volterra_reference
 
 # Frozen mpmath series values (oracles.ml_reference, 60 digits).
 E_15_1_AT_1 = 1.9394872614337489665
@@ -518,6 +517,68 @@ def test_grid_beyond_the_desk_scale_limit_is_refused_before_any_table(monkeypatc
         tracemalloc.stop()
 
 
+def test_field_beyond_the_desk_scale_budget_is_refused_before_any_table(monkeypatch):
+    # illposed at 4096 replicates and M = 2^16 would return 4096 x 65537 x 14
+    # doubles, 30 GB: the batch is refused before anything is allocated
+    def no_tables(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(mild_solver, "_problem_tables", no_tables)
+    spec = ProblemSpec(1.8, 1.0, EigenSystem.dirichlet_laplace_1d(14), NonlinearitySpec.damped(0.0))
+    data = InitialData(np.ones((4096, 14)), np.zeros((4096, 14)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=r"\(4096 fields x 65537 rows x 14 modes\) exceeds "
+                                              r"the desk-scale limit of 134217728 \(1 GiB\)$"):
+            solve_mild(spec, data, P=14, M=1 << 16)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("M", [0, -3, (1 << 15) + 1, 40000])
+def test_manufacture_names_the_callers_grid(monkeypatch, M):
+    # the reference is solved at 2M: the refusal names M, not 2M
+    def no_tables(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(mild_solver, "_problem_tables", no_tables)
+    spec = ProblemSpec(1.5, 1.0, EigenSystem.dirichlet_laplace_1d(4), NonlinearitySpec.damped(0.0))
+    with pytest.raises(DomainError, match=rf"M must be in 1\.\.32768, got {M}: the reference is "
+                                          r"solved at 2M"):
+        manufacture(spec, 4, 2.0, 0.3, M)
+
+
+@pytest.mark.parametrize("rows", [None, [12, 0, 16, 5]])
+@pytest.mark.parametrize("shape", [(3,), (4, 3)])
+def test_no_mode_is_one_zero_width_solve(monkeypatch, shape, rows):
+    # P = 0 takes the one solve path: a zero-width field on the whole grid,
+    # at the rows asked for, with a zero residual per field
+    calls = []
+    picard = mild_solver._picard_solve
+
+    def spy(*args):
+        calls.append(args)
+        return picard(*args)
+
+    monkeypatch.setattr(mild_solver, "_picard_solve", spy)
+    spec = ProblemSpec(1.5, 1.0, EigenSystem.dirichlet_laplace_1d(3), NonlinearitySpec.damped(0.02))
+    field = solve_mild(spec, InitialData(np.ones(shape), np.zeros(shape)), P=0, M=16, rows=rows)
+    assert len(calls) == 1
+    assert field.coeffs.shape == shape[:-1] + (17 if rows is None else len(rows), 0)
+    assert field.picard_diffs.shape == shape[:-1] + (1,)
+    assert np.all(field.picard_diffs == 0.0)
+    assert np.array_equal(field.t_grid, np.linspace(0.0, 1.0, 17))
+    assert field.rows is None if rows is None else field.rows.tolist() == rows
+
+
+@pytest.mark.parametrize("P", [-1, 4])
+def test_mode_count_outside_the_spectrum_is_refused(P):
+    spec = ProblemSpec(1.5, 1.0, EigenSystem.dirichlet_laplace_1d(3), NonlinearitySpec.damped(0.0))
+    with pytest.raises(DomainError, match=rf"P must be in 0\.\.3, got {P}$"):
+        solve_mild(spec, InitialData(np.ones(3), np.zeros(3)), P=P, M=16)
+
+
 def test_gbar_multiplier_is_contractive_coefficient_map():
     # the construction nonlinearity is mode-wise linear with multiplier
     # exp(lam^(1/beta)(t-a)) / (2 a C3) <= 1/(2 a C3), so its Lipschitz
@@ -606,8 +667,8 @@ def test_recorded_residual_is_the_direct_residual(kind, beta, P, M, rows):
     U = field.coeffs.reshape(-1, M + 1, P)
     c0, c1 = data.u0.reshape(-1, P), data.u1.reshape(-1, P)
     for r, got in enumerate(field.picard_diffs.reshape(-1)):
-        want = _max_row_l2(E1 * c0[r] + E2t * c1[r] + _volterra_product(C, W0, m * U[r]) - U[r])
-        assert abs(got - want) <= 1e-14 * max(1.0, _max_row_l2(U[r]))
+        want = max_row_l2(E1 * c0[r] + E2t * c1[r] + _volterra_product(C, W0, m * U[r]) - U[r])
+        assert abs(got - want) <= 1e-14 * max(1.0, max_row_l2(U[r]))
 
 
 @pytest.mark.parametrize("table", [0, 2], ids=["F1", "A1"])

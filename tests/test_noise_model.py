@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,24 @@ def sq_dist_sample(truth, eps, N, seed):
         return (np.sum(d * d, axis=-1),)
 
     return sample
+
+
+@pytest.mark.parametrize("R", [(1 << 16) + 1, 2**64])
+def test_monte_carlo_refuses_replicates_past_the_cap_before_any_allocation(R):
+    # counts a missing cap would fail on cheaply; the CLI test runs 10^8
+    # under an address-space limit
+    def sample(replicates):
+        raise AssertionError("the sampler ran")
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=rf"replicates must be at most 65536, .* got {R}$"):
+            monte_carlo(sample, R)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+    # the cap itself runs
+    assert monte_carlo(lambda r: (r.astype(float),), 1 << 16)[0][0] == 32767.5
 
 
 def test_monte_carlo_reduces_each_quantity_as_its_own_column():

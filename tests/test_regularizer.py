@@ -143,6 +143,17 @@ def test_regularized_solve_returns_the_rows_it_is_asked_for(B_N):
         assert some.rows.tolist() == rows
 
 
+@pytest.mark.parametrize("M", [0, (1 << 16) + 1])
+def test_regularized_solve_without_retained_modes_checks_the_grid(M):
+    # the zero field is a solve like any other, refused at the same grids
+    spec = dirichlet_spec(count=8)
+    obs = observe(np.ones(8), np.zeros(8), 0.1, 8, seed=21)
+    cfg = manual_cfg(spec.eig, B_N=0.5, N=8)
+    assert cfg.P_retained == 0
+    with pytest.raises(DomainError, match=rf"M must be in 1\.\.65536, .* got {M}$"):
+        regularized_solve(spec, obs, cfg, M)
+
+
 def test_regularized_solve_no_coupling_linear_case():
     # G = 0: retained mode p is exactly the homogeneous evolution of its
     # observed coefficients
