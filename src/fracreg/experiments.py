@@ -377,10 +377,12 @@ def illposed_demo(cfg: ExperimentConfig) -> ErrorReport:
 
 
 def _convergence_eig(cfg: ExperimentConfig) -> EigenSystem:
+    if cfg.eig_count < 1:
+        raise DomainError(f"eig_count must be >= 1, got {cfg.eig_count}")
     if cfg.eig_kind == "dirichlet":
         return EigenSystem.dirichlet_laplace_1d(cfg.eig_count)
     if cfg.eig_kind == "linear":
-        return EigenSystem(np.arange(1, cfg.eig_count + 1, dtype=float))
+        return EigenSystem(power_law(cfg.eig_count, -1.0))
     raise DomainError(f"unknown eig_kind {cfg.eig_kind!r}")
 
 

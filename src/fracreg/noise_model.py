@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_budget
 from .spectral import EigenSystem, as_coeffs, hq_norm, pad
 
 _TWO53 = float(1 << 53)
@@ -55,8 +55,9 @@ _PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _MASK32, _PHILOX_M >> 32
 _PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], np.uint64).reshape(_LANES)
 _PHILOX_ROUNDS = 10
 
-# Desk-scale limit on the replicates of one Monte-Carlo run: at the CLI
-# defaults a replicate peaks at 1.3-15 KiB, so 2^16 of them at most about 1 GiB.
+# Desk-scale limit on the replicates of one Monte-Carlo run: it bounds what
+# monte_carlo holds and names the count before the sampler runs, whose arrays
+# are each checked against errors.BUDGET where they are sized.
 _REPLICATES_MAX = 1 << 16
 
 
@@ -148,7 +149,7 @@ def standard_normals(seed, stream, n: int, level=0, replicate=0) -> np.ndarray:
     ``n + n % 2`` words are drawn and the first n normals kept, so a draw of
     n normals is a prefix of any longer draw; the draw count per sample is
     fixed (unlike rejection samplers), which is what keeps substreams
-    aligned.
+    aligned.  A draw past the desk-scale budget is refused before any word.
     """
     if n < 0:
         raise DomainError("n must be >= 0")
@@ -156,6 +157,9 @@ def standard_normals(seed, stream, n: int, level=0, replicate=0) -> np.ndarray:
     s, l, r = (_words64(v, name) for v, name in
                ((stream, "stream"), (level, "level"), (replicate, "replicate")))
     m = n + n % 2
+    peak = 7 * s.size * l.size * r.size * 4 * -(-m // 4)  # traced: 6.0-6.6 times the words
+    check_budget(peak, f"a draw of {s.size} streams x {l.size} levels x {r.size} replicates x "
+                       f"{n} normals (peak {peak} doubles)")
     words = _philox_words(seed, s.ravel(), r.ravel(), l, -(-m // 4))[..., :m]
     return _normals_from_words(words >> 11)[..., :n].reshape(s.shape + l.shape + r.shape + (n,))
 
@@ -227,8 +231,8 @@ def monte_carlo(
     pairwise, but sums an ``(R, k)`` block along axis 0 row by row, with
     different rounding.  A mean or standard error that is not finite (a
     replicate value past about 1e154 overflows the variance) is a
-    DomainError.  ``replicates`` is at most ``2**16``, so a run's memory
-    stays at desk scale; a larger count is refused before any allocation.
+    DomainError.  ``replicates`` is at most ``2**16``; a larger count is
+    refused before any allocation.
     """
     if replicates < 2:
         raise DomainError("replicates must be >= 2")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_budget
 
 
 @dataclass(frozen=True)
@@ -56,10 +56,7 @@ class EigenSystem:
 
     @classmethod
     def dirichlet_laplace_1d(cls, count: int) -> "EigenSystem":
-        if count < 1:
-            raise DomainError("count must be >= 1")
-        p = np.arange(1, count + 1, dtype=float)
-        return cls(p * p)
+        return cls(power_law(count, -2.0))
 
 
 def as_coeffs(values, rows: bool = False) -> np.ndarray:
@@ -75,8 +72,10 @@ def as_coeffs(values, rows: bool = False) -> np.ndarray:
 
 def power_law(count: int, decay: float) -> np.ndarray:
     """Coefficients ``p**-decay`` of modes ``p = 1..count``: the manufactured
-    truths' profile.  A coefficient beyond floating-point range is a
-    :class:`DomainError` that names ``decay``."""
+    truths' profile, and the stored spectra ``p`` and ``p**2``.  More than
+    the desk-scale budget of modes, or a coefficient beyond floating-point
+    range, is a :class:`DomainError`; the latter names ``decay``."""
+    check_budget(count, f"a power law p**{-float(decay):g} of {count} doubles")
     with np.errstate(over="ignore"):
         c = np.arange(1, count + 1, dtype=float) ** -float(decay)
     if not np.all(np.isfinite(c)):

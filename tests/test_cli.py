@@ -132,21 +132,50 @@ def _limit_address_space():
     ["converge", "--replicates", "100000000", "--out", "x.json"],
 ])
 def test_overflow_is_one_line_error(tmp_path, argv):
+    stderr = _one_line_error(tmp_path, argv)
+    if "--m-steps" in argv or "100000000" in argv:  # the message names the value given
+        flag = "--m-steps" if "--m-steps" in argv else "--replicates"
+        assert re.search(rf"got {argv[argv.index(flag) + 1]}\b", stderr), stderr
+    if argv[1:3] == ["--lipschitz-k", "1e300"]:
+        assert "not finite" in stderr and "K=1e+300" in stderr, stderr
+
+
+def _one_line_error(tmp_path, argv):
+    """stderr of a child run of ``argv`` (a dict stands for a config file with
+    that content) under the 1 GiB address-space limit, after checking that
+    the run exits 1 with one ``error:`` line."""
     args = []
     for arg in argv:
-        if isinstance(arg, dict):  # a dict stands for a config file with that content
+        if isinstance(arg, dict):
             (tmp_path / "c.json").write_text(json.dumps(arg))
             arg = "c.json"
         args.append(arg)
-    limit = _limit_address_space if "--m-steps" in argv or "100000000" in argv else None
-    run = _run_module(tmp_path, *args, preexec_fn=limit)
+    run = _run_module(tmp_path, *args, preexec_fn=_limit_address_space)
     assert run.returncode == 1
     assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith("error:"), run.stderr
-    if limit:  # the message names the value given
-        flag = "--m-steps" if "--m-steps" in argv else "--replicates"
-        assert re.search(rf"got {argv[argv.index(flag) + 1]}\b", run.stderr), run.stderr
-    if argv[1:3] == ["--lipschitz-k", "1e300"]:
-        assert "not finite" in run.stderr and "K=1e+300" in run.stderr, run.stderr
+    return run.stderr
+
+
+@pytest.mark.parametrize("argv, given", [
+    # the spectrum: 7.45 GiB of eigenvalues
+    (["converge", "--eig-count", "1000000000", "--replicates", "8", "--out", "x.json"],
+     "1000000000"),
+    # the manufactured truth's profile: 74.5 GiB
+    (["converge", "--config", {"truth_modes": 10**10}, "--replicates", "8", "--out", "x.json"],
+     "10000000000"),
+    # a mise-check setting's spectrum and profile: 74.5 GiB
+    (["mise-check", "--config", {"mise_configs": [[2, 10**10, 8, 0.05, 0.5]]}, "--out", "x.json"],
+     "10000000000"),
+    # the rule observes N = 10^7 modes at eps 1e-7: 4.17 GiB of Philox words
+    (["converge", "--config", {"eig_count": 10**7, "replicates": 8, "rate": {
+        "b": 1, "m": 0.5, "k": 1, "gamma": 3.5, "d": 1, "mu": 2}}, "--out", "x.json"],
+     "10000000"),
+])
+def test_input_past_the_memory_budget_is_one_line_error(tmp_path, argv, given):
+    # each asks for gigabytes; a run that is not refused fails under the
+    # address-space limit as a MemoryError traceback
+    stderr = _one_line_error(tmp_path, argv)
+    assert re.search(rf"\b{given}\b", stderr) and "desk-scale limit" in stderr, stderr
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["mise-check", "--help"]])
@@ -327,6 +356,13 @@ def test_short_spectrum_is_one_error_for_every_eig_kind(capsys):
         assert len(err.splitlines()) == 1 and err.startswith("error:") and "eig_count" in err
         errs.append(err)
     assert errs[0] == errs[1]
+
+
+def test_empty_spectrum_names_eig_count_for_every_eig_kind(capsys):
+    for kind in ("dirichlet", "linear"):
+        code, out, err = run_cli(capsys, "converge", "--eig-count", "0", "--replicates", "8",
+                                 "--eig-kind", kind)
+        assert (code, out, err) == (1, "", "error: eig_count must be >= 1, got 0\n")
 
 
 def test_converge_cli_bound_holds_at_a_high_mise_seed(tmp_path, capsys):

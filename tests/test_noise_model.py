@@ -104,6 +104,25 @@ def sq_dist_sample(truth, eps, N, seed):
     return sample
 
 
+@pytest.mark.parametrize("stream, n, level, replicate, counts", [
+    (0, 10**12, 0, 0, "1 streams x 1 levels x 1 replicates x 1000000000000 normals "
+                      r"\(peak 7000000000000 doubles\)"),
+    ((0, 1), 10**6, np.arange(7), np.arange(1 << 14), "2 streams x 7 levels x 16384 replicates "
+                                                      r"x 1000000 normals \(peak 1605632000000 "
+                                                      r"doubles\)"),
+])
+def test_draw_past_the_desk_scale_budget_is_refused_before_any_word(stream, n, level, replicate,
+                                                                     counts):
+    # terabytes of Philox words: a missing check fails at once, and fills nothing
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=rf"^a draw of {counts} exceeds the desk-scale limit"):
+            standard_normals(0, stream, n, level, replicate)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("R", [(1 << 16) + 1, 2**64])
 def test_monte_carlo_refuses_replicates_past_the_cap_before_any_allocation(R):
     # counts a missing cap would fail on cheaply; the CLI test runs 10^8

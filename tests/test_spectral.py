@@ -1,11 +1,13 @@
 import math
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from fracreg.errors import DomainError
-from fracreg.spectral import EigenSystem, hq_norm
+from fracreg.errors import BUDGET, DomainError, check_budget
+from fracreg.spectral import EigenSystem, hq_norm, power_law
 
 
 def test_eigensystem_dirichlet_is_squares():
@@ -13,6 +15,26 @@ def test_eigensystem_dirichlet_is_squares():
     assert np.array_equal(eig.eigenvalues, np.arange(1.0, 11.0) ** 2)
     assert eig.lam(3) == 9.0
     assert eig.lam(10) == 100.0
+
+
+@pytest.mark.parametrize("make, law", [(EigenSystem.dirichlet_laplace_1d, "p**2"),
+                                       (lambda n: power_law(n, 2.0), "p**-2")],
+                         ids=["dirichlet", "power_law"])
+def test_modes_past_the_desk_scale_budget_are_refused_before_any_allocation(make, law):
+    # 10^12 modes, 8 TB: a missing check fails at once, and fills nothing
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=rf"^a power law {re.escape(law)} of 1000000000000 "
+                                              r"doubles exceeds the desk-scale limit of "
+                                              r"134217728 \(1 GiB\)$"):
+            make(10**12)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+    # the budget is 2^27 doubles, itself allowed
+    check_budget(BUDGET, "the budget")
+    with pytest.raises(DomainError, match=r"^one past exceeds"):
+        check_budget(BUDGET + 1, "one past")
 
 
 def test_eigensystem_ordering_enforced():
