@@ -174,7 +174,7 @@ class ReportRow:
     mise: float
     std_err: float
     theory_bound: float | None
-    loglog_slope: float | None
+    loglog_slope: float | None = None
 
 
 @dataclass
@@ -329,16 +329,8 @@ def illposed_demo(cfg: ExperimentConfig) -> ErrorReport:
             "output_se": output_se,
         }
         per_eps.append(stats)
-        rows.append(
-            ReportRow(
-                eps=eps,
-                t=cfg.a,
-                mise=stats["output_mc"],
-                std_err=stats["output_se"],
-                theory_bound=stats["input_analytic"],
-                loglog_slope=None,
-            )
-        )
+        rows.append(ReportRow(eps=eps, t=cfg.a, mise=output_mc, std_err=output_se,
+                              theory_bound=stats["input_analytic"]))
     rows = _attach_window_slopes(rows)
 
     out_slope = least_squares_slope(
@@ -492,7 +484,7 @@ def convergence_table(cfg: ExperimentConfig) -> ErrorReport:
                         replicate=replicates)
         errors = []
         for i, (rc, obs0, obs1) in enumerate(zip(reg_cfgs, sweep.obs0, sweep.obs1)):
-            obs = NoisyObservation(rc.N, np.concatenate((obs0, exact0))[:, : rc.N],
+            obs = NoisyObservation(np.concatenate((obs0, exact0))[:, : rc.N],
                                    np.concatenate((obs1, exact1))[:, : rc.N], cfg.shared_noise)
             fld = regularized_solve(spec, obs, rc, cfg.M, rows)
             responses[i] = fld.coeffs[-3:]
@@ -528,16 +520,8 @@ def convergence_table(cfg: ExperimentConfig) -> ErrorReport:
     rows = []
     for s in stats:
         s["bound"] = bound(s, c_cal)
-        rows.append(
-            ReportRow(
-                eps=s["eps"],
-                t=s["t"],
-                mise=s["mise"],
-                std_err=s["se"],
-                theory_bound=s["bound"],
-                loglog_slope=None,
-            )
-        )
+        rows.append(ReportRow(eps=s["eps"], t=s["t"], mise=s["mise"], std_err=s["se"],
+                              theory_bound=s["bound"]))
     rows = _attach_window_slopes(rows)
 
     per_t_checks = {}
@@ -607,31 +591,10 @@ def mise_check(cfg: ExperimentConfig) -> ErrorReport:
 
         [(mc, se)] = monte_carlo(sample, cfg.replicates)
         agree = abs(mc - analytic) <= 4.0 * se
-        details.append(
-            {
-                "decay": decay,
-                "modes": modes,
-                "N": N,
-                "eps": eps,
-                "gamma": gamma,
-                "analytic": analytic,
-                "variance_bias_bound": bound,
-                "mc": mc,
-                "se": se,
-                "agrees_4se": agree,
-                "bound_holds": analytic <= bound,
-            }
-        )
-        rows.append(
-            ReportRow(
-                eps=float(eps),
-                t=0.0,
-                mise=mc,
-                std_err=se,
-                theory_bound=bound,
-                loglog_slope=None,
-            )
-        )
+        details.append(dict(decay=decay, modes=modes, N=N, eps=eps, gamma=gamma, analytic=analytic,
+                            variance_bias_bound=bound, mc=mc, se=se, agrees_4se=agree,
+                            bound_holds=analytic <= bound))
+        rows.append(ReportRow(eps=float(eps), t=0.0, mise=mc, std_err=se, theory_bound=bound))
     meta = {
         "experiment": "mise-check",
         # only what mise_check reads: fed back as a config, it reproduces the report

@@ -167,7 +167,6 @@ class FourierField:
     t_grid: np.ndarray
     coeffs: np.ndarray
     picard_diffs: np.ndarray | None = None
-    rows: np.ndarray | None = None
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.coeffs)):
@@ -287,8 +286,13 @@ def _problem_tables(beta: float, a: float, lams: tuple, M: int, source: Nonlinea
     to all rows by Toeplitz convolution, independently of the substitution,
     so a solve can check its field against the equation.
     Cached so Monte-Carlo replicates over the same problem pay for the
-    Mittag-Leffler sweep, the substitution and the convolutions once.
+    Mittag-Leffler sweep, the substitution and the convolutions once.  A
+    build whose peak passes the desk-scale budget is refused before it starts.
     """
+    P, b = len(lams), min(M, _BLOCK)
+    # traced: 16-18.7 (M+1) doubles per mode at M >= 1024; the b x b blocks dominate at small M
+    peak = P * (18 * (M + 1) + 4 * b * b)
+    check_budget(peak, f"the solver tables of {P} modes x {M} steps (peak {peak} doubles)")
     lam = np.asarray(lams, dtype=float)
     E1, E2t, C, W0 = _kernel_tables(beta, a, lam, M)
     m = source.multiplier(beta, a, lam, np.linspace(0.0, a, M + 1)).T  # (P, M+1)
@@ -298,7 +302,7 @@ def _problem_tables(beta: float, a: float, lams: tuple, M: int, source: Nonlinea
     F[:, :, 0] = H[:, :, 0]
     mF[:, :, 0] = m[:, None, 0] * F[:, :, 0]
     # The in-block part of every L_p, shared by all blocks: T[p, i, j] = C[p, i-j], i >= j.
-    lag = np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK))
+    lag = np.subtract.outer(np.arange(b), np.arange(b))
     T = np.where(lag >= 0, C[:, np.clip(lag, 0, M)], 0.0)
     for s in range(1, M + 1, _BLOCK):
         e = min(s + _BLOCK, M + 1)
@@ -376,7 +380,7 @@ def _picard_solve(
         F1, F2 = F1[rows], F2[rows]
     U = F1 * c0
     U += F2 * c1
-    return FourierField(np.linspace(0.0, spec.a, M + 1), U, picard_diffs=residual, rows=rows)
+    return FourierField(np.linspace(0.0, spec.a, M + 1), U, picard_diffs=residual)
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +409,8 @@ def solve_mild(
     whole field; the residual check still covers every grid row.  ``P = 0``
     solves no mode: the field is zero-width, (M+1, 0) or (R, M+1, 0), and
     every residual is 0.  ``M`` is at most ``2**16``: a cold table costs
-    O(P M^2) time.  The returned field holds at most ``2**27`` doubles
-    (1 GiB); a larger batch is refused before any table is built.
+    O(P M^2) time.  The returned field, and a cold table build's peak, hold
+    at most ``2**27`` doubles (1 GiB); more is refused before any table.
 
     The un-truncated problem is ill-posed; this is the desk-scale forward
     map on finitely many modes, not a well-posedness claim.

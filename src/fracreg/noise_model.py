@@ -89,46 +89,66 @@ def _words64(values, name: str) -> np.ndarray:
 
 
 def _philox_words(seed: int, stream: np.ndarray, replicate: np.ndarray, level,
-                 blocks: int) -> np.ndarray:
-    """Raw Philox4x64-10 words, ``(S,) + shape(level) + (R, 4 blocks)``, of
-    every key ``(seed, stream[s])`` at the counter ``(b + 1, replicate[r],
-    level[l], 0)``; ``level`` is one word or an array of them.
+                 blocks: int) -> tuple[np.ndarray, np.ndarray]:
+    """Raw Philox4x64-10 words of every key ``(seed, stream[s])`` at the
+    counter ``(b + 1, replicate[r], level[l], 0)``; ``level`` is one word or
+    an array of them.  numpy increments the counter before its first block,
+    so lane ``b`` runs block ``b + 1``.
 
-    numpy increments the counter before its first block, so lane
-    ``(s, l, r, b)`` runs block ``b + 1``.  Counter words 0 and 2 are stacked
-    in ``X``, so each round's two 64x64 -> 128-bit multiplies, done in 32-bit
-    halves, are one array expression; ``Y`` holds words 1 and 3.
+    Returns the halves ``(X, Y)``, each ``(2, S, L, R, blocks)``: ``X[h, s,
+    l, r, b]`` is word ``4b + 2h`` of lane ``(s, l, r)`` and ``Y[h, s, l, r,
+    b]`` word ``4b + 2h + 1``.  Each round's two 64x64 -> 128-bit multiplies,
+    done in 32-bit halves, run over both halves of ``X`` at once, in place.
     """
     level = np.asarray(level, np.uint64)
     K = np.stack(np.broadcast_arrays(np.uint64(seed), stream[:, None, None, None]))
     X = np.zeros((2, stream.size, level.size, replicate.size, blocks), np.uint64)
     X[0] = np.arange(1, blocks + 1, dtype=np.uint64)
     X[1] = level.reshape(-1, 1, 1)
-    Y = np.zeros_like(X)
+    Y, w, lo, hi = (np.zeros_like(X) for _ in range(4))
     Y[0] = replicate[:, None]
     for _ in range(_PHILOX_ROUNDS):
-        x_lo, x_hi = X & _MASK32, X >> 32
-        lo_hi, hi_lo = x_lo * _PHILOX_M_HI, x_hi * _PHILOX_M_LO
-        mid = (x_lo * _PHILOX_M_LO >> 32) + (lo_hi & _MASK32) + (hi_lo & _MASK32)
-        hi = x_hi * _PHILOX_M_HI + (lo_hi >> 32) + (hi_lo >> 32) + (mid >> 32)
-        X, Y = hi[::-1] ^ Y ^ K, X[::-1] * _PHILOX_M[::-1]
+        # hi = the high words of X * M: w = x_hi m_lo + (x_lo m_lo >> 32) < 2^64,
+        # then hi = x_hi m_hi + (w >> 32) + (((w & mask) + x_lo m_hi) >> 32)
+        np.bitwise_and(X, _MASK32, out=w)
+        w *= _PHILOX_M_LO
+        w >>= 32
+        np.right_shift(X, 32, out=hi)
+        hi *= _PHILOX_M_LO
+        w += hi
+        np.bitwise_and(w, _MASK32, out=lo)
+        w >>= 32
+        np.bitwise_and(X, _MASK32, out=hi)
+        hi *= _PHILOX_M_HI
+        lo += hi
+        lo >>= 32
+        w += lo
+        np.right_shift(X, 32, out=hi)
+        hi *= _PHILOX_M_HI
+        hi += w
+        X *= _PHILOX_M  # the low words
+        Y ^= hi[::-1]
+        Y ^= K
+        X, Y = Y, X[::-1]
         K = K + _PHILOX_W
-    words = np.stack((X[0], Y[0], X[1], Y[1]), axis=-1)
-    return words.reshape((stream.size,) + level.shape + (replicate.size, 4 * blocks))
+    return X, Y
 
 
-def _normals_from_words(k: np.ndarray) -> np.ndarray:
-    """Standard normals of 53-bit words ``k``, by Box-Muller on word pairs.
+def _box_muller(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Standard normals of the word halves of :func:`_philox_words`, by Box-Muller.
 
-    Each word gives the uniform ``u = (k + 0.5) / 2^53`` in (0, 1]; word
-    ``2j`` gives the radius ``sqrt(-2 log u)`` and word ``2j+1`` the angle
-    ``2 pi u`` of normals ``2j`` and ``2j+1``, ``r cos`` and ``r sin`` of it.
-    The last axis of ``k`` must have even length.
+    The top 53 bits k of each word give ``u = (k + 0.5) / 2^53`` in (0, 1];
+    ``x[h, ..., b]`` gives the radius ``sqrt(-2 log u)`` and ``y[h, ..., b]``
+    the angle ``2 pi u`` of normals ``4b + 2h`` and ``4b + 2h + 1`` along the
+    result's last axis, ``r cos`` and ``r sin`` of it.
     """
-    u = (k.astype(np.float64) + 0.5) / _TWO53
-    radius = np.sqrt(-2.0 * np.log(u[..., 0::2]))
-    angle = 2.0 * np.pi * u[..., 1::2]
-    return np.stack((radius * np.cos(angle), radius * np.sin(angle)), axis=-1).reshape(k.shape)
+    radius = np.sqrt(-2.0 * np.log(((x >> 11).astype(np.float64) + 0.5) / _TWO53))
+    angle = 2.0 * np.pi * (((y >> 11).astype(np.float64) + 0.5) / _TWO53)
+    z = np.empty(x.shape[1:] + (2, 2))
+    z[..., 0] = np.moveaxis(np.cos(angle), 0, -1)
+    z[..., 1] = np.moveaxis(np.sin(angle, out=angle), 0, -1)
+    z *= np.moveaxis(radius, 0, -1)[..., None]
+    return z.reshape(x.shape[1:-1] + (-1,))
 
 
 def standard_normals(seed, stream, n: int, level=0, replicate=0) -> np.ndarray:
@@ -144,24 +164,24 @@ def standard_normals(seed, stream, n: int, level=0, replicate=0) -> np.ndarray:
     blocks, block l drawn at ``level[l]`` alone.  Every (stream, level,
     replicate) triple is drawn in one Philox evaluation.  The top 53 bits
     of each raw Philox word (raw words, unlike ``Generator`` methods, keep
-    their stream across numpy releases) go through
-    :func:`_normals_from_words`, two words to a pair of normals.
-    ``n + n % 2`` words are drawn and the first n normals kept, so a draw of
-    n normals is a prefix of any longer draw; the draw count per sample is
-    fixed (unlike rejection samplers), which is what keeps substreams
-    aligned.  A draw past the desk-scale budget is refused before any word.
+    their stream across numpy releases) go through :func:`_box_muller`, two
+    words to a pair of normals.  ``4 ceil(n / 4)`` words are drawn and the
+    first n normals kept, so a draw of n normals is a prefix of any longer
+    draw; the draw count per sample is fixed (unlike rejection samplers),
+    which is what keeps substreams aligned.  A draw past the desk-scale
+    budget is refused before any word.
     """
     if n < 0:
         raise DomainError("n must be >= 0")
     seed = _word64(seed, "seed")
     s, l, r = (_words64(v, name) for v, name in
                ((stream, "stream"), (level, "level"), (replicate, "replicate")))
-    m = n + n % 2
-    peak = 7 * s.size * l.size * r.size * 4 * -(-m // 4)  # traced: 6.0-6.6 times the words
+    blocks = -(-n // 4)
+    peak = 4 * s.size * l.size * r.size * 4 * blocks  # traced: 3.5 times the words
     check_budget(peak, f"a draw of {s.size} streams x {l.size} levels x {r.size} replicates x "
                        f"{n} normals (peak {peak} doubles)")
-    words = _philox_words(seed, s.ravel(), r.ravel(), l, -(-m // 4))[..., :m]
-    return _normals_from_words(words >> 11)[..., :n].reshape(s.shape + l.shape + r.shape + (n,))
+    z = _box_muller(*_philox_words(seed, s.ravel(), r.ravel(), l, blocks))
+    return z[..., :n].reshape(s.shape + l.shape + r.shape + (n,))
 
 
 @dataclass(frozen=True)
@@ -172,22 +192,22 @@ class NoisyObservation:
     replicate per row, or (L, R, N) sweeps holding one block per noise level.
     """
 
-    N: int
     obs0: np.ndarray
     obs1: np.ndarray
     shared_noise: bool = False
 
     def __post_init__(self):
-        if self.N < 1:
-            raise DomainError("N must be >= 1")
         o0 = np.asarray(self.obs0, dtype=float)
         o1 = np.asarray(self.obs1, dtype=float)
-        if o0.shape != o1.shape or o0.shape[-1:] != (self.N,):
-            raise DomainError("need exactly N observed coefficients per field")
         if not (np.all(np.isfinite(o0)) and np.all(np.isfinite(o1))):
             raise DomainError("coefficients must be finite")
         object.__setattr__(self, "obs0", o0)
         object.__setattr__(self, "obs1", o1)
+
+    @property
+    def N(self) -> int:
+        """The observed modes per field, the width of ``obs0``."""
+        return self.obs0.shape[-1]
 
 
 def observe(
@@ -215,7 +235,7 @@ def observe(
     c1 = pad(as_coeffs(u1), N)
     xi = standard_normals(seed, (0,) if shared_noise else (0, 1), N, level, replicate)
     e = e.reshape(e.shape + (1,) * (xi.ndim - 1 - e.ndim))
-    return NoisyObservation(N, c0 + e * xi[0], c1 + e * xi[-1], shared_noise)
+    return NoisyObservation(c0 + e * xi[0], c1 + e * xi[-1], shared_noise)
 
 
 def monte_carlo(

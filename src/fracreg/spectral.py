@@ -35,7 +35,7 @@ class EigenSystem:
             raise DomainError("eigenvalues must be a nonempty 1-D sequence")
         if not np.all(np.isfinite(lam)) or lam[0] <= 0.0:
             raise DomainError("eigenvalues must be finite and positive")
-        if np.any(np.diff(lam) < 0.0):
+        if np.any(lam[1:] < lam[:-1]):
             raise DomainError("eigenvalues must be nondecreasing")
         object.__setattr__(self, "eigenvalues", lam)
 
@@ -76,8 +76,9 @@ def power_law(count: int, decay: float) -> np.ndarray:
     the desk-scale budget of modes, or a coefficient beyond floating-point
     range, is a :class:`DomainError`; the latter names ``decay``."""
     check_budget(count, f"a power law p**{-float(decay):g} of {count} doubles")
+    c = np.arange(1, count + 1, dtype=float)
     with np.errstate(over="ignore"):
-        c = np.arange(1, count + 1, dtype=float) ** -float(decay)
+        c **= -float(decay)
     if not np.all(np.isfinite(c)):
         raise DomainError(
             f"decay {decay!r} puts p**-decay beyond floating-point range at p <= {count}"

@@ -170,6 +170,9 @@ def _one_line_error(tmp_path, argv):
     (["converge", "--config", {"eig_count": 10**7, "replicates": 8, "rate": {
         "b": 1, "m": 0.5, "k": 1, "gamma": 3.5, "d": 1, "mu": 2}}, "--out", "x.json"],
      "10000000"),
+    # the rule keeps all 15,000 modes: their solver tables are charged 2.5 GiB
+    (["converge", "--eig-kind", "linear", "--eig-count", "15000", "--k", "1e-9", "--m-steps",
+      "1024", "--replicates", "8", "--out", "x.json"], "15000"),
 ])
 def test_input_past_the_memory_budget_is_one_line_error(tmp_path, argv, given):
     # each asks for gigabytes; a run that is not refused fails under the

@@ -10,7 +10,7 @@ from scipy import stats
 
 from fracreg.errors import DomainError
 from fracreg.noise_model import (
-    _normals_from_words,
+    _box_muller,
     _philox_words,
     mise_bound_check,
     monte_carlo,
@@ -106,9 +106,9 @@ def sq_dist_sample(truth, eps, N, seed):
 
 @pytest.mark.parametrize("stream, n, level, replicate, counts", [
     (0, 10**12, 0, 0, "1 streams x 1 levels x 1 replicates x 1000000000000 normals "
-                      r"\(peak 7000000000000 doubles\)"),
+                      r"\(peak 4000000000000 doubles\)"),
     ((0, 1), 10**6, np.arange(7), np.arange(1 << 14), "2 streams x 7 levels x 16384 replicates "
-                                                      r"x 1000000 normals \(peak 1605632000000 "
+                                                      r"x 1000000 normals \(peak 917504000000 "
                                                       r"doubles\)"),
 ])
 def test_draw_past_the_desk_scale_budget_is_refused_before_any_word(stream, n, level, replicate,
@@ -119,6 +119,21 @@ def test_draw_past_the_desk_scale_budget_is_refused_before_any_word(stream, n, l
         with pytest.raises(DomainError, match=rf"^a draw of {counts} exceeds the desk-scale limit"):
             standard_normals(0, stream, n, level, replicate)
         assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("streams, levels, replicates, n", [
+    (2, 1, 1, 25000), (2, 3, 64, 600), (2, 1, 1024, 900), (1, 3, 1, 100000), (2, 7, 256, 300),
+    (2, 1, 8, 125000)])
+def test_a_draw_peaks_within_the_factor_it_is_charged(streams, levels, replicates, n):
+    # standard_normals charges a draw at four times its Philox words
+    words = streams * levels * replicates * 4 * -(-n // 4)
+    args = (3, np.arange(streams), n, np.arange(levels), np.arange(replicates, dtype=np.uint64))
+    tracemalloc.start()
+    try:
+        standard_normals(*args)
+        assert tracemalloc.get_traced_memory()[1] <= 4 * 8 * words
     finally:
         tracemalloc.stop()
 
@@ -231,7 +246,7 @@ UINT64 = st.integers(min_value=0, max_value=2**64 - 1)
 
 def numpy_box_muller(key: np.ndarray, counter: np.ndarray, n: int) -> np.ndarray:
     """n Box-Muller normals of numpy's bounded 53-bit integers from a fresh
-    Philox(key=key, counter=counter), paired as ``_normals_from_words`` pairs."""
+    Philox(key=key, counter=counter), paired as ``_box_muller`` pairs."""
     k = np.random.Generator(np.random.Philox(key=key, counter=counter)).integers(
         0, 1 << 53, size=n + n % 2)
     u = (k.astype(np.float64) + 0.5) / 2.0**53
@@ -239,6 +254,15 @@ def numpy_box_muller(key: np.ndarray, counter: np.ndarray, n: int) -> np.ndarray
     want = np.empty(u.size)
     want[0::2], want[1::2] = radius * np.cos(angle), radius * np.sin(angle)
     return want[:n]
+
+
+def assert_halves_are_raw_words(halves, lane, key, counter, blocks):
+    """The halves' words of ``lane`` are the raw words of a fresh numpy
+    Philox(key=key, counter=counter): ``X[h]`` words 4b + 2h, ``Y[h]`` 4b + 2h + 1."""
+    raw = np.random.Philox(key=key, counter=counter).random_raw(4 * blocks)
+    for h in (0, 1):
+        for half, offset in zip(halves, (2 * h, 2 * h + 1)):
+            assert np.array_equal(half[(h,) + lane], raw[offset::4])
 
 
 @settings(max_examples=50, deadline=None)
@@ -257,16 +281,16 @@ def test_philox_port_draws_what_numpy_philox_draws(seed, streams, replicates, le
     # and its normals must be the Box-Muller pairs of numpy's bounded integers
     # read the same way.  The oracle keys and counters are uint64 arrays: a
     # Python list sends values of 2^63 and more through float64.
-    words = _philox_words(seed, np.array(streams, np.uint64), np.array(replicates, np.uint64),
-                          level, -(-n // 4))
+    blocks = -(-n // 4)
+    halves = _philox_words(seed, np.array(streams, np.uint64), np.array(replicates, np.uint64),
+                           level, blocks)
     block = standard_normals(seed, streams, n, level, replicates)
     assert block.shape == (len(streams), len(replicates), n)
     for s, stream in enumerate(streams):
         for r, replicate in enumerate(replicates):
             key = np.array([seed, stream], np.uint64)
             counter = np.array([0, replicate, level, 0], np.uint64)
-            assert np.array_equal(words[s, r, :n],
-                                  np.random.Philox(key=key, counter=counter).random_raw(n))
+            assert_halves_are_raw_words(halves, (s, 0, r), key, counter, blocks)
             want = numpy_box_muller(key, counter, n)
             assert np.array_equal(block[s, r], want)
             assert np.array_equal(standard_normals(seed, stream, n, level, replicate), want)
@@ -306,12 +330,16 @@ def test_values_past_64_bits_are_refused(call, name, bad):
 
 
 def test_extreme_words_give_finite_normals():
-    # (k + 0.5) / 2^53 rounds to 1.0 at the top word alone: as a radius word
-    # it gives radius 0, a 0.0 pair.  Word 0 gives the largest radius,
-    # sqrt(-2 log 2^-54), which is finite.
+    # (k + 0.5) / 2^53 rounds to 1.0 at the top 53-bit value alone: as a
+    # radius word it gives radius 0, a 0.0 pair.  Value 0 gives the largest
+    # radius, sqrt(-2 log 2^-54), which is finite.  Pair j is (radius, angle)
+    # word (x, y)[j % 2, j // 2], and gives normals 2j and 2j + 1.
     top = (1 << 53) - 1
-    k = np.array([top, 0, top, 1 << 52, top, top, 0, 0, 0, top, 1, top - 1, top - 1, 1], np.uint64)
-    z = _normals_from_words(k)
+    pairs = np.array([(top, 0), (top, 1 << 52), (top, top), (0, 0), (0, top), (1, top - 1),
+                      (top - 1, 1), (0, 1 << 52)], np.uint64) << np.uint64(11)
+    x, y = pairs.reshape(4, 2, 2).transpose(2, 1, 0)
+    z = _box_muller(x, y)
+    assert z.shape == (16,)
     assert np.all(np.isfinite(z))
     assert np.all(z[:6] == 0.0)
     biggest = math.sqrt(-2.0 * math.log(2.0**-54))
@@ -393,8 +421,9 @@ def test_a_level_array_draws_each_level_as_alone(n):
     replicates = np.array([0, 5, 2**64 - 1], np.uint64)
     sweep = standard_normals(seed, streams, n, level=levels, replicate=replicates)
     assert sweep.shape == (2, 4, 3, n)
-    words = _philox_words(seed, np.array(streams, np.uint64), replicates, levels, -(-n // 4))
-    assert words.shape == (2, 4, 3, 4 * -(-n // 4))
+    blocks = -(-n // 4)
+    halves = _philox_words(seed, np.array(streams, np.uint64), replicates, levels, blocks)
+    assert halves[0].shape == halves[1].shape == (2, 2, 4, 3, blocks)
     for l, level in enumerate(levels):
         alone = standard_normals(seed, streams, n, level=level, replicate=replicates)
         assert np.array_equal(sweep[:, l], alone)
@@ -402,8 +431,7 @@ def test_a_level_array_draws_each_level_as_alone(n):
             for r, replicate in enumerate(replicates):
                 key = np.array([seed, stream], np.uint64)
                 counter = np.array([0, replicate, level, 0], np.uint64)
-                assert np.array_equal(words[s, l, r, :n],
-                                      np.random.Philox(key=key, counter=counter).random_raw(n))
+                assert_halves_are_raw_words(halves, (s, l, r), key, counter, blocks)
                 assert np.array_equal(sweep[s, l, r], numpy_box_muller(key, counter, n))
 
 

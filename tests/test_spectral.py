@@ -37,6 +37,19 @@ def test_modes_past_the_desk_scale_budget_are_refused_before_any_allocation(make
         check_budget(BUDGET + 1, "one past")
 
 
+@pytest.mark.parametrize("make", [EigenSystem.dirichlet_laplace_1d, lambda n: power_law(n, 2.0)],
+                         ids=["dirichlet", "power_law"])
+def test_spectrum_builders_peak_at_their_array(make):
+    # the power is raised in place; only boolean masks ride along
+    make(10**6)
+    tracemalloc.start()
+    try:
+        make(10**6)
+        assert tracemalloc.get_traced_memory()[1] <= 1.25 * 8 * 10**6
+    finally:
+        tracemalloc.stop()
+
+
 def test_eigensystem_ordering_enforced():
     with pytest.raises(DomainError):
         EigenSystem([1.0, 0.5, 2.0])
