@@ -421,10 +421,11 @@ def convergence_table(cfg: ExperimentConfig) -> ErrorReport:
         raise DomainError("config kind must be 'converge'")
     if cfg.rate is None:
         raise DomainError("convergence experiment needs rate parameters")
-    if cfg.truth_modes < 1:
-        raise DomainError(f"truth_modes must be >= 1, got {cfg.truth_modes}")
     rp = cfg.rate
-    eig = _convergence_eig(cfg)
+    eig = _convergence_eig(cfg)  # refuses eig_count < 1 first
+    if not 1 <= cfg.truth_modes <= cfg.eig_count:
+        raise DomainError(f"truth_modes must be in 1..eig_count, got truth_modes {cfg.truth_modes} "
+                          f"and eig_count {cfg.eig_count}")
     lam_full = eig.eigenvalues
     spec = ProblemSpec(cfg.beta, cfg.a, eig, NonlinearitySpec.damped(cfg.lipschitz_K))
     data, truth = manufacture(spec, cfg.truth_modes, cfg.truth_decay, cfg.truth_u1_scale, cfg.M)

@@ -12,7 +12,8 @@ and second antiderivatives, so the quadrature error is O(dt^2) and comes
 from the interpolation of ``g`` alone.  The kernel is a function of
 ``t - eta`` and the grid is uniform, so each mode's weight matrix ``L_p``
 is Toeplitz beyond its first column; it is kept as two (P, M+1) arrays of
-generating weights, never as a dense matrix.
+generating weights, never as a dense matrix.  Every table is mode-major like
+them: row p holds mode p along the time grid, the axis each stage works along.
 
 Every source is a mode-diagonal map: mode p is multiplied by a known
 factor ``m_p(t)``, so each mode's discrete equation is the lower-triangular
@@ -117,8 +118,9 @@ class ProblemSpec:
     def __post_init__(self):
         if not (1.0 < self.beta < 2.0):
             raise DomainError(f"beta must lie strictly in (1, 2), got {self.beta}")
-        if not 0.0 < self.a < math.inf:
-            raise DomainError(f"horizon a must be finite and positive, got {self.a}")
+        if not 0.0 < self.a < math.inf or self.beta * math.log(self.a) > 709.0:  # a**beta in range
+            raise DomainError(f"horizon a must be finite and positive, with a**beta < e^709, "
+                              f"got {self.a}")
 
 
 @dataclass(frozen=True)
@@ -166,7 +168,7 @@ class FourierField:
 
     t_grid: np.ndarray
     coeffs: np.ndarray
-    picard_diffs: np.ndarray | None = None
+    picard_diffs: np.ndarray
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.coeffs)):
@@ -181,12 +183,12 @@ class FourierField:
 def _kernel_tables(beta: float, a: float, lam: np.ndarray, M: int):
     """Homogeneous-mode tables and Toeplitz Volterra weights on the M-grid.
 
-    Returns ``(E1, E2t, C, W0)``.  ``E1`` and ``E2t`` are (M+1, P) tables of
-    ``E(beta,1; lam t^beta)`` and ``t E(beta,2; lam t^beta)``.  ``C`` and
-    ``W0`` are (P, M+1) generating weights of the lower-triangular
-    product-integration matrices ``L_p``, for which ``(L_p @ g_p)[i]``
-    integrates the kernel against the piecewise linear interpolant of
-    ``g_p`` over [0, t_i]:
+    Returns ``(E1, E2t, C, W0)``, each (P, M+1), row p for mode p.  ``E1``
+    and ``E2t`` hold ``E(beta,1; lam t^beta)`` and ``t E(beta,2; lam
+    t^beta)``.  ``C`` and ``W0`` are the generating weights of the
+    lower-triangular product-integration matrices ``L_p``, for which
+    ``(L_p @ g_p)[i]`` integrates the kernel against the piecewise linear
+    interpolant of ``g_p`` over [0, t_i]:
 
         L_p[i, j] = C[p, i-j]   for 1 <= j <= i,
         L_p[i, 0] = W0[p, i]    (W0[p, 0] = 0),
@@ -195,47 +197,42 @@ def _kernel_tables(beta: float, a: float, lam: np.ndarray, M: int):
     """
     t = np.linspace(0.0, a, M + 1)
     dt = a / M
-    z = lam[:, None] * t[None, :] ** beta  # (P, M+1)
+    z = lam[:, None] * t[None, :] ** beta
 
-    e1, _ = ml_values(beta, 1.0, z)
-    e2, _ = ml_values(beta, 2.0, z)
-    E1 = e1.T.copy()
-    E2t = (t[None, :] * e2).T.copy()
+    E1, _ = ml_values(beta, 1.0, z)
+    E2t, _ = ml_values(beta, 2.0, z)
+    E2t *= t
 
-    # Exact kernel antiderivatives at the lag points s = l*dt, (P, M+1) each.
+    # Exact kernel antiderivatives at the lag points s = l*dt.
     K1 = kernel_primitive(beta, lam[:, None], t[None, :])
     K2 = kernel_double_primitive(beta, lam[:, None], t[None, :])
 
     # Per-cell weights in lag form: a cell at lags (l-1, l) contributes to its
-    # left node with weight WL[l] and to its right node with WR[l-1].  A node
+    # left node with weight W0[l] and to its right node with R[l-1].  A node
     # j >= 1 is the left node of one cell and the right node of the next, so
-    # its weight at lag l is C[l] = WL[l] + WR[l] (WL[0] = 0); node 0 is only
-    # a left node.
+    # its weight at lag l is C[l] = R[l] + W0[l] (W0[0] = 0), R formed in C.
     s_all = np.arange(M + 1, dtype=float) * dt
-    WL = np.zeros_like(K1)
-    WR = np.zeros_like(K1)
     dK1 = K1[:, 1:] - K1[:, :-1]  # lag l-1 -> l, index l-1
-    T = (
-        s_all[None, 1:] * K1[:, 1:]
-        - s_all[None, :-1] * K1[:, :-1]
-        - (K2[:, 1:] - K2[:, :-1])
-    )
-    WL[:, 1:] = (-s_all[None, :-1] * dK1 + T) / dt
-    WR[:, :-1] = (s_all[None, 1:] * dK1 - T) / dt
-    return E1, E2t, WL + WR, WL
+    T = s_all[1:] * K1[:, 1:] - s_all[:-1] * K1[:, :-1] - (K2[:, 1:] - K2[:, :-1])
+    W0 = np.zeros_like(z)
+    C = np.zeros_like(z)
+    W0[:, 1:] = (-s_all[:-1] * dK1 + T) / dt
+    C[:, :-1] = (s_all[1:] * dK1 - T) / dt
+    C += W0
+    return E1, E2t, C, W0
 
 
 def _volterra_product(C: np.ndarray, W0: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """(M+1, P) array of ``(L_p @ G[:, p])[i]``, the quadrature of every row.
+    """(P, M+1) array of ``(L_p @ G[p])[i]``, the quadrature of every row.
 
     The Toeplitz part is a direct convolution per mode.  The weights span
     many decades at large ``lam t^beta``, where FFT rounding would swamp the
     small early rows.
     """
-    M = G.shape[0] - 1
-    V = W0.T * G[0]
-    for p in range(G.shape[1]):
-        V[1:, p] += np.convolve(C[p], G[1:, p])[:M]
+    M = G.shape[1] - 1
+    V = W0 * G[:, :1]
+    for p in range(G.shape[0]):
+        V[p, 1:] += np.convolve(C[p], G[p, 1:])[:M]
     return V
 
 
@@ -243,8 +240,8 @@ def _max_row_norm(Y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Max over rows of the row L2 norm of the fields ``T0 * c0 + T1 * c1``,
     shape (..., 1), from quadratic forms in the data: no field is formed.
 
-    ``Y`` is a (3P, n) work block holding the transposed (n, P) tables
-    ``T0.T`` in its first P rows and ``T1.T`` in its last P rows; it is
+    ``Y`` is a (3P, n) work block holding n grid columns of the (P, M+1)
+    tables ``T0`` in its first P rows and ``T1`` in its last P rows; it is
     overwritten.  ``w`` holds the (..., 1, 3P) products ``(c0^2, 2 c0 c1,
     c1^2)``; the squared norm of row i is ``(T0^2 c0^2 + 2 T0 T1 c0 c1 +
     T1^2 c1^2)[i]``, one sum of 3P terms.  The tables are scaled by a power
@@ -253,7 +250,7 @@ def _max_row_norm(Y: np.ndarray, w: np.ndarray) -> np.ndarray:
     solve alone.  Rounding can leave a row that cancels to zero a little
     below it; that square is taken as 0 (NaN stays NaN).
     """
-    V = Y.reshape(3, Y.shape[0] // 3, Y.shape[1])  # (T0.T, product, T1.T), views of Y
+    V = Y.reshape(3, Y.shape[0] // 3, Y.shape[1])  # (T0, product, T1), views of Y
     T = V[::2]
     e = np.frexp(np.max(np.abs(T), initial=0.0))[1]
     np.ldexp(T, -e, out=T)
@@ -268,45 +265,44 @@ def _max_row_norm(Y: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _problem_tables(beta: float, a: float, lams: tuple, M: int, source: NonlinearitySpec):
     """Every table of one solve problem, built once per problem shape.
 
-    Returns ``(F1, F2, A1, A2)``, each (M+1, P).  For ``G_p(t, u) = m_p(t)
-    u_p``, with ``m`` the multiplier of ``source``, the discrete equation of
-    mode p is the lower-triangular system ``(I - L_p diag(m_p)) U_p = H_p``
-    with ``H_p = E1[:, p] u0_p + E2t[:, p] u1_p`` and the kernel tables of
-    :func:`_kernel_tables`.  Forward substitution in blocks of ``_BLOCK``
-    rows gives the exact responses ``F1`` and ``F2`` to unit data, such that
-    ``U = F1 * u0 + F2 * u1`` solves the system for any data.  A block
-    ``[s, e)`` adds to its right-hand side the history of rows ``1..s-1``,
-    one direct convolution per mode and response, and then solves its
-    in-block triangular system ``I - T diag(m[s:e])``, with ``T[p, i, j] =
-    C[p, i-j]`` shared by every block, for all modes in one batched solve.
-    A step whose diagonal entry is exactly zero has no solution; it leaves
-    the responses NaN from its block on, so every solve fails its check.
-    ``A1 = E1 + L(m F1)`` and ``A2 = E2t + L(m F2)`` are the right-hand
-    side ``H + L(m U)`` of the equation for unit data, with ``L`` applied
-    to all rows by Toeplitz convolution, independently of the substitution,
-    so a solve can check its field against the equation.
+    Returns ``(F1, F2, A1, A2)``, each (P, M+1), row p for mode p.  For
+    ``G_p(t, u) = m_p(t) u_p``, with ``m`` the multiplier of ``source``, the
+    discrete equation of mode p is the lower-triangular system ``(I - L_p
+    diag(m_p)) U_p = H_p`` with ``H_p = E1[p] u0_p + E2t[p] u1_p`` and the
+    kernel tables of :func:`_kernel_tables`.  Forward substitution in blocks
+    of ``_BLOCK`` rows gives the exact responses ``F1`` and ``F2`` to unit
+    data, such that ``U = F1 * u0 + F2 * u1`` solves the system for any
+    data; each block of them is written over the block of ``H`` it solves.
+    A block ``[s, e)`` adds to its right-hand side the history of rows
+    ``1..s-1``, one direct convolution per mode and response, and then
+    solves its in-block triangular system ``I - T diag(m[s:e])``, with
+    ``T[p, i, j] = C[p, i-j]`` shared by every block, for all modes in one
+    batched solve.  A step whose diagonal entry is exactly zero has no
+    solution; it leaves the responses NaN from its block on, so every solve
+    fails its check.  ``A1 = E1 + L(m F1)`` and ``A2 = E2t + L(m F2)`` are
+    the right-hand side ``H + L(m U)`` of the equation for unit data, with
+    ``L`` applied to all rows by Toeplitz convolution, independently of the
+    substitution, so a solve can check its field against the equation.
     Cached so Monte-Carlo replicates over the same problem pay for the
     Mittag-Leffler sweep, the substitution and the convolutions once.  A
     build whose peak passes the desk-scale budget is refused before it starts.
     """
     P, b = len(lams), min(M, _BLOCK)
-    # traced: 16-18.7 (M+1) doubles per mode at M >= 1024; the b x b blocks dominate at small M
-    peak = P * (18 * (M + 1) + 4 * b * b)
+    # traced: 14.2-14.3 (M+1) doubles per mode at M >= 1024; the b x b blocks dominate at small M
+    peak = P * (15 * (M + 1) + 5 * b * b)
     check_budget(peak, f"the solver tables of {P} modes x {M} steps (peak {peak} doubles)")
     lam = np.asarray(lams, dtype=float)
     E1, E2t, C, W0 = _kernel_tables(beta, a, lam, M)
     m = source.multiplier(beta, a, lam, np.linspace(0.0, a, M + 1)).T  # (P, M+1)
-    H = np.stack([E1.T, E2t.T], axis=1)  # (P, 2, M+1)
-    F = np.empty_like(H)
-    mF = np.empty_like(H)  # forcing of the responses, m * F
-    F[:, :, 0] = H[:, :, 0]
+    F = np.stack([E1, E2t], axis=1)  # (P, 2, M+1): H, overwritten block by block with F
+    mF = np.empty_like(F)  # forcing of the responses, m * F
     mF[:, :, 0] = m[:, None, 0] * F[:, :, 0]
     # The in-block part of every L_p, shared by all blocks: T[p, i, j] = C[p, i-j], i >= j.
     lag = np.subtract.outer(np.arange(b), np.arange(b))
     T = np.where(lag >= 0, C[:, np.clip(lag, 0, M)], 0.0)
     for s in range(1, M + 1, _BLOCK):
         e = min(s + _BLOCK, M + 1)
-        rhs = H[:, :, s:e] + W0[:, None, s:e] * mF[:, :, :1]
+        rhs = F[:, :, s:e] + W0[:, None, s:e] * mF[:, :, :1]
         if s > 1:  # the history of rows 1..s-1, by direct convolution (see _volterra_product)
             for p, r in np.ndindex(lam.size, 2):
                 rhs[p, r] += np.convolve(C[p, 1:e], mF[p, r, 1:s], "valid")[: e - s]
@@ -321,9 +317,8 @@ def _problem_tables(beta: float, a: float, lams: tuple, M: int, source: Nonlinea
             F[:, :, s:] = mF[:, :, s:] = np.nan  # the residual check fails every solve
             break
         mF[:, :, s:e] = m[:, None, s:e] * F[:, :, s:e]
-    F1, F2 = F[:, 0].T.copy(), F[:, 1].T.copy()
-    A1 = E1 + _volterra_product(C, W0, mF[:, 0].T)
-    return F1, F2, A1, E2t + _volterra_product(C, W0, mF[:, 1].T)
+    A1 = E1 + _volterra_product(C, W0, mF[:, 0])
+    return F[:, 0], F[:, 1], A1, E2t + _volterra_product(C, W0, mF[:, 1])
 
 
 def _picard_solve(
@@ -338,8 +333,9 @@ def _picard_solve(
     is ``A1 u0 + A2 u1``; each field's residual ``(A1 - F1) u0 + (A2 - F2)
     u1`` over every grid row, returned or not, is recorded as the field's
     single ``picard_diffs`` entry.  It and the field norm that scales its
-    tolerance are read from the cached tables as quadratic forms in the
-    data, so no (R, M+1, P) array is formed.
+    tolerance are read from the cached (P, M+1) tables as quadratic forms
+    in the data, so no (R, M+1, P) array is formed.  The field is formed in
+    C order: a sum over its modes rounds by the memory order of that axis.
     """
     F1, F2, A1, A2 = _problem_tables(spec.beta, spec.a, tuple(lam.tolist()), M, spec.nonlinearity)
     c0, c1 = u0[..., None, :], u1[..., None, :]
@@ -355,11 +351,11 @@ def _picard_solve(
     with np.errstate(over="ignore", invalid="ignore"):  # surfaces as the check failing
         for s in range(0, M + 1, step):
             b = slice(s, s + step)
-            Y = np.empty((3 * P, F1[b].shape[0]))
-            np.subtract(A1[b].T, F1[b].T, out=Y[:P])
-            np.subtract(A2[b].T, F2[b].T, out=Y[2 * P :])
+            Y = np.empty((3 * P, F1[:, b].shape[1]))
+            np.subtract(A1[:, b], F1[:, b], out=Y[:P])
+            np.subtract(A2[:, b], F2[:, b], out=Y[2 * P :])
             residual = np.maximum(residual, _max_row_norm(Y, w))
-            Y[:P], Y[2 * P :] = F1[b].T, F2[b].T
+            Y[:P], Y[2 * P :] = F1[:, b], F2[:, b]
             norm = np.maximum(norm, _max_row_norm(Y, w))
         residual, norm = np.ldexp(residual, e), np.ldexp(norm, e)
     # The residual of an exact solve is rounding, which grows with the field:
@@ -377,9 +373,9 @@ def _picard_solve(
             why = f"failed: its solver tables are not finite ({src.kind}, {constant})"
         raise NoConvergence(f"exact {src.kind} solve of field {r} {why}", float(residual.flat[r]))
     if rows is not None:
-        F1, F2 = F1[rows], F2[rows]
-    U = F1 * c0
-    U += F2 * c1
+        F1, F2 = F1[:, rows], F2[:, rows]
+    U = np.multiply(F1.T, c0, order="C")
+    U += F2.T * c1
     return FourierField(np.linspace(0.0, spec.a, M + 1), U, picard_diffs=residual)
 
 

@@ -260,8 +260,8 @@ def calibrate_growth_constants(beta: float, a: float) -> GrowthConstants:
     """
     if not (1.0 < beta < 2.0):
         raise DomainError(f"growth ratios require beta in (1, 2), got {beta}")
-    if not 0.0 < a < math.inf:
-        raise DomainError(f"horizon a must be finite and positive, got {a}")
+    if not 0.0 < a < math.inf or beta * math.log(a) > 709.0:  # a**beta in range
+        raise DomainError(f"horizon a must be finite and positive, with a**beta < e^709, got {a}")
     t = np.full(1, a, dtype=float)  # numpy pow and exp, which the grid maximum used
     e, _ = ml_values(beta, beta, t**beta, tol=_GROWTH_TOL)
     ratio = t ** (beta - 1.0) * e * np.exp(-t)

@@ -58,9 +58,9 @@ def _child_env():
     return env
 
 
-def _run_module(tmp_path, *argv, preexec_fn=None):
+def _run_module(tmp_path, *argv, preexec_fn=None, flags=()):
     # a separate interpreter, so numpy warnings and tracebacks reach stderr
-    return subprocess.run([sys.executable, "-m", "fracreg", *argv], capture_output=True,
+    return subprocess.run([sys.executable, *flags, "-m", "fracreg", *argv], capture_output=True,
                           text=True, cwd=tmp_path, env=_child_env(), preexec_fn=preexec_fn)
 
 
@@ -140,29 +140,49 @@ def test_overflow_is_one_line_error(tmp_path, argv):
         assert "not finite" in stderr and "K=1e+300" in stderr, stderr
 
 
-def _one_line_error(tmp_path, argv):
+def _one_line_error(tmp_path, argv, flags=()):
     """stderr of a child run of ``argv`` (a dict stands for a config file with
-    that content) under the 1 GiB address-space limit, after checking that
-    the run exits 1 with one ``error:`` line."""
+    that content) under the 1 GiB address-space limit, with the interpreter
+    options ``flags``, after checking that the run exits 1 with one
+    ``error:`` line."""
     args = []
     for arg in argv:
         if isinstance(arg, dict):
             (tmp_path / "c.json").write_text(json.dumps(arg))
             arg = "c.json"
         args.append(arg)
-    run = _run_module(tmp_path, *args, preexec_fn=_limit_address_space)
+    run = _run_module(tmp_path, *args, preexec_fn=_limit_address_space, flags=flags)
     assert run.returncode == 1
     assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith("error:"), run.stderr
     return run.stderr
+
+
+@pytest.mark.parametrize("argv, named", [
+    # a**beta past floating-point range is refused where beta meets the
+    # horizon, before numpy can warn: the child turns RuntimeWarnings into errors
+    (["illposed", "--a", "1e300", "--out", "x.csv"], r"horizon a .* got 1e\+300$"),
+    (["converge", "--a", "1e300", "--replicates", "8", "--out", "x.json"],
+     r"horizon a .* got 1e\+300$"),
+    # a truth needs as many stored eigenvalues as it has modes: the message
+    # names both keys, before a 10^10-mode truth's profile is sized
+    (["converge", "--eig-count", "3", "--replicates", "8", "--out", "x.json"],
+     r"truth_modes 4 and eig_count 3$"),
+    (["converge", "--config", {"truth_modes": 10**10}, "--replicates", "8", "--out", "x.json"],
+     r"truth_modes 10000000000 and eig_count 64$"),
+])
+def test_bad_horizon_or_truth_size_is_one_line_error(tmp_path, argv, named):
+    stderr = _one_line_error(tmp_path, argv, flags=("-W", "error::RuntimeWarning"))
+    assert re.search(named, stderr.strip()), stderr
 
 
 @pytest.mark.parametrize("argv, given", [
     # the spectrum: 7.45 GiB of eigenvalues
     (["converge", "--eig-count", "1000000000", "--replicates", "8", "--out", "x.json"],
      "1000000000"),
-    # the manufactured truth's profile: 74.5 GiB
-    (["converge", "--config", {"truth_modes": 10**10}, "--replicates", "8", "--out", "x.json"],
-     "10000000000"),
+    # a 10^10-mode truth needs as many stored eigenvalues: 74.5 GiB, refused
+    # at the spectrum, before the truth's profile
+    (["converge", "--config", {"truth_modes": 10**10, "eig_count": 10**10}, "--replicates", "8",
+      "--out", "x.json"], "10000000000"),
     # a mise-check setting's spectrum and profile: 74.5 GiB
     (["mise-check", "--config", {"mise_configs": [[2, 10**10, 8, 0.05, 0.5]]}, "--out", "x.json"],
      "10000000000"),

@@ -72,7 +72,7 @@ def test_zero_forcing_is_the_homogeneous_solution(beta, P, M):
     data = InitialData(rng.normal(size=P), rng.normal(size=P))
     field = solve_mild(spec, data, P=P, M=M)
     E1, E2t, _, _ = _kernel_tables(beta, 1.0, spec.eig.eigenvalues, M)
-    assert field.coeffs.tobytes() == (E1 * data.u0 + E2t * data.u1).tobytes()
+    assert field.coeffs.tobytes() == (E1.T * data.u0 + E2t.T * data.u1).tobytes()
     assert field.picard_diffs.tolist() == [0.0]
 
 
@@ -235,7 +235,7 @@ def test_singular_step_in_a_later_block_fails_the_residual_check():
     assert step == 0.0
     assert i0 > mild_solver._BLOCK
     F1 = _problem_tables(beta, 1.0, tuple(lam.tolist()), M, nl)[0]
-    assert np.all(np.isfinite(F1[: mild_solver._BLOCK + 1])) and not np.isfinite(F1[i0, p])
+    assert np.all(np.isfinite(F1[:, : mild_solver._BLOCK + 1])) and not np.isfinite(F1[p, i0])
     spec = ProblemSpec(beta, 1.0, eig, nl)
     with pytest.raises(NoConvergence) as info, np.errstate(all="ignore"):
         solve_mild(spec, InitialData(np.ones(P), np.zeros(P)), P=P, M=M)
@@ -248,7 +248,7 @@ def row_substitution_reference(beta, a, lam, M, source):
     right-hand sides: the solver's substitution before it became block-wise."""
     E1, E2t, C, W0 = _kernel_tables(beta, a, lam, M)
     m = source.multiplier(beta, a, lam, np.linspace(0.0, a, M + 1))
-    H = np.stack([E1.T, E2t.T], axis=1)  # (P, 2, M+1)
+    H = np.stack([E1, E2t], axis=1)  # (P, 2, M+1)
     F = np.empty_like(H)
     mF = np.empty_like(H)
     F[:, :, 0] = H[:, :, 0]
@@ -262,7 +262,7 @@ def row_substitution_reference(beta, a, lam, M, source):
         row[:, M - i] = C[:, i]
         F[:, :, i] = rhs / (1.0 - C[:, 0] * m[i])[:, None]
         mF[:, :, i] = m[i][:, None] * F[:, :, i]
-    return F[:, 0].T, F[:, 1].T
+    return F[:, 0], F[:, 1]
 
 
 @pytest.mark.parametrize("M", [16, 97, 512, 2048])
@@ -278,7 +278,7 @@ def test_block_substitution_matches_row_substitution(kind, beta, M):
     )
     got = _problem_tables(beta, 1.0, tuple(lam.tolist()), M, nl)[:2]
     for table, want in zip(got, row_substitution_reference(beta, 1.0, lam, M, nl)):
-        assert np.all(np.abs(table - want) <= 1e-13 * np.max(np.abs(want), axis=0))
+        assert np.all(np.abs(table - want) <= 1e-13 * np.max(np.abs(want), axis=1)[:, None])
 
 
 def dense_weights_reference(beta, a, lam, M):
@@ -310,7 +310,7 @@ def dense_solve_reference(beta, a, lam, M, m, data):
     built from the dense weights and solved by np.linalg.solve.  ``m`` is
     the (M+1, P) multiplier of the source on the grid."""
     E1, E2t, _, _ = _kernel_tables(beta, a, lam, M)
-    H = E1 * data.u0 + E2t * data.u1
+    H = E1.T * data.u0 + E2t.T * data.u1
     L = dense_weights_reference(beta, a, lam, M)
     U = np.empty_like(H)
     for p in range(lam.size):
@@ -348,7 +348,7 @@ def test_volterra_product_matches_dense_einsum(beta, P, M):
     L = dense_weights_reference(beta, 1.0, lam, M)
     G = np.random.default_rng(M).normal(size=(M + 1, P))
     want = np.einsum("pij,jp->ip", L, G)
-    got = _volterra_product(C, W0, G)
+    got = _volterra_product(C, W0, G.T).T
     assert np.all(got[0] == 0.0) and np.all(want[0] == 0.0)
     gap = np.max(np.abs(got - want), axis=1)[1:]
     assert np.all(gap <= 1e-12 * np.max(np.abs(want), axis=1)[1:])
@@ -482,8 +482,8 @@ def test_problem_spec_validation():
         ProblemSpec(1.0, 1.0, eig, NonlinearitySpec.damped(0.0))
     with pytest.raises(DomainError):
         ProblemSpec(2.0, 1.0, eig, NonlinearitySpec.damped(0.0))
-    for a in (0.0, math.inf, math.nan):
-        with pytest.raises(DomainError):
+    for a in (0.0, math.inf, math.nan, 1e300):  # 1e300**1.5 overflows
+        with pytest.raises(DomainError, match="horizon a"):
             ProblemSpec(1.5, a, eig, NonlinearitySpec.damped(0.0))
     for bad in (-1.0, math.inf, math.nan):
         with pytest.raises(DomainError):
@@ -538,10 +538,13 @@ def test_field_beyond_the_desk_scale_budget_is_refused_before_any_table(monkeypa
 
 @pytest.mark.parametrize("nl, P, M", [(NonlinearitySpec.gbar(GBAR_C3), 8, 2048),
                                       (NonlinearitySpec.damped(0.5), 200, 64),
-                                      (NonlinearitySpec.damped(0.5), 2000, 8)])
+                                      (NonlinearitySpec.damped(0.5), 2000, 8),
+                                      (NonlinearitySpec.gbar(GBAR_C3), 11, 128),
+                                      (NonlinearitySpec.damped(0.5), 64, 1024),
+                                      (NonlinearitySpec.damped(0.5), 8, 8192)])
 def test_cold_table_build_stays_under_its_charge(monkeypatch, nl, P, M):
-    # the tables dominate at large M and the in-block arrays at small M;
-    # lam_p = p, as with --eig-kind linear
+    # the kernel tables and one Mittag-Leffler sweep dominate at large M and
+    # the in-block arrays at small M; lam_p = p, as with --eig-kind linear
     charged = []
 
     def record(doubles, what):
@@ -603,6 +606,7 @@ def test_no_mode_is_one_zero_width_solve(monkeypatch, shape, rows):
     field = solve_mild(spec, InitialData(np.ones(shape), np.zeros(shape)), P=0, M=16, rows=rows)
     assert len(calls) == 1
     assert field.coeffs.shape == shape[:-1] + (17 if rows is None else len(rows), 0)
+    assert field.coeffs.flags.c_contiguous
     assert field.picard_diffs.shape == shape[:-1] + (1,)
     assert np.all(field.picard_diffs == 0.0)
     assert np.array_equal(field.t_grid, np.linspace(0.0, 1.0, 17))
@@ -703,7 +707,8 @@ def test_recorded_residual_is_the_direct_residual(kind, beta, P, M, rows):
     U = field.coeffs.reshape(-1, M + 1, P)
     c0, c1 = data.u0.reshape(-1, P), data.u1.reshape(-1, P)
     for r, got in enumerate(field.picard_diffs.reshape(-1)):
-        want = max_row_l2(E1 * c0[r] + E2t * c1[r] + _volterra_product(C, W0, m * U[r]) - U[r])
+        want = max_row_l2(E1.T * c0[r] + E2t.T * c1[r] + _volterra_product(C, W0, (m * U[r]).T).T
+                          - U[r])
         assert abs(got - want) <= 1e-14 * max(1.0, max_row_l2(U[r]))
 
 
@@ -720,7 +725,7 @@ def test_perturbed_table_fails_the_next_solve(table):
     try:
         solve_mild(spec, data, P=6, M=32)
         lams = tuple(spec.eig.eigenvalues.tolist())
-        _problem_tables(1.5, 1.0, lams, 32, spec.nonlinearity)[table][32, 5] *= 1.0 + 1e-6
+        _problem_tables(1.5, 1.0, lams, 32, spec.nonlinearity)[table][5, 32] *= 1.0 + 1e-6
         with pytest.raises(NoConvergence, match="field 1") as info:
             solve_mild(spec, data, P=6, M=32)
         assert info.value.residual > 1e-10
@@ -761,7 +766,8 @@ SOME_ROWS = [40, 0, 17, 64, 3]
                          ids=["damped", "gbar"])
 def test_row_subset_solve_is_the_full_solve_at_those_rows(nl, batch):
     # the rows a caller names, in its order, with the bits of the whole
-    # field's rows and the whole field's residual
+    # field's rows and the whole field's residual; both fields in C order,
+    # since a sum over the modes rounds by the memory order of that axis
     spec = ProblemSpec(1.5, 1.0, EigenSystem.dirichlet_laplace_1d(6), nl)
     rng = np.random.default_rng(len(batch) + 11)
     data = InitialData(rng.normal(size=batch + (6,)), rng.normal(size=batch + (6,)))
@@ -771,6 +777,7 @@ def test_row_subset_solve_is_the_full_solve_at_those_rows(nl, batch):
     assert np.array_equal(some.coeffs, full.coeffs[..., SOME_ROWS, :])
     assert np.array_equal(some.picard_diffs, full.picard_diffs)
     assert np.array_equal(some.t_grid, full.t_grid)
+    assert full.coeffs.flags.c_contiguous and some.coeffs.flags.c_contiguous
 
 
 def test_batched_row_subset_residuals_equal_single_solves():
@@ -808,7 +815,7 @@ def test_perturbed_table_fails_a_solve_that_skips_its_row(table):
     try:
         solve_mild(spec, data, P=6, M=32, rows=rows)
         lams = tuple(spec.eig.eigenvalues.tolist())
-        _problem_tables(1.5, 1.0, lams, 32, spec.nonlinearity)[table][32, 5] *= 1.0 + 1e-6
+        _problem_tables(1.5, 1.0, lams, 32, spec.nonlinearity)[table][5, 32] *= 1.0 + 1e-6
         with pytest.raises(NoConvergence, match="field 1") as info:
             solve_mild(spec, data, P=6, M=32, rows=rows)
         assert info.value.residual > 1e-10

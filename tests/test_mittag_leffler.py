@@ -408,7 +408,7 @@ def test_growth_constant_bits_are_pinned(beta, a):
 
 
 @pytest.mark.parametrize("beta, a", [(0.9, 1.0), (2.0, 1.0), (1.5, 0.0), (1.5, math.nan),
-                                     (1.5, math.inf)])
+                                     (1.5, math.inf), (1.5, 1e300)])
 def test_growth_constant_rejects_bad_input_on_every_call(beta, a):
     for _ in range(2):
         with warnings.catch_warnings():
