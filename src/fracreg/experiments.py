@@ -478,19 +478,23 @@ def convergence_table(cfg: ExperimentConfig) -> ErrorReport:
 
         The whole sweep is one draw: each level keeps the first N of its
         block, which are its own draw of N.  Each level is one solve: its
-        replicates and, at the end, the three rows of its exact error.
+        replicates and, at the end, the three rows of its exact error.  The
+        levels are solved widest ``P_retained`` first, so every narrower
+        level reads the row prefix of one cached table.
         """
         sweep = observe(data.u0, data.u1, cfg.eps_grid, N_max, cfg.seed,
                         shared_noise=cfg.shared_noise, level=np.arange(len(reg_cfgs)),
                         replicate=replicates)
-        errors = []
-        for i, (rc, obs0, obs1) in enumerate(zip(reg_cfgs, sweep.obs0, sweep.obs1)):
-            obs = NoisyObservation(np.concatenate((obs0, exact0))[:, : rc.N],
-                                   np.concatenate((obs1, exact1))[:, : rc.N], cfg.shared_noise)
+        errors = [None] * len(reg_cfgs)
+        for i in sorted(range(len(reg_cfgs)), key=lambda i: -reg_cfgs[i].P_retained):
+            rc = reg_cfgs[i]
+            obs = NoisyObservation(np.concatenate((sweep.obs0[i], exact0))[:, : rc.N],
+                                   np.concatenate((sweep.obs1[i], exact1))[:, : rc.N],
+                                   cfg.shared_noise)
             fld = regularized_solve(spec, obs, rc, cfg.M, rows)
             responses[i] = fld.coeffs[-3:]
-            errors += [sq_err(rc, fld.coeffs[:-3, j], t) for j, t in enumerate(t_eval)]
-        return errors
+            errors[i] = [sq_err(rc, fld.coeffs[:-3, j], t) for j, t in enumerate(t_eval)]
+        return [e for level in errors for e in level]
 
     est = iter(monte_carlo(sample, cfg.replicates))
     stats = []

@@ -12,15 +12,20 @@ and second antiderivatives, so the quadrature error is O(dt^2) and comes
 from the interpolation of ``g`` alone.  The kernel is a function of
 ``t - eta`` and the grid is uniform, so each mode's weight matrix ``L_p``
 is Toeplitz beyond its first column; it is kept as two (P, M+1) arrays of
-generating weights, never as a dense matrix.  Every table is mode-major like
-them: row p holds mode p along the time grid, the axis each stage works along.
+generating weights, never as a dense matrix.  The homogeneous terms come
+from the same two kernel antiderivatives, by ``E(beta,g; z) = 1/Gamma(g) +
+z E(beta,beta+g; z)``, so a table build sums two Mittag-Leffler series.
+Every table is mode-major like them: row p holds mode p along the time
+grid, the axis each stage works along.
 
 Every source is a mode-diagonal map: mode p is multiplied by a known
 factor ``m_p(t)``, so each mode's discrete equation is the lower-triangular
 system ``(I - L_p diag(m_p)) U_p = H_p``.  It is solved exactly once per
 problem shape for unit ``u0`` and ``u1`` by block-wise forward
 substitution: each block of rows takes its history by direct convolution
-and solves its own small triangular system for all modes at once.  Every
+and solves its own small triangular system for all modes at once.  Each
+mode's rows have the bits of its build alone, so the first P rows of a
+cached table serve any problem whose spectrum is its first P modes.  Every
 solve combines the two cached responses linearly, at every grid row or
 only at the rows its caller names.  The equation's right-hand side for
 unit data is cached too, evaluated by Toeplitz convolution, so each solve
@@ -37,13 +42,13 @@ schedule.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, NoConvergence, check_budget
-from .mittag_leffler import kernel_double_primitive, kernel_primitive, ml_values
+from .mittag_leffler import kernel_double_primitive, kernel_primitive
 from .spectral import EigenSystem, as_coeffs, pad, power_law
 
 DEFAULT_TOL = 1e-10
@@ -185,27 +190,39 @@ def _kernel_tables(beta: float, a: float, lam: np.ndarray, M: int):
 
     Returns ``(E1, E2t, C, W0)``, each (P, M+1), row p for mode p.  ``E1``
     and ``E2t`` hold ``E(beta,1; lam t^beta)`` and ``t E(beta,2; lam
-    t^beta)``.  ``C`` and ``W0`` are the generating weights of the
-    lower-triangular product-integration matrices ``L_p``, for which
-    ``(L_p @ g_p)[i]`` integrates the kernel against the piecewise linear
-    interpolant of ``g_p`` over [0, t_i]:
+    t^beta)``, formed from the kernel antiderivatives ``K1 = t^beta
+    E(beta,beta+1; lam t^beta)`` and ``K2 = t^(beta+1) E(beta,beta+2; lam
+    t^beta)`` as ``1 + lam K1`` and ``t + lam K2``, by ``E(beta,g; z) =
+    1/Gamma(g) + z E(beta,beta+g; z)`` (Gorenflo, Kilbas, Mainardi &
+    Rogosin, *Mittag-Leffler Functions*, Springer 2014): every term is
+    nonnegative, so nothing cancels, and the build sums two series.  ``C``
+    and ``W0`` are the generating weights of the lower-triangular
+    product-integration matrices ``L_p``, for which ``(L_p @ g_p)[i]``
+    integrates the kernel against the piecewise linear interpolant of
+    ``g_p`` over [0, t_i]:
 
         L_p[i, j] = C[p, i-j]   for 1 <= j <= i,
         L_p[i, 0] = W0[p, i]    (W0[p, 0] = 0),
 
-    and zero above the diagonal.  Storage is O(P M).
+    and zero above the diagonal.  Storage is O(P M).  Each row has the bits
+    it has in a build of its mode alone.  A horizon whose kernel is past
+    the series' reach is a one-line :class:`DomainError` naming ``a``,
+    ``beta`` and the mode count.
     """
     t = np.linspace(0.0, a, M + 1)
     dt = a / M
-    z = lam[:, None] * t[None, :] ** beta
-
-    E1, _ = ml_values(beta, 1.0, z)
-    E2t, _ = ml_values(beta, 2.0, z)
-    E2t *= t
 
     # Exact kernel antiderivatives at the lag points s = l*dt.
-    K1 = kernel_primitive(beta, lam[:, None], t[None, :])
-    K2 = kernel_double_primitive(beta, lam[:, None], t[None, :])
+    try:
+        K1 = kernel_primitive(beta, lam[:, None], t[None, :])
+        K2 = kernel_double_primitive(beta, lam[:, None], t[None, :])
+    except DomainError as exc:
+        raise DomainError(f"horizon a={a!r} at beta={beta!r} puts the kernel of {lam.size} modes "
+                          f"beyond the Mittag-Leffler series: {exc}") from None
+    E1 = lam[:, None] * K1
+    E1 += 1.0
+    E2t = lam[:, None] * K2
+    E2t += t
 
     # Per-cell weights in lag form: a cell at lags (l-1, l) contributes to its
     # left node with weight W0[l] and to its right node with R[l-1].  A node
@@ -214,8 +231,8 @@ def _kernel_tables(beta: float, a: float, lam: np.ndarray, M: int):
     s_all = np.arange(M + 1, dtype=float) * dt
     dK1 = K1[:, 1:] - K1[:, :-1]  # lag l-1 -> l, index l-1
     T = s_all[1:] * K1[:, 1:] - s_all[:-1] * K1[:, :-1] - (K2[:, 1:] - K2[:, :-1])
-    W0 = np.zeros_like(z)
-    C = np.zeros_like(z)
+    W0 = np.zeros_like(K1)
+    C = np.zeros_like(K1)
     W0[:, 1:] = (-s_all[:-1] * dK1 + T) / dt
     C[:, :-1] = (s_all[1:] * dK1 - T) / dt
     C += W0
@@ -260,10 +277,39 @@ def _max_row_norm(Y: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.ldexp(np.sqrt(np.maximum(q, 0.0)), e)
 
 
-@lru_cache(maxsize=32)
-@np.errstate(over="ignore", invalid="ignore")  # overflow surfaces as the residual check failing
+# Built solver tables, keyed by (beta, a, lams, M, source), least recently used first.
+_TABLES: OrderedDict = OrderedDict()
+_TABLES_MAX = 32
+
+
 def _problem_tables(beta: float, a: float, lams: tuple, M: int, source: NonlinearitySpec):
     """Every table of one solve problem, built once per problem shape.
+
+    Returns ``(F1, F2, A1, A2)``, each (P, M+1), row p for mode p, from
+    :func:`_build_tables`.  The tables of the last ``_TABLES_MAX`` builds
+    are kept, so Monte-Carlo replicates over the same problem pay for the
+    Mittag-Leffler sweep, the substitution and the convolutions once.  Every
+    row of a build has the bits of the same mode's row in any build with
+    the same beta, a, M and source, so a call whose eigenvalues are a prefix
+    of a kept build's gets the row prefix ``T[:P]`` of its four tables.
+    """
+    P = len(lams)
+    for key, tables in reversed(_TABLES.items()):
+        b2, a2, lams2, M2, src2 = key
+        if (b2, a2, M2, src2) == (beta, a, M, source) and lams2[:P] == lams:
+            break
+    else:
+        key = (beta, a, lams, M, source)
+        tables = _TABLES[key] = _build_tables(beta, a, lams, M, source)
+        if len(_TABLES) > _TABLES_MAX:
+            _TABLES.popitem(last=False)
+    _TABLES.move_to_end(key)
+    return tuple(table[:P] for table in tables)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow surfaces as the residual check failing
+def _build_tables(beta: float, a: float, lams: tuple, M: int, source: NonlinearitySpec):
+    """Build every table of one solve problem.
 
     Returns ``(F1, F2, A1, A2)``, each (P, M+1), row p for mode p.  For
     ``G_p(t, u) = m_p(t) u_p``, with ``m`` the multiplier of ``source``, the
@@ -277,19 +323,19 @@ def _problem_tables(beta: float, a: float, lams: tuple, M: int, source: Nonlinea
     ``1..s-1``, one direct convolution per mode and response, and then
     solves its in-block triangular system ``I - T diag(m[s:e])``, with
     ``T[p, i, j] = C[p, i-j]`` shared by every block, for all modes in one
-    batched solve.  A step whose diagonal entry is exactly zero has no
-    solution; it leaves the responses NaN from its block on, so every solve
-    fails its check.  ``A1 = E1 + L(m F1)`` and ``A2 = E2t + L(m F2)`` are
-    the right-hand side ``H + L(m U)`` of the equation for unit data, with
-    ``L`` applied to all rows by Toeplitz convolution, independently of the
-    substitution, so a solve can check its field against the equation.
-    Cached so Monte-Carlo replicates over the same problem pay for the
-    Mittag-Leffler sweep, the substitution and the convolutions once.  A
-    build whose peak passes the desk-scale budget is refused before it starts.
+    batched solve.  Every stage works mode by mode, so each row has the bits
+    of its mode's build alone.  A step whose diagonal entry is exactly zero
+    has no solution; it leaves the responses NaN from its block on, so every
+    solve fails its check.  ``A1 = E1 + L(m F1)`` and ``A2 = E2t + L(m F2)``
+    are the right-hand side ``H + L(m U)`` of the equation for unit data,
+    with ``L`` applied to all rows by Toeplitz convolution, independently of
+    the substitution, so a solve can check its field against the equation.
+    A build whose peak passes the desk-scale budget is refused before it
+    starts.
     """
     P, b = len(lams), min(M, _BLOCK)
-    # traced: 14.2-14.3 (M+1) doubles per mode at M >= 1024; the b x b blocks dominate at small M
-    peak = P * (15 * (M + 1) + 5 * b * b)
+    # traced: 12.2-13.1 (M+1) doubles per mode at M >= 1024; the b x b blocks dominate at small M
+    peak = P * (13 * (M + 1) + 4 * b * b)
     check_budget(peak, f"the solver tables of {P} modes x {M} steps (peak {peak} doubles)")
     lam = np.asarray(lams, dtype=float)
     E1, E2t, C, W0 = _kernel_tables(beta, a, lam, M)
@@ -298,15 +344,17 @@ def _problem_tables(beta: float, a: float, lams: tuple, M: int, source: Nonlinea
     mF = np.empty_like(F)  # forcing of the responses, m * F
     mF[:, :, 0] = m[:, None, 0] * F[:, :, 0]
     # The in-block part of every L_p, shared by all blocks: T[p, i, j] = C[p, i-j], i >= j.
-    lag = np.subtract.outer(np.arange(b), np.arange(b))
-    T = np.where(lag >= 0, C[:, np.clip(lag, 0, M)], 0.0)
+    T = np.zeros((lam.size, b, b))
+    for i in range(b):
+        T[:, i, : i + 1] = C[:, i::-1]
     for s in range(1, M + 1, _BLOCK):
         e = min(s + _BLOCK, M + 1)
         rhs = F[:, :, s:e] + W0[:, None, s:e] * mF[:, :, :1]
         if s > 1:  # the history of rows 1..s-1, by direct convolution (see _volterra_product)
             for p, r in np.ndindex(lam.size, 2):
                 rhs[p, r] += np.convolve(C[p, 1:e], mF[p, r, 1:s], "valid")[: e - s]
-        A = np.eye(e - s) - T[:, : e - s, : e - s] * m[:, None, s:e]
+        A = np.multiply(T[:, : e - s, : e - s], m[:, None, s:e])
+        np.subtract(np.eye(e - s), A, out=A)
         try:
             # A triangular block is singular just where its diagonal holds a
             # zero, which LAPACK's row pivoting can round into a tiny pivot.

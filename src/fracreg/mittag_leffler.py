@@ -14,9 +14,12 @@ its terms are nonnegative for ``z >= 0``, so there is no cancellation, and
 compensated (Kahan) summation in double precision suffices.  The term
 ratio ``t_{k+1}/t_k = z * Gamma(beta*k+gamma) / Gamma(beta*k+beta+gamma)``
 is strictly decreasing in ``k``, so once it drops below 1 the tail is
-bounded by a geometric series.  Summation stops when that bound is at
-most ``_REL_TOL`` times the running total, which is a lower bound on the
-value, or at most an absolute ``tol`` when one is given.
+bounded by a geometric series.  Each argument's summation stops at its own
+first term where that bound is at most ``_REL_TOL`` times its running
+total, which is a lower bound on the value, or at most an absolute ``tol``
+when one is given.  So a value has the same bits whatever the other
+arguments of its call, and a table over a grid has the bits, row for row,
+of any table over part of that grid.
 
 The series needs about ``x / beta`` terms, ``x = z**(1/beta)``.  Rounding
 grows with ``x``: for the parameters the solver uses (``beta`` in (1, 2],
@@ -89,11 +92,11 @@ def ml_values(
     """``E(beta, gamma; z)`` over an array of nonnegative arguments.
 
     Returns ``(values, est_abs_errs)`` with the shape of ``z``.  Every lane
-    takes the power series, summed until its tail bound is at most
-    ``_REL_TOL`` times its running total, or at most ``tol`` when given.
-    The lanes are driven together, so the shared term loop runs until the
-    slowest lane meets its bound.  Raises :class:`DomainError` when a value
-    is not representable, and when an argument is beyond the series' reach:
+    takes the power series, summed until its own tail bound is at most
+    ``_REL_TOL`` times its running total, or at most ``tol`` when given, and
+    ``est_abs_errs`` holds that bound.  Each lane stops on its own, so it
+    has the bits it has alone.  Raises :class:`DomainError` when a value is
+    not representable, and when an argument is beyond the series' reach:
     its terms overflow or the term cap is reached.
     """
     z = np.asarray(z, dtype=float)
@@ -117,72 +120,110 @@ def ml_values(
 def _series(
     beta: float, gamma: float, z: np.ndarray, tol: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Power series with a rigorous geometric tail bound, per lane.
+    """Power series with a rigorous geometric tail bound, each lane stopping on its own.
 
-    Terms are summed with Kahan compensation until the bound
-    ``t_{k+1} / (1 - r_{k+1})`` on every lane's remaining tail is at most
-    ``tol`` (absolute), or ``_REL_TOL`` times the lane's running total when
-    ``tol`` is None: all terms are positive, so the running total is a lower
-    bound on the value.
+    Terms are summed with Kahan compensation.  A lane stops at its first
+    term whose next ratio ``r = z*c`` is below 1 and whose tail bound
+    ``t_{k+1} / (1 - r)`` is at most ``tol`` (absolute), or ``_REL_TOL``
+    times its running total when ``tol`` is None: all terms are positive, so
+    the running total is a lower bound on the value.  The lane keeps the
+    total and the bound of that term, so it has the bits it has alone.
 
-    The tests on all lanes read the largest lane first: a term's
-    exponent ``k*lnz - lg_k`` overflows somewhere exactly when
-    ``k*max(lnz) - lg_k`` does, and the ratio ``r = z*c`` is below 1
-    everywhere exactly when ``max(z)*c`` is, because IEEE multiplication
-    by a positive scalar and subtraction of a scalar round monotonically.
-    Once it is, the largest lane's own tail bound, a scalar with the bits
-    of its lane of the full test, is tested next: while it fails, the full
-    test would fail too.  So the per-lane tail bound is formed only once the
-    largest lane meets it, and the stop term is that of the full test.
+    The lanes are sorted by z, and lanes ``lo..hi-1`` hold every lane still
+    summing, so the computed range shrinks from below as the small-z lanes
+    finish.  IEEE multiplication by a positive scalar rounds monotonically,
+    so ``r < 1`` holds on a prefix ``lo..j-1`` of that range, found by a
+    sorted search made exact, and only that prefix is tested.  Rounding can
+    stop a lane a term before the one below it; such a lane keeps its value
+    and bound apart until the range passes it.  A term's exponent ``k*lnz -
+    lg_k`` is tested on the largest lane still summing.  Every work array
+    is written in place, and two of them return the result.
     """
     try:
-        total = np.full(z.size, math.exp(-math.lgamma(gamma)))
+        first = math.exp(-math.lgamma(gamma))
     except OverflowError:
         raise DomainError(f"log Gamma({gamma}) exceeds floating-point range") from None
     if gamma + beta == gamma:  # every Gamma argument rounds to gamma: the ratios never fall
         raise DomainError(
             f"successive series terms of E({beta},{gamma}) cannot be resolved at gamma={gamma!r}"
         )
-    comp = np.zeros(z.size)
-    y = np.empty(z.size)
-    t = np.empty(z.size)
+    n = z.size
+    order = np.argsort(z, kind="stable")
+    zs = z[order]
     with np.errstate(divide="ignore"):  # z = 0 gives -inf, so its every term is 0.0
-        lnz = np.log(z)
-    lnz_max = float(lnz.max())
-    i_max = int(z.argmax())
-    z_max = float(z[i_max])
+        lnz = np.log(zs)
+    total = np.full(n, first)
+    comp = np.zeros(n)
+    y = np.empty(n)
+    t = np.empty(n)
+    t_k = np.empty(n)
+    lo, j, hi = 0, 0, n
+    stopped = {}  # lane -> (value, bound), for a lane that stops above one still summing
 
-    def term(k: int, lg_k: float) -> np.ndarray:
-        """Term ``k``, given ``lg_k = log Gamma(beta*k + gamma)``."""
-        if k * lnz_max - lg_k > 709.0:  # exp overflows: z is beyond the series' reach
-            raise DomainError(f"series term {k} of E({beta},{gamma}) overflows at z={z_max!r}")
-        return np.exp(k * lnz - lg_k)
+    def term(k: int, lg_k: float) -> None:
+        """Term ``k`` of lanes ``lo..hi-1`` into ``t_k``, given ``lg_k = log Gamma(beta*k + gamma)``."""
+        if k * lnz[hi - 1] - lg_k > 709.0:  # exp overflows: z is beyond the series' reach
+            raise DomainError(
+                f"series term {k} of E({beta},{gamma}) overflows at z={float(zs[hi - 1])!r}")
+        a = t_k[lo:hi]
+        np.multiply(lnz[lo:hi], k, out=a)
+        a -= lg_k
+        np.exp(a, out=a)
 
-    t_k = term(1, math.lgamma(beta + gamma))
+    term(1, math.lgamma(beta + gamma))
     lg_next = math.lgamma(beta * 2 + gamma)  # log Gamma(beta*(k+1) + gamma) at the loop's k
     # a total that overflows makes inf - inf in the Kahan update; the NaN
-    # fails no "tail > bound" test, so the loop stops and ml_values reports
+    # fails no "tail > bound" test, so its lane stops and ml_values reports
     # the nonfinite value
     with np.errstate(invalid="ignore"):
         for k in range(1, SERIES_TERM_CAP):
-            np.subtract(t_k, comp, out=y)
-            np.add(total, y, out=t)
-            np.subtract(t, total, out=comp)
-            comp -= y
+            s = slice(lo, hi)
+            np.subtract(t_k[s], comp[s], out=y[s])
+            np.add(total[s], y[s], out=t[s])
+            np.subtract(t[s], total[s], out=comp[s])
+            comp[s] -= y[s]
             total, t = t, total
 
-            # All terms keep being added until the slowest lane (largest z)
-            # meets its bound, so the final tail bound is valid lane-by-lane.
             lg_k1, lg_next = lg_next, math.lgamma(beta * (k + 2) + gamma)
             c = math.exp(lg_k1 - lg_next)
-            t_k = term(k + 1, lg_k1)
-            r_max = z_max * c
-            if r_max < 1.0 and not (
-                t_k[i_max] / (1.0 - r_max) > (_REL_TOL * total[i_max] if tol is None else tol)
-            ):
-                tail = t_k / (1.0 - z * c)
-                if not (tail > (_REL_TOL * total if tol is None else tol)).any():
-                    return total, tail
+            term(k + 1, lg_k1)
+            # lanes lo..j-1 have ratio z*c < 1: a sorted search, made exact
+            if j < hi:
+                j += int(zs[j:hi].searchsorted(1.0 / c))
+                while j < hi and zs[j] * c < 1.0:
+                    j += 1
+            while j > lo and not zs[j - 1] * c < 1.0:
+                j -= 1
+            if j == lo:
+                continue
+            tail = zs[lo:j] * c
+            np.subtract(1.0, tail, out=tail)
+            np.divide(t_k[lo:j], tail, out=tail)
+            going = tail > (_REL_TOL * total[lo:j] if tol is None else tol)
+            for i in stopped:
+                if lo <= i < j:
+                    going[i - lo] = True
+            # lanes lo..lo+f-1 stop, and any lane past them that does is held apart
+            f = int(going.argmax())
+            if not going[f]:
+                f = going.size
+            elif not going[f:].all():
+                for i in np.flatnonzero(~going[f:]) + f:
+                    stopped[lo + int(i)] = (total[lo + i], tail[i])
+            # below lo, no buffer is written again
+            t[lo : lo + f] = total[lo : lo + f]
+            y[lo : lo + f] = tail[:f]
+            lo += f
+            while lo < hi and lo in stopped:
+                lo += 1
+            while hi > lo and hi - 1 in stopped:
+                hi -= 1
+            if lo == hi:  # every lane has stopped: unsort into two work arrays now free
+                for i, (value, bound) in stopped.items():
+                    total[i], y[i] = value, bound
+                comp[order] = total
+                t_k[order] = y
+                return comp, t_k
     raise DomainError(f"series for E({beta},{gamma}) exceeded {SERIES_TERM_CAP} terms")
 
 
@@ -253,10 +294,10 @@ def calibrate_growth_constants(beta: float, a: float) -> GrowthConstants:
     ``E(beta,beta; s^beta) e^(-s)`` falls in ``s``.  Over ``lam >= 1`` and
     ``0 <= t <= a`` its supremum is ``h(a)``, summed here to an absolute
     ``tol`` below 1e-4 of its ulp (``E(beta,beta; z) >= 1/Gamma(beta) > 1``).
-    That equals bit for bit the maximum over integer ``lam <= 400`` crossed
-    with 201 uniform times in [0, a], the grid whose calibration set the
-    headroom.  Requires ``beta`` in (1, 2): for ``beta <= 1`` the ratio is
-    unbounded as ``t -> 0``.
+    Summed to the same ``tol``, the maximum over integer ``lam <= 400``
+    crossed with 201 uniform times in [0, a], the grid whose calibration set
+    the headroom, equals it bit for bit.  Requires ``beta`` in (1, 2): for
+    ``beta <= 1`` the ratio is unbounded as ``t -> 0``.
     """
     if not (1.0 < beta < 2.0):
         raise DomainError(f"growth ratios require beta in (1, 2), got {beta}")

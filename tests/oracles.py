@@ -3,8 +3,8 @@
 Everything here is deliberately dumb and slow: straight series summation in
 mpmath working precision, adaptive quadrature, and a dense grid scan.  None
 of it shares code with the package under test.  The double-precision
-references are plain forms: the Mittag-Leffler series that tests its full
-width every term, which the package's series must match bit for bit, and
+references are plain forms: the Mittag-Leffler series that tests every
+lane at every term, which the package's series must match bit for bit, and
 the discrete C([0,a]; L2) norm of a whole field, which the solver reads
 from quadratic forms without forming the field.
 """
@@ -97,29 +97,33 @@ def hq_envelope_max(
 
 def ml_series_full_width(beta: float, gamma: float, z: np.ndarray, tol: float | None = None,
                          rel_tol: float = 1e-13, term_cap: int = 10_000):
-    """Mittag-Leffler power series that forms the full-width tail bound at
-    every term once the largest ratio is below 1: the reference for the
-    package's series, which reads its largest lane first.
+    """Mittag-Leffler power series that forms the tail bound of every lane at
+    every term, and stops each lane at its own first passing term: the
+    reference for the package's series, which sorts its lanes by z and tests
+    only those still summing whose ratio is below 1.
 
     Same arithmetic in the same order, so the two agree bit for bit in the
-    values, the tail bounds and the stop term.  Raises ``ValueError`` with
-    the package's ``DomainError`` text where the package raises.
+    values, the tail bounds and the stop term of every lane.  Raises
+    ``ValueError`` with the package's ``DomainError`` text where the package
+    raises: a term that overflows on some lane still summing, or a lane that
+    passes no test within the term cap.
     """
     total = np.full(z.size, math.exp(-math.lgamma(gamma)))
     comp = np.zeros(z.size)
+    value, bound = np.full(z.size, np.nan), np.full(z.size, np.nan)
+    live = np.ones(z.size, dtype=bool)
     with np.errstate(divide="ignore"):
         lnz = np.log(z)
-    lnz_max = float(lnz.max())
-    z_max = float(z.max())
 
     def term(k, lg_k):
-        if k * lnz_max - lg_k > 709.0:
-            raise ValueError(f"series term {k} of E({beta},{gamma}) overflows at z={z_max!r}")
+        if k * lnz[live].max() - lg_k > 709.0:
+            raise ValueError(f"series term {k} of E({beta},{gamma}) overflows at "
+                             f"z={float(z[live].max())!r}")
         return np.exp(k * lnz - lg_k)
 
     t_k = term(1, math.lgamma(beta + gamma))
     lg_next = math.lgamma(beta * 2 + gamma)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for k in range(1, term_cap):
             y = t_k - comp
             t = total + y
@@ -128,10 +132,13 @@ def ml_series_full_width(beta: float, gamma: float, z: np.ndarray, tol: float | 
             lg_k1, lg_next = lg_next, math.lgamma(beta * (k + 2) + gamma)
             c = math.exp(lg_k1 - lg_next)
             t_k = term(k + 1, lg_k1)
-            if z_max * c < 1.0:
-                tail = t_k / (1.0 - z * c)
-                if not (tail > (rel_tol * total if tol is None else tol)).any():
-                    return total, tail
+            r = z * c
+            tail = t_k / (1.0 - r)
+            stop = live & (r < 1.0) & ~(tail > (rel_tol * total if tol is None else tol))
+            value[stop], bound[stop] = total[stop], tail[stop]
+            live &= ~stop
+            if not live.any():
+                return value, bound
     raise ValueError(f"series for E({beta},{gamma}) exceeded {term_cap} terms")
 
 

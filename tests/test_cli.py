@@ -169,6 +169,11 @@ def _one_line_error(tmp_path, argv, flags=()):
      r"truth_modes 4 and eig_count 3$"),
     (["converge", "--config", {"truth_modes": 10**10}, "--replicates", "8", "--out", "x.json"],
      r"truth_modes 10000000000 and eig_count 64$"),
+    # a**beta in range, but lam_p a**beta past the series' reach: the kernel
+    # tables' refusal names the horizon, beta and the mode count
+    (["converge", "--a", "1e200", "--replicates", "8", "--out", "x.json"],
+     r"^error: horizon a=1e\+200 at beta=1\.5 puts the kernel of 4 modes beyond the "
+     r"Mittag-Leffler series: "),
 ])
 def test_bad_horizon_or_truth_size_is_one_line_error(tmp_path, argv, named):
     stderr = _one_line_error(tmp_path, argv, flags=("-W", "error::RuntimeWarning"))
@@ -190,7 +195,7 @@ def test_bad_horizon_or_truth_size_is_one_line_error(tmp_path, argv, named):
     (["converge", "--config", {"eig_count": 10**7, "replicates": 8, "rate": {
         "b": 1, "m": 0.5, "k": 1, "gamma": 3.5, "d": 1, "mu": 2}}, "--out", "x.json"],
      "10000000"),
-    # the rule keeps all 15,000 modes: their solver tables are charged 2.5 GiB
+    # the rule keeps all 15,000 modes: their solver tables are charged 1.9 GiB
     (["converge", "--eig-kind", "linear", "--eig-count", "15000", "--k", "1e-9", "--m-steps",
       "1024", "--replicates", "8", "--out", "x.json"], "15000"),
 ])

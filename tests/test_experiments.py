@@ -443,7 +443,9 @@ def test_convergence_table_makes_one_monte_carlo_sweep(monkeypatch):
 @pytest.mark.parametrize("shared_noise", [False, True])
 def test_convergence_table_makes_one_solve_per_noise_level(monkeypatch, shared_noise):
     # each level solves its R replicates and its three exact-error rows
-    # (noise-free data, unit u0, unit u1) at once; the truth is one more solve
+    # (noise-free data, unit u0, unit u1) at once, widest P_retained first
+    # (stably), so narrower levels read its table's row prefix; the truth is
+    # one more solve
     solved = []
     real = mild_solver._picard_solve
 
@@ -452,12 +454,33 @@ def test_convergence_table_makes_one_solve_per_noise_level(monkeypatch, shared_n
         return real(spec, lam, u0, u1, M, rows)
 
     monkeypatch.setattr(mild_solver, "_picard_solve", spy)
-    mild_solver._problem_tables.cache_clear()
+    mild_solver._TABLES.clear()
     cfg = small_converge_cfg(shared_noise=shared_noise)
     rows = convergence_table(cfg).meta["rows_detail"]
     truth = ((cfg.truth_modes,), 2 * cfg.M)
     levels = [((cfg.replicates + 3, r["P_retained"]), cfg.M) for r in rows]
-    assert solved == [truth] + levels and len(levels) == len(cfg.eps_grid)
+    widest_first = sorted(levels, key=lambda level: -level[0][1])
+    assert solved == [truth] + widest_first and len(levels) == len(cfg.eps_grid)
+    assert len({P for (_, P), _ in levels}) > 1  # the order is tested
+
+
+def test_convergence_report_does_not_depend_on_the_table_cache(tmp_path, monkeypatch):
+    # a narrower level reads the row prefix of the widest level's table, with
+    # the bits of its own cold build: the report is the same byte for byte
+    # when every level builds its own table.  The last grid row, where the
+    # kernel's arguments are largest, is the one a shared series stop moved
+    cfg = small_converge_cfg(t_eval=(0.25, 1.0))
+    mild_solver._TABLES.clear()
+    experiments.emit(convergence_table(cfg), str(tmp_path / "shared.json"), "json")
+    solve = experiments.regularized_solve
+
+    def cold(*args):
+        mild_solver._TABLES.clear()
+        return solve(*args)
+
+    monkeypatch.setattr(experiments, "regularized_solve", cold)
+    experiments.emit(convergence_table(cfg), str(tmp_path / "cold.json"), "json")
+    assert (tmp_path / "shared.json").read_bytes() == (tmp_path / "cold.json").read_bytes()
 
 
 def test_bound_check_fails_below_the_fitted_constants(monkeypatch):

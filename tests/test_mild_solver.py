@@ -17,6 +17,7 @@ from fracreg.mild_solver import (
     solve_mild,
 )
 from fracreg.mild_solver import (
+    _TABLES,
     _kernel_tables,
     _problem_tables,
     _volterra_product,
@@ -29,7 +30,7 @@ from fracreg.mittag_leffler import (
 )
 from fracreg.spectral import EigenSystem
 
-from oracles import max_row_l2, volterra_reference
+from oracles import max_row_l2, ml_reference, volterra_reference
 
 # Frozen mpmath series values (oracles.ml_reference, 60 digits).
 E_15_1_AT_1 = 1.9394872614337489665
@@ -354,14 +355,14 @@ def test_volterra_product_matches_dense_einsum(beta, P, M):
     assert np.all(gap <= 1e-12 * np.max(np.abs(want), axis=1)[1:])
 
 
-def test_cold_gbar_solve_memory_is_linear_in_grid():
+def test_cold_gbar_solve_memory_is_linear_in_grid(monkeypatch):
     # the fine-grid shape: a dense (P, M+1, M+1) weight stack alone would be
     # 269 MB here
     beta, P, M = 1.8, 8, 2048
     eig = EigenSystem.dirichlet_laplace_1d(P)
     spec = ProblemSpec(beta, 1.0, eig, NonlinearitySpec.gbar(calibrate_growth_constants(beta, 1.0).C3))
     data = InitialData(0.01 * np.ones(P), np.zeros(P))
-    _problem_tables.cache_clear()
+    _TABLES.clear()
     tracemalloc.start()
     try:
         solve_mild(spec, data, P=P, M=M)
@@ -369,21 +370,80 @@ def test_cold_gbar_solve_memory_is_linear_in_grid():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
-    # the solve's one miss, then one hit: F1, F2, A1, A2
+    # the solve's one build, then a cache hit: F1, F2, A1, A2
+    built = count_builds(monkeypatch)
     tables = _problem_tables(beta, 1.0, tuple(eig.eigenvalues.tolist()), M, spec.nonlinearity)
-    assert _problem_tables.cache_info()[:2] == (1, 1)
+    assert built == [] and len(_TABLES) == 1
     assert sum(x.nbytes for x in tables) == 4 * P * (M + 1) * 8
 
 
-def test_equal_sources_share_one_table():
+def count_builds(monkeypatch):
+    """The mode counts of the table builds from here on, in order."""
+    built = []
+    build = mild_solver._build_tables
+
+    def counting(beta, a, lams, M, source):
+        built.append(len(lams))
+        return build(beta, a, lams, M, source)
+
+    monkeypatch.setattr(mild_solver, "_build_tables", counting)
+    return built
+
+
+def test_equal_sources_share_one_table(monkeypatch):
     # the table cache is keyed on the source, so equal sources built apart
-    # must hit it
+    # must share one build, and a narrower P reads that build's row prefix
     eig = EigenSystem.dirichlet_laplace_1d(4)
     data = InitialData(np.ones(4), np.zeros(4))
-    _problem_tables.cache_clear()
+    _TABLES.clear()
+    built = count_builds(monkeypatch)
     for nl in (NonlinearitySpec.damped(0.02), NonlinearitySpec("damped", 0.02, 0.0)):
         solve_mild(ProblemSpec(1.5, 1.0, eig, nl), data, P=4, M=16)
-    assert _problem_tables.cache_info()[:2] == (1, 1)
+        solve_mild(ProblemSpec(1.5, 1.0, eig, nl), data, P=2, M=16)
+    assert built == [4] and len(_TABLES) == 1
+
+
+def test_table_cache_keeps_at_most_32_builds(monkeypatch):
+    _TABLES.clear()
+    built = count_builds(monkeypatch)
+    for K in range(40):
+        _problem_tables(1.5, 1.0, (1.0,), 2, NonlinearitySpec.damped(float(K)))
+    assert len(built) == 40 and len(_TABLES) == 32
+    _problem_tables(1.5, 1.0, (1.0,), 2, NonlinearitySpec.damped(39.0))  # the newest is kept
+    assert len(built) == 40
+    _TABLES.clear()
+
+
+@pytest.mark.parametrize("beta, M", [(1.5, 128), (1.8, 64), (1.2, 1024), (1.8, 2048)])
+@pytest.mark.parametrize("kind", ["damped", "gbar"])
+def test_narrower_table_is_the_row_prefix_of_a_wider_one(beta, M, kind):
+    # every stage of a build works mode by mode, and each Mittag-Leffler lane
+    # stops on its own, so a cold build of the first P modes has the bits of
+    # the first P rows of a wider build: the cache may serve it as that prefix
+    nl = (NonlinearitySpec.damped(0.5) if kind == "damped"
+          else NonlinearitySpec.gbar(calibrate_growth_constants(beta, 1.0).C3))
+    lams = tuple((np.arange(1.0, 12.0) ** 2).tolist())
+    wide = mild_solver._build_tables(beta, 1.0, lams[: 8 if M == 2048 else 11], M, nl)
+    for P in (1, 4, 7):
+        narrow = mild_solver._build_tables(beta, 1.0, lams[:P], M, nl)
+        for w, n in zip(wide, narrow):
+            assert w[:P].tobytes() == n.tobytes()
+
+
+@pytest.mark.parametrize("beta, P, M", [(1.5, 11, 128), (1.8, 8, 2048), (1.2, 30, 1024)])
+def test_homogeneous_tables_against_oracle(beta, P, M):
+    # E1 = 1 + lam K1 and E2t = t + lam K2 sum two series in place of
+    # E(beta,1) and E(beta,2); sampled lanes of the build's own grid,
+    # the largest argument among them, against the 60-digit series
+    lam = np.arange(1.0, P + 1) ** 2
+    E1, E2t, _, _ = _kernel_tables(beta, 1.0, lam, M)
+    t = np.linspace(0.0, 1.0, M + 1)
+    rng = np.random.default_rng(P + M)
+    lanes = [(P - 1, M)] + list(zip(rng.integers(0, P, 9), rng.integers(1, M + 1, 9)))
+    for p, i in lanes:
+        z = float(lam[p] * t[i] ** beta)
+        assert E1[p, i] == pytest.approx(ml_reference(beta, 1.0, z), rel=1e-12)
+        assert E2t[p, i] == pytest.approx(t[i] * ml_reference(beta, 2.0, z), rel=1e-12)
 
 
 def test_exact_solve_of_large_field_matches_picard():
@@ -552,14 +612,14 @@ def test_cold_table_build_stays_under_its_charge(monkeypatch, nl, P, M):
 
     monkeypatch.setattr(mild_solver, "check_budget", record)
     lams = tuple(np.arange(1.0, P + 1).tolist())
-    _problem_tables.cache_clear()
+    _TABLES.clear()
     tracemalloc.start()
     try:
         _problem_tables(1.5, 1.0, lams, M, nl)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        _problem_tables.cache_clear()
+        _TABLES.clear()
     assert len(charged) == 1 and peak <= 8 * charged[0]
 
 
@@ -716,21 +776,24 @@ def test_recorded_residual_is_the_direct_residual(kind, beta, P, M, rows):
 def test_perturbed_table_fails_the_next_solve(table):
     # one entry of a cached response F1, or of the cached right-hand side
     # A1, off by 1e-6 relative at the field's largest entry: every field whose
-    # u0 reaches that mode must fail the check, and the error names the first
-    spec = ProblemSpec(1.5, 1.0, EigenSystem.dirichlet_laplace_1d(6), NonlinearitySpec.damped(0.5))
+    # u0 reaches that mode must fail the check, and the error names the first.
+    # The 6-mode solves read the row prefix of an 8-mode build, perturbed there
+    spec = ProblemSpec(1.5, 1.0, EigenSystem.dirichlet_laplace_1d(8), NonlinearitySpec.damped(0.5))
     u0 = np.random.default_rng(5).normal(size=(3, 6))
     u0[0, 5] = 0.0
     data = InitialData(u0, np.zeros((3, 6)))
-    _problem_tables.cache_clear()
+    _TABLES.clear()
     try:
+        solve_mild(spec, InitialData(np.ones(8), np.zeros(8)), P=8, M=32)
         solve_mild(spec, data, P=6, M=32)
+        assert len(_TABLES) == 1
         lams = tuple(spec.eig.eigenvalues.tolist())
         _problem_tables(1.5, 1.0, lams, 32, spec.nonlinearity)[table][5, 32] *= 1.0 + 1e-6
         with pytest.raises(NoConvergence, match="field 1") as info:
             solve_mild(spec, data, P=6, M=32)
         assert info.value.residual > 1e-10
     finally:
-        _problem_tables.cache_clear()
+        _TABLES.clear()
 
 
 def test_warm_batched_solve_memory_is_a_few_fields():
@@ -805,22 +868,24 @@ def test_perturbed_table_fails_a_solve_that_skips_its_row(table):
     # as test_perturbed_table_fails_the_next_solve, with the perturbed row
     # 32, the last of the grid, among the rows the solve does not return:
     # the check still reads it
-    spec = ProblemSpec(1.5, 1.0, EigenSystem.dirichlet_laplace_1d(6), NonlinearitySpec.damped(0.5))
+    spec = ProblemSpec(1.5, 1.0, EigenSystem.dirichlet_laplace_1d(8), NonlinearitySpec.damped(0.5))
     u0 = np.random.default_rng(5).normal(size=(3, 6))
     u0[0, 5] = 0.0
     data = InitialData(u0, np.zeros((3, 6)))
     rows = [31, 0, 16, 8, 24]
     assert 32 not in rows
-    _problem_tables.cache_clear()
+    _TABLES.clear()
     try:
+        solve_mild(spec, InitialData(np.ones(8), np.zeros(8)), P=8, M=32, rows=rows)
         solve_mild(spec, data, P=6, M=32, rows=rows)
+        assert len(_TABLES) == 1
         lams = tuple(spec.eig.eigenvalues.tolist())
         _problem_tables(1.5, 1.0, lams, 32, spec.nonlinearity)[table][5, 32] *= 1.0 + 1e-6
         with pytest.raises(NoConvergence, match="field 1") as info:
             solve_mild(spec, data, P=6, M=32, rows=rows)
         assert info.value.residual > 1e-10
     finally:
-        _problem_tables.cache_clear()
+        _TABLES.clear()
 
 
 def test_field_that_overflows_past_its_returned_rows_fails():

@@ -187,18 +187,19 @@ def test_ml_values_matches_scalar():
 
 
 def _series_full_table(beta, gamma, z, tol=None):
-    """The power series with the whole log-Gamma table built up front,
-    stopping at ``tol`` or at ``_REL_TOL`` times the running total: the
-    reference the series loop, which carries log Gamma forward term by
-    term, must reproduce bit for bit."""
+    """The power series with the whole log-Gamma table built up front, each
+    lane stopping at its own first term that meets ``tol`` or ``_REL_TOL``
+    times its running total: the reference the series loop, which carries
+    log Gamma forward term by term, must reproduce bit for bit."""
     n = z.size
     total = np.full(n, math.exp(-math.lgamma(gamma)))
     comp = np.zeros(n)
-    if n == 0:
-        return total, np.zeros(n)
+    value, bound = np.zeros(n), np.zeros(n)
     pos = z > 0.0
+    live = pos.copy()
+    value[~pos] = total[~pos]  # z = 0: every term is 0
     if not np.any(pos):
-        return total, np.zeros(n)
+        return value, bound
     lnz = np.where(pos, np.log(np.where(pos, z, 1.0)), -np.inf)
     lg = np.array([math.lgamma(x) for x in (beta * np.arange(SERIES_TERM_CAP + 2) + gamma)])
 
@@ -215,9 +216,11 @@ def _series_full_table(beta, gamma, z, tol=None):
         t_k = term(k + 1)
         with np.errstate(divide="ignore", invalid="ignore"):
             tail = np.where(r_next < 1.0, t_k / (1.0 - r_next), np.inf)
-        bound = _REL_TOL * total if tol is None else tol
-        if np.all(~pos | ((r_next < 1.0) & (tail <= bound))):
-            return total, np.where(pos, tail, 0.0)
+        stop = live & (r_next < 1.0) & (tail <= (_REL_TOL * total if tol is None else tol))
+        value[stop], bound[stop] = total[stop], tail[stop]
+        live &= ~stop
+        if not live.any():
+            return value, bound
     raise AssertionError("reference series did not converge")
 
 
@@ -248,6 +251,13 @@ def _series_cases():
             cases += [(beta, gamma, arg, None), (beta, gamma, arg, 1e-9)]
         # a tol looser than the relative target: the series stops sooner
         cases.append((beta, gamma, rng.uniform(0.0, 4.0, 31) ** beta, 1e-6))
+    # neighbours at a stop boundary where rounding makes the larger argument
+    # stop a term sooner than the one below it (29 and 28 terms, 71 and 70,
+    # 186 and 185)
+    for beta, gamma, z in [(1.7269798695034035, 1.0, 95.53169571568971),
+                           (1.1352048711533893, 3.1352048711533893, 51.714310675342205),
+                           (1.1556463193152446, 1.1556463193152446, 263.11882902929796)]:
+        cases.append((beta, gamma, z + np.arange(-2.0, 4.0) * np.spacing(z), None))
     # the solver's grids lam_p t^beta, on a linear and a Dirichlet spectrum
     t = np.linspace(0.0, 1.0, 129)
     for beta in (1.2, 1.5, 1.8):
@@ -260,13 +270,34 @@ def _series_cases():
 
 
 def test_series_is_bit_identical_to_the_full_width_tail_test():
-    # the series tests its largest lane first and forms the full-width tail
-    # bound only once that lane passes; the reference forms it every term
+    # the series tests only the sorted lanes still summing whose ratio is
+    # below 1; the reference forms every lane's tail bound at every term
     for beta, gamma, z, tol in _series_cases():
         value, err = ml_values(beta, gamma, z, tol)
         want_value, want_err = ml_series_full_width(beta, gamma, z.ravel(), tol)
         assert value.ravel().tobytes() == want_value.tobytes(), (beta, gamma, tol)
         assert err.ravel().tobytes() == want_err.tobytes(), (beta, gamma, tol)
+
+
+def test_every_lane_has_its_bits_alone():
+    # each lane stops at its own first passing term, so its value and bound
+    # do not depend on the other arguments of its call: not on their order,
+    # and not on whether there are any
+    rng = np.random.default_rng(20261021)
+    for beta, gamma, z, tol in _series_cases():
+        flat = z.ravel()
+        value, err = ml_values(beta, gamma, flat, tol)
+        perm = rng.permutation(flat.size)
+        shuffled = ml_values(beta, gamma, flat[perm], tol)
+        assert shuffled[0].tobytes() == value[perm].tobytes()
+        assert shuffled[1].tobytes() == err[perm].tobytes()
+        lanes = range(flat.size)
+        if flat.size > 100:  # the solver grids: a sample, with their largest lane
+            lanes = [int(flat.argmax()), *rng.choice(flat.size, 15, replace=False)]
+        for i in lanes:
+            alone = ml_values(beta, gamma, flat[i : i + 1], tol)
+            assert (alone[0].tobytes(), alone[1].tobytes()) == (
+                value[i : i + 1].tobytes(), err[i : i + 1].tobytes()), (beta, gamma, tol, i)
 
 
 @pytest.mark.parametrize("beta, gamma, z, tol", [
@@ -326,8 +357,9 @@ def test_kernel_primitive_domain():
         kernel_primitive(1.5, -1.0, 1.0)
 
 
-def growth_ratio_grids(beta, lams, ts):
-    """The three normalized growth ratios on the tensor grid lams x ts.
+def growth_ratio_grids(beta, lams, ts, tol=None):
+    """The three normalized growth ratios on the tensor grid lams x ts, each
+    Mittag-Leffler value summed to ``tol`` when given.
 
     Rows index ``lams``, columns ``ts``:
 
@@ -340,9 +372,9 @@ def growth_ratio_grids(beta, lams, ts):
     z = lams[:, None] * ts[None, :] ** beta
     damp = np.exp(-(lams[:, None] ** (1.0 / beta)) * ts[None, :])
 
-    e1, _ = ml_values(beta, 1.0, z)
-    e2, _ = ml_values(beta, 2.0, z)
-    e3, _ = ml_values(beta, beta, z)
+    e1, _ = ml_values(beta, 1.0, z, tol)
+    e2, _ = ml_values(beta, 2.0, z, tol)
+    e3, _ = ml_values(beta, beta, z, tol)
 
     r1 = e1 * damp
     r2 = ts[None, :] * e2 * damp / (1.0 + lams[:, None] ** (-1.0 / beta))
@@ -440,7 +472,8 @@ GRID_SWEEP = [(1.01, 0.01), (1.01, 0.1), (1.01, 1.0), (1.05, 0.01), (1.05, 1.0),
 
 @pytest.mark.parametrize("beta, a", GRID_SWEEP)
 def test_growth_constant_is_the_reference_grid_maximum_bit_for_bit(beta, a):
-    ratio = growth_ratio_grids(beta, *reference_grid(a))[2]
+    # every lane stops on its own, so the grid is summed at C3's own tol
+    ratio = growth_ratio_grids(beta, *reference_grid(a), tol=mlmod._GROWTH_TOL)[2]
     assert calibrate_growth_constants(beta, a).C3 == float(ratio.max()) * mlmod._GROWTH_HEADROOM
     # the ratio falls along lam at every t and rises along t at lam = 1, so
     # its maximum sits at (lam = 1, t = a)
