@@ -394,9 +394,9 @@ def _source_constants(
     so both are finite and computable): the mu-weighted and the r-margin
     exponentially weighted spectral sums, maximized over the time grid."""
     growth = lam ** (1.0 / beta)
-    u_sq = truth.coeffs**2
     # an overflow leaves an inf or nan in the sum, which the checks below report
     with np.errstate(over="ignore", invalid="ignore"):
+        u_sq = truth.coeffs**2
         w_mu = lam**mu * np.exp(
             2.0 * (a - truth.t_grid)[:, None] * growth[None, :]
         )
@@ -466,39 +466,37 @@ def convergence_table(cfg: ExperimentConfig) -> ErrorReport:
     # The solve is linear and mode-diagonal, so the expected error is exact:
     # the error from noise-free data plus eps^2 times the norms of the solves
     # from unit value and velocity noise (of their sum, under shared noise).
-    # Every field of a batch has the bits of its own solve, so these three
-    # rows ride at the end of each level's replicates, cut to its N.
+    # Those three rows are solved once at the widest P_retained; each mode
+    # has the bits of its own solve, so a level reads its first P_retained
+    # columns, zero from its N on: its data is cut to N before the solve.
+    P_max = max(rc.P_retained for rc in reg_cfgs)
+    exact0 = np.stack((pad(data.u0, P_max), np.ones(P_max), np.zeros(P_max)))
+    exact1 = np.stack((pad(data.u1, P_max), np.zeros(P_max), np.ones(P_max)))
+    responses = solve_mild(spec, InitialData(exact0, exact1), P_max, cfg.M, rows).coeffs
     N_max = max(rc.N for rc in reg_cfgs)
-    exact0 = np.stack((pad(data.u0, N_max), np.ones(N_max), np.zeros(N_max)))
-    exact1 = np.stack((pad(data.u1, N_max), np.zeros(N_max), np.ones(N_max)))
-    responses = [None] * len(reg_cfgs)
 
     def sample(replicates):
         """Squared error norms of the regularized solves, level by level, at every t.
 
         The whole sweep is one draw: each level keeps the first N of its
-        block, which are its own draw of N.  Each level is one solve: its
-        replicates and, at the end, the three rows of its exact error.  The
-        levels are solved widest ``P_retained`` first, so every narrower
-        level reads the row prefix of one cached table.
+        block, which are its own draw of N.  Each level is one solve of its
+        replicates, reading the row prefix of the exact rows' table.
         """
         sweep = observe(data.u0, data.u1, cfg.eps_grid, N_max, cfg.seed,
                         shared_noise=cfg.shared_noise, level=np.arange(len(reg_cfgs)),
                         replicate=replicates)
-        errors = [None] * len(reg_cfgs)
-        for i in sorted(range(len(reg_cfgs)), key=lambda i: -reg_cfgs[i].P_retained):
-            rc = reg_cfgs[i]
-            obs = NoisyObservation(np.concatenate((sweep.obs0[i], exact0))[:, : rc.N],
-                                   np.concatenate((sweep.obs1[i], exact1))[:, : rc.N],
+        errors = []
+        for i, rc in enumerate(reg_cfgs):
+            obs = NoisyObservation(sweep.obs0[i, :, : rc.N], sweep.obs1[i, :, : rc.N],
                                    cfg.shared_noise)
             fld = regularized_solve(spec, obs, rc, cfg.M, rows)
-            responses[i] = fld.coeffs[-3:]
-            errors[i] = [sq_err(rc, fld.coeffs[:-3, j], t) for j, t in enumerate(t_eval)]
-        return [e for level in errors for e in level]
+            errors += [sq_err(rc, fld.coeffs[:, j], t) for j, t in enumerate(t_eval)]
+        return errors
 
     est = iter(monte_carlo(sample, cfg.replicates))
     stats = []
-    for eps, rc, resp in zip(cfg.eps_grid, reg_cfgs, responses):
+    for eps, rc in zip(cfg.eps_grid, reg_cfgs):
+        resp = pad(responses[..., : rc.N], rc.P_retained)
         for j, t in enumerate(t_eval):
             mise, se = next(est)
             at_t = resp[:, j]

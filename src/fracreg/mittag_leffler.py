@@ -17,9 +17,10 @@ is strictly decreasing in ``k``, so once it drops below 1 the tail is
 bounded by a geometric series.  Each argument's summation stops at its own
 first term where that bound is at most ``_REL_TOL`` times its running
 total, which is a lower bound on the value, or at most an absolute ``tol``
-when one is given.  So a value has the same bits whatever the other
-arguments of its call, and a table over a grid has the bits, row for row,
-of any table over part of that grid.
+when one is given.  An argument that rounding stops a term before a
+smaller one is summed again without it.  So a value has the same bits
+whatever the other arguments of its call, and a table over a grid has the
+bits, row for row, of any table over part of that grid.
 
 The series needs about ``x / beta`` terms, ``x = z**(1/beta)``.  Rounding
 grows with ``x``: for the parameters the solver uses (``beta`` in (1, 2],
@@ -129,15 +130,16 @@ def _series(
     the running total is a lower bound on the value.  The lane keeps the
     total and the bound of that term, so it has the bits it has alone.
 
-    The lanes are sorted by z, and lanes ``lo..hi-1`` hold every lane still
-    summing, so the computed range shrinks from below as the small-z lanes
-    finish.  IEEE multiplication by a positive scalar rounds monotonically,
-    so ``r < 1`` holds on a prefix ``lo..j-1`` of that range, found by a
-    sorted search made exact, and only that prefix is tested.  Rounding can
-    stop a lane a term before the one below it; such a lane keeps its value
-    and bound apart until the range passes it.  A term's exponent ``k*lnz -
-    lg_k`` is tested on the largest lane still summing.  Every work array
-    is written in place, and two of them return the result.
+    The lanes are sorted by z, and lanes ``lo..n-1`` are summed, so the
+    computed range shrinks from below as the small-z lanes finish.  IEEE
+    multiplication by a positive scalar rounds monotonically, so ``r < 1``
+    holds on a prefix ``lo..j-1`` of that range, found by a sorted search
+    made exact, and only that prefix is tested.  Rounding can stop a lane a
+    term before the one below it; such a lane is summed on with the others,
+    and once every lane has stopped, all such lanes are summed again in one
+    call of their own, which gives each the bits it has alone.  A term's
+    exponent ``k*lnz - lg_k`` is tested on the largest lane.  Every work
+    array is written in place, and two of them return the result.
     """
     try:
         first = math.exp(-math.lgamma(gamma))
@@ -155,18 +157,17 @@ def _series(
     total = np.full(n, first)
     comp = np.zeros(n)
     y = np.empty(n)
-    t = np.empty(n)
     t_k = np.empty(n)
-    lo, j, hi = 0, 0, n
-    stopped = {}  # lane -> (value, bound), for a lane that stops above one still summing
+    lo, j = 0, 0
+    again = set()  # lanes that stopped above one still summing, to be summed again alone
 
     def term(k: int, lg_k: float) -> None:
-        """Term ``k`` of lanes ``lo..hi-1`` into ``t_k``, given ``lg_k = log Gamma(beta*k + gamma)``."""
-        if k * lnz[hi - 1] - lg_k > 709.0:  # exp overflows: z is beyond the series' reach
+        """Term ``k`` of lanes ``lo..n-1`` into ``t_k``, given ``lg_k = log Gamma(beta*k + gamma)``."""
+        if k * lnz[-1] - lg_k > 709.0:  # exp overflows: z is beyond the series' reach
             raise DomainError(
-                f"series term {k} of E({beta},{gamma}) overflows at z={float(zs[hi - 1])!r}")
-        a = t_k[lo:hi]
-        np.multiply(lnz[lo:hi], k, out=a)
+                f"series term {k} of E({beta},{gamma}) overflows at z={float(zs[-1])!r}")
+        a = t_k[lo:]
+        np.multiply(lnz[lo:], k, out=a)
         a -= lg_k
         np.exp(a, out=a)
 
@@ -177,20 +178,20 @@ def _series(
     # the nonfinite value
     with np.errstate(invalid="ignore"):
         for k in range(1, SERIES_TERM_CAP):
-            s = slice(lo, hi)
+            s = slice(lo, n)  # the new total goes into the spent term's buffer
             np.subtract(t_k[s], comp[s], out=y[s])
-            np.add(total[s], y[s], out=t[s])
-            np.subtract(t[s], total[s], out=comp[s])
+            np.add(total[s], y[s], out=t_k[s])
+            np.subtract(t_k[s], total[s], out=comp[s])
             comp[s] -= y[s]
-            total, t = t, total
+            total, t_k = t_k, total
 
             lg_k1, lg_next = lg_next, math.lgamma(beta * (k + 2) + gamma)
             c = math.exp(lg_k1 - lg_next)
             term(k + 1, lg_k1)
             # lanes lo..j-1 have ratio z*c < 1: a sorted search, made exact
-            if j < hi:
-                j += int(zs[j:hi].searchsorted(1.0 / c))
-                while j < hi and zs[j] * c < 1.0:
+            if j < n:
+                j += int(zs[j:].searchsorted(1.0 / c))
+                while j < n and zs[j] * c < 1.0:
                     j += 1
             while j > lo and not zs[j - 1] * c < 1.0:
                 j -= 1
@@ -200,27 +201,20 @@ def _series(
             np.subtract(1.0, tail, out=tail)
             np.divide(t_k[lo:j], tail, out=tail)
             going = tail > (_REL_TOL * total[lo:j] if tol is None else tol)
-            for i in stopped:
-                if lo <= i < j:
-                    going[i - lo] = True
-            # lanes lo..lo+f-1 stop, and any lane past them that does is held apart
+            # lanes lo..lo+f-1 stop, and any lane past them that does is summed again
             f = int(going.argmax())
             if not going[f]:
                 f = going.size
             elif not going[f:].all():
-                for i in np.flatnonzero(~going[f:]) + f:
-                    stopped[lo + int(i)] = (total[lo + i], tail[i])
+                again.update((np.flatnonzero(~going[f:]) + (lo + f)).tolist())
             # below lo, no buffer is written again
-            t[lo : lo + f] = total[lo : lo + f]
+            t_k[lo : lo + f] = total[lo : lo + f]
             y[lo : lo + f] = tail[:f]
             lo += f
-            while lo < hi and lo in stopped:
-                lo += 1
-            while hi > lo and hi - 1 in stopped:
-                hi -= 1
-            if lo == hi:  # every lane has stopped: unsort into two work arrays now free
-                for i, (value, bound) in stopped.items():
-                    total[i], y[i] = value, bound
+            if lo == n:  # every lane has stopped: unsort into two work arrays now free
+                if again:
+                    i = np.array(sorted(again))
+                    total[i], y[i] = _series(beta, gamma, zs[i], tol)
                 comp[order] = total
                 t_k[order] = y
                 return comp, t_k
@@ -297,13 +291,18 @@ def calibrate_growth_constants(beta: float, a: float) -> GrowthConstants:
     Summed to the same ``tol``, the maximum over integer ``lam <= 400``
     crossed with 201 uniform times in [0, a], the grid whose calibration set
     the headroom, equals it bit for bit.  Requires ``beta`` in (1, 2): for
-    ``beta <= 1`` the ratio is unbounded as ``t -> 0``.
+    ``beta <= 1`` the ratio is unbounded as ``t -> 0``.  A horizon past the
+    series' reach is a one-line :class:`DomainError` naming ``a`` and ``beta``.
     """
     if not (1.0 < beta < 2.0):
         raise DomainError(f"growth ratios require beta in (1, 2), got {beta}")
     if not 0.0 < a < math.inf or beta * math.log(a) > 709.0:  # a**beta in range
         raise DomainError(f"horizon a must be finite and positive, with a**beta < e^709, got {a}")
     t = np.full(1, a, dtype=float)  # numpy pow and exp, which the grid maximum used
-    e, _ = ml_values(beta, beta, t**beta, tol=_GROWTH_TOL)
+    try:
+        e, _ = ml_values(beta, beta, t**beta, tol=_GROWTH_TOL)
+    except DomainError as exc:
+        raise DomainError(f"horizon a={a!r} at beta={beta!r} puts the growth constant beyond "
+                          f"the Mittag-Leffler series: {exc}") from None
     ratio = t ** (beta - 1.0) * e * np.exp(-t)
     return GrowthConstants(float(ratio[0]) * _GROWTH_HEADROOM)

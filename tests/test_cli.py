@@ -130,6 +130,10 @@ def _limit_address_space():
     ["converge", "--m-steps", "-3", "--replicates", "8", "--out", "x.json"],
     # a replicate count beyond the desk-scale limit is refused before its draw
     ["converge", "--replicates", "100000000", "--out", "x.json"],
+    # the truth's squared coefficients overflow: no numpy warning may precede the error
+    ["converge", "--lipschitz-k", "3e4", "--replicates", "8", "--out", "x.json"],
+    ["converge", "--config", {"truth_modes": 64, "truth_decay": -50}, "--replicates", "8",
+     "--out", "x.json"],
 ])
 def test_overflow_is_one_line_error(tmp_path, argv):
     stderr = _one_line_error(tmp_path, argv)
@@ -173,6 +177,10 @@ def _one_line_error(tmp_path, argv, flags=()):
     # tables' refusal names the horizon, beta and the mode count
     (["converge", "--a", "1e200", "--replicates", "8", "--out", "x.json"],
      r"^error: horizon a=1e\+200 at beta=1\.5 puts the kernel of 4 modes beyond the "
+     r"Mittag-Leffler series: "),
+    # the growth constant past the series' reach: the refusal names the horizon and beta
+    (["illposed", "--a", "1e3", "--out", "x.csv"],
+     r"^error: horizon a=1000\.0 at beta=1\.8 puts the growth constant beyond the "
      r"Mittag-Leffler series: "),
 ])
 def test_bad_horizon_or_truth_size_is_one_line_error(tmp_path, argv, named):

@@ -413,11 +413,15 @@ def test_each_experiment_draws_only_the_streams_it_reads(monkeypatch, run, cfg, 
 @pytest.mark.parametrize("norm, q", [("l2", 0.0), ("hq", 0.5)])
 def test_exact_mise_matches_brute_force_monte_carlo(norm, q, shared_noise):
     # the closed form against an independent estimate: thousands of noisy
-    # solves on a tiny problem
-    cfg = small_converge_cfg(M=16, eps_grid=(1e-4, 1e-5, 1e-6), replicates=4000,
-                             norm=norm, q=q, t_eval=(0.25, 0.5), shared_noise=shared_noise)
-    for row in convergence_table(cfg).meta["rows_detail"]:
-        assert abs(row["mise"] - row["exact_mise"]) <= 4.0 * row["se"], row
+    # solves on a tiny problem.  On the linear spectrum every level keeps
+    # more modes than it observes (P_retained 23-32, N 4-8): those modes see
+    # no data
+    for eig_kind in ("dirichlet", "linear"):
+        cfg = small_converge_cfg(M=16, eps_grid=(1e-4, 1e-5, 1e-6), replicates=4000,
+                                 norm=norm, q=q, t_eval=(0.25, 0.5), shared_noise=shared_noise,
+                                 eig_kind=eig_kind)
+        for row in convergence_table(cfg).meta["rows_detail"]:
+            assert abs(row["mise"] - row["exact_mise"]) <= 4.0 * row["se"], row
 
 
 @pytest.mark.parametrize("norm, q", [("l2", 0.0), ("hq", 0.5)])
@@ -442,26 +446,32 @@ def test_convergence_table_makes_one_monte_carlo_sweep(monkeypatch):
 
 @pytest.mark.parametrize("shared_noise", [False, True])
 def test_convergence_table_makes_one_solve_per_noise_level(monkeypatch, shared_noise):
-    # each level solves its R replicates and its three exact-error rows
-    # (noise-free data, unit u0, unit u1) at once, widest P_retained first
-    # (stably), so narrower levels read its table's row prefix; the truth is
-    # one more solve
-    solved = []
-    real = mild_solver._picard_solve
+    # after the truth, the three exact-error rows (noise-free data, unit u0,
+    # unit u1) are solved once at the widest P_retained, which builds the one
+    # table every level reads a row prefix of; then each level solves its R
+    # replicates at once, in report order
+    solved, built = [], []
+    real, build = mild_solver._picard_solve, mild_solver._build_tables
 
     def spy(spec, lam, u0, u1, M, rows=None):
         solved.append((u0.shape, M))
         return real(spec, lam, u0, u1, M, rows)
 
+    def spy_build(beta, a, lams, M, source):
+        built.append((len(lams), M))
+        return build(beta, a, lams, M, source)
+
     monkeypatch.setattr(mild_solver, "_picard_solve", spy)
+    monkeypatch.setattr(mild_solver, "_build_tables", spy_build)
     mild_solver._TABLES.clear()
     cfg = small_converge_cfg(shared_noise=shared_noise)
     rows = convergence_table(cfg).meta["rows_detail"]
     truth = ((cfg.truth_modes,), 2 * cfg.M)
-    levels = [((cfg.replicates + 3, r["P_retained"]), cfg.M) for r in rows]
-    widest_first = sorted(levels, key=lambda level: -level[0][1])
-    assert solved == [truth] + widest_first and len(levels) == len(cfg.eps_grid)
+    P_max = max(r["P_retained"] for r in rows)
+    levels = [((cfg.replicates, r["P_retained"]), cfg.M) for r in rows]
+    assert solved == [truth, ((3, P_max), cfg.M)] + levels and len(levels) == len(cfg.eps_grid)
     assert len({P for (_, P), _ in levels}) > 1  # the order is tested
+    assert built == [(cfg.truth_modes, 2 * cfg.M), (P_max, cfg.M)]
 
 
 def test_convergence_report_does_not_depend_on_the_table_cache(tmp_path, monkeypatch):

@@ -239,6 +239,16 @@ def test_series_is_bit_identical_to_a_full_log_gamma_table(beta, gamma, monkeypa
         assert e.tobytes() == we.tobytes()
 
 
+def _neighbour_cases():
+    # neighbours at a stop boundary where rounding makes the larger argument
+    # stop a term sooner than the one below it (29 and 28 terms, 71 and 70,
+    # 186 and 185)
+    return [(beta, gamma, z + np.arange(-2.0, 4.0) * np.spacing(z), None)
+            for beta, gamma, z in [(1.7269798695034035, 1.0, 95.53169571568971),
+                                   (1.1352048711533893, 3.1352048711533893, 51.714310675342205),
+                                   (1.1556463193152446, 1.1556463193152446, 263.11882902929796)]]
+
+
 def _series_cases():
     rng = np.random.default_rng(20261019)
     cases = []
@@ -251,13 +261,7 @@ def _series_cases():
             cases += [(beta, gamma, arg, None), (beta, gamma, arg, 1e-9)]
         # a tol looser than the relative target: the series stops sooner
         cases.append((beta, gamma, rng.uniform(0.0, 4.0, 31) ** beta, 1e-6))
-    # neighbours at a stop boundary where rounding makes the larger argument
-    # stop a term sooner than the one below it (29 and 28 terms, 71 and 70,
-    # 186 and 185)
-    for beta, gamma, z in [(1.7269798695034035, 1.0, 95.53169571568971),
-                           (1.1352048711533893, 3.1352048711533893, 51.714310675342205),
-                           (1.1556463193152446, 1.1556463193152446, 263.11882902929796)]:
-        cases.append((beta, gamma, z + np.arange(-2.0, 4.0) * np.spacing(z), None))
+    cases += _neighbour_cases()
     # the solver's grids lam_p t^beta, on a linear and a Dirichlet spectrum
     t = np.linspace(0.0, 1.0, 129)
     for beta in (1.2, 1.5, 1.8):
@@ -298,6 +302,25 @@ def test_every_lane_has_its_bits_alone():
             alone = ml_values(beta, gamma, flat[i : i + 1], tol)
             assert (alone[0].tobytes(), alone[1].tobytes()) == (
                 value[i : i + 1].tobytes(), err[i : i + 1].tobytes()), (beta, gamma, tol, i)
+
+
+def test_neighbours_are_summed_again_alone(monkeypatch):
+    # a lane that stops a term before the one below it is summed on with
+    # the rest, then summed again in a call without the lane below it: the
+    # neighbour cases take that path, so the bit tests above cover it
+    calls = []
+    real = mlmod._series
+
+    def spy(beta, gamma, z, tol=None):
+        calls.append(z.copy())
+        return real(beta, gamma, z, tol)
+
+    monkeypatch.setattr(mlmod, "_series", spy)
+    for beta, gamma, z, tol in _neighbour_cases():
+        calls.clear()
+        ml_values(beta, gamma, z, tol)
+        assert len(calls) >= 2 and 0 < calls[1].size < z.size, (beta, gamma)
+        assert set(calls[1]) < set(z) and calls[1].min() > z.min(), (beta, gamma)
 
 
 @pytest.mark.parametrize("beta, gamma, z, tol", [
